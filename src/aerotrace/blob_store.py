@@ -12,7 +12,7 @@ import logging
 import re
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Callable
@@ -26,11 +26,6 @@ TIER_COOL = "cool"
 TIER_ARCHIVE = "archive"
 
 NODE_ID_RE = re.compile(r"^[a-z0-9-]{1,63}$")
-
-STATE_PENDING = "pending"
-STATE_IN_FLIGHT = "in_flight"
-STATE_CONFIRMED = "confirmed"
-STATE_FAILED = "failed"
 
 GB = 10 ** 9
 DAYS_PER_MONTH = 30
@@ -78,10 +73,12 @@ class BlobRef:
 
     def __post_init__(self) -> None:
         validate_node_id(self.container)
-        if not self.key:
-            raise InvalidBlobKey("key must be non-empty")
-        if any(seg == ".." for seg in self.key.split("/")):
-            raise InvalidBlobKey(f"key {self.key!r} contains a '..' segment")
+        # Keys map onto paths below the container directory, so none may
+        # leave it or collide with a backend's ``.meta``/``.tmp`` sidecars.
+        if {"", ".", ".."} & set(self.key.split("/")):
+            raise InvalidBlobKey(f"key {self.key!r} has an empty, '.' or '..' segment")
+        if "\\" in self.key or self.key.endswith((".meta", ".tmp")):
+            raise InvalidBlobKey(f"key {self.key!r} has a backslash or a sidecar suffix")
         if self.tier not in (TIER_COOL, TIER_ARCHIVE):
             raise DataError(f"unknown tier {self.tier!r}")
 
@@ -91,7 +88,6 @@ class UploadJob:
     blob: BlobRef
     local_path: Path
     attempts: int = 0
-    state: str = STATE_PENDING
     confirmed_at: datetime | None = None
 
 
@@ -123,6 +119,12 @@ class MemoryBackend:
             raise BackendUnavailable(f"container {name!r} does not exist")
         return self._containers[name]
 
+    def _object(self, container: str, key: str) -> dict:
+        objs = self._container(container)
+        if key not in objs:
+            raise BackendUnavailable(f"{container}/{key} not found")
+        return objs[key]
+
     def put(self, container: str, key: str, data: bytes, uploaded_at: datetime) -> int:
         with self._lock:
             self._container(container)[key] = {
@@ -132,21 +134,15 @@ class MemoryBackend:
 
     def get(self, container: str, key: str) -> bytes:
         with self._lock:
-            objs = self._container(container)
-            if key not in objs:
-                raise BackendUnavailable(f"{container}/{key} not found")
-            return objs[key]["data"]
+            return self._object(container, key)["data"]
 
     def get_tier(self, container: str, key: str) -> str:
         with self._lock:
-            return self._container(container)[key]["tier"]
+            return self._object(container, key)["tier"]
 
     def set_tier(self, container: str, key: str, tier: str) -> None:
         with self._lock:
-            objs = self._container(container)
-            if key not in objs:
-                raise BackendUnavailable(f"{container}/{key} not found")
-            objs[key]["tier"] = tier
+            self._object(container, key)["tier"] = tier
 
     def list_objects(self, container: str) -> list[ObjectInfo]:
         with self._lock:
@@ -181,6 +177,12 @@ class FilesystemBackend:
             raise BackendUnavailable(f"container {container!r} does not exist")
         return cdir / key
 
+    def _existing(self, container: str, key: str) -> Path:
+        path = self._obj_path(container, key)
+        if not path.is_file():
+            raise BackendUnavailable(f"{container}/{key} not found")
+        return path
+
     def put(self, container: str, key: str, data: bytes, uploaded_at: datetime) -> int:
         path = self._obj_path(container, key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -200,25 +202,23 @@ class FilesystemBackend:
 
     def _read_meta(self, path: Path) -> tuple[str, datetime]:
         meta = {}
-        for line in self._meta_path(path).read_text().splitlines():
-            if "=" in line:
-                k, v = line.split("=", 1)
-                meta[k.strip()] = v.strip()
-        return meta["tier"], parse_utc(meta["uploaded_at"])
+        try:
+            for line in self._meta_path(path).read_text().splitlines():
+                if "=" in line:
+                    k, v = line.split("=", 1)
+                    meta[k.strip()] = v.strip()
+            return meta["tier"], parse_utc(meta["uploaded_at"])
+        except (OSError, KeyError, ValueError) as exc:
+            raise BackendUnavailable(f"{path}: unreadable sidecar: {exc!r}") from exc
 
     def get(self, container: str, key: str) -> bytes:
-        path = self._obj_path(container, key)
-        if not path.is_file():
-            raise BackendUnavailable(f"{container}/{key} not found")
-        return path.read_bytes()
+        return self._existing(container, key).read_bytes()
 
     def get_tier(self, container: str, key: str) -> str:
-        return self._read_meta(self._obj_path(container, key))[0]
+        return self._read_meta(self._existing(container, key))[0]
 
     def set_tier(self, container: str, key: str, tier: str) -> None:
-        path = self._obj_path(container, key)
-        if not path.is_file():
-            raise BackendUnavailable(f"{container}/{key} not found")
+        path = self._existing(container, key)
         _, uploaded_at = self._read_meta(path)
         self._write_meta(path, tier, uploaded_at)
 
@@ -261,15 +261,13 @@ class BlobStore:
         """Stream a sealed local file into its blob, retrying transient failures.
 
         Backoff between attempts is ``base * factor**(attempt-1)``. After
-        ``max_attempts`` failures the job is marked failed and UploadFailed
-        is raised.
+        ``max_attempts`` failures UploadFailed is raised; on success the job
+        gets its ``confirmed_at`` stamp.
         """
         path = Path(job.local_path)
         if not path.is_file():
-            job.state = STATE_FAILED
             raise LocalFileMissing(f"{path} does not exist")
         data = path.read_bytes()
-        job.state = STATE_IN_FLIGHT
         delay = self.backoff_base_s
         while True:
             job.attempts += 1
@@ -279,15 +277,12 @@ class BlobStore:
                 log.warning("upload attempt %d for %s failed: %s",
                             job.attempts, job.blob.key, exc)
                 if job.attempts >= self.max_attempts:
-                    job.state = STATE_FAILED
                     raise UploadFailed(job) from exc
                 self.sleep(delay)
                 delay *= self.backoff_factor
                 continue
             if stored != len(data):
-                job.state = STATE_FAILED
                 raise UploadFailed(job)
-            job.state = STATE_CONFIRMED
             job.confirmed_at = self.now()
             return job
 

@@ -3,7 +3,6 @@ moving average, MAPE, RMSE, trend/cycle decomposition, and the combined report
 used to judge a low-cost sensor against a reference instrument."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import NamedTuple, Sequence

@@ -15,12 +15,12 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .blob_store import BlobStore, FilesystemBackend
+from .blob_store import BlobRef, BlobStore, FilesystemBackend
 from .calib_metrics import calibration_report, format_report
 from .clocks import AcceleratedClock
 from .correlate import emit_report, join_hourly, lagged_cross_correlation
 from .errors import BackendError, DataError
-from .node_pipeline import NodeConfig, parse_duration, parse_node_config, run_node
+from .node_pipeline import parse_duration, parse_node_config, run_node
 from .pm_clean import CleanConfig, clean_pipeline
 from .sensor_codec import parse_csv_row
 from .series import UTC, TimeSeries, format_utc, parse_utc, read_csv_series
@@ -119,7 +119,6 @@ def cmd_store_ls(args: argparse.Namespace) -> int:
 
 
 def cmd_store_get(args: argparse.Namespace) -> int:
-    from .blob_store import BlobRef
     store = BlobStore(FilesystemBackend(_store_root(args.root)))
     data = store.download(BlobRef(container=args.node, key=args.key))
     Path(args.out).write_bytes(data)

@@ -1,31 +1,17 @@
-"""Time sources for the node runtime.
+"""The node runtime's time source.
 
 Everything downstream schedules work against a clock object with three
 methods: ``now()`` returning an aware UTC datetime, ``sleep(seconds)``, and
 ``sleep_until(when)``. The accelerated clock maps virtual time onto scaled
 real time so an hour-long run can execute in under a second while keeping
-all recorded timestamps in virtual time.
+all recorded timestamps in virtual time; at ``accel=1`` it runs in real time.
 """
 from __future__ import annotations
 
 import time
 from datetime import datetime, timedelta
 
-from .series import UTC, as_utc
-
-
-class SystemClock:
-    """Real wall-clock time."""
-
-    def now(self) -> datetime:
-        return datetime.now(tz=UTC)
-
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-
-    def sleep_until(self, when: datetime) -> None:
-        self.sleep((when - self.now()).total_seconds())
+from .series import as_utc
 
 
 class AcceleratedClock:

@@ -11,9 +11,7 @@ import numpy as np
 
 from .chart import render_dual_axis_chart
 from .errors import AerotraceError, DataError, SeriesTooShort, TooFewPoints
-from .series import TimeSeries, format_utc
-
-HOUR_S = 3600
+from .series import HOUR_S, TimeSeries, format_utc
 
 
 class NoOverlap(DataError):

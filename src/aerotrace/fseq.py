@@ -11,7 +11,7 @@ import struct
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -91,13 +91,16 @@ class FseqWriter:
         return self.count
 
 
-def write_fseq(path: str | Path, frames: Sequence[np.ndarray] | np.ndarray, fps: int) -> FseqInfo:
-    """Write a whole frame stack at once. Frames must share one uint8 (h, w) shape."""
-    frames = list(frames)
-    if not frames:
+def write_fseq(path: str | Path, frames: Iterable[np.ndarray], fps: int) -> FseqInfo:
+    """Write frames one by one as they are iterated. They must share one
+    uint8 (h, w) shape, taken from the first frame."""
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
         raise DataError("cannot write a container with zero frames")
-    height, width = np.asarray(frames[0]).shape
+    height, width = np.asarray(first).shape
     writer = FseqWriter(path, width=width, height=height, fps=fps)
+    writer.add(first)
     for f in frames:
         writer.add(f)
     count = writer.close()

@@ -15,23 +15,22 @@ exact under any clock acceleration.
 from __future__ import annotations
 
 import logging
-import math
 import queue
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .blob_store import (BlobRef, BlobStore, LocalFileMissing, UploadFailed,
                          UploadJob, validate_node_id)
 from .errors import AerotraceError, DataError
-from .fseq import FseqWriter, ShortWrite, chunk_filename, write_fseq
+from .fseq import FseqWriter, chunk_filename
 from .sensor_codec import SensorSample, sample_to_csv_row
-from .series import UTC, as_utc, floor_to, format_utc, parse_utc
+from .series import as_utc, floor_to, format_utc, parse_utc
 
 log = logging.getLogger(__name__)
 
@@ -136,31 +135,6 @@ def parse_node_config(path: str | Path) -> NodeConfig:
         return NodeConfig(**values)
     except TypeError as exc:
         raise DataError(f"{path}: incomplete config: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class ChunkMeta:
-    node_id: str
-    kind: str  # "video" | "csv"
-    start: datetime
-    path: Path
-    size_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("video", "csv"):
-            raise DataError(f"unknown chunk kind {self.kind!r}")
-        if self.size_bytes <= 0:
-            raise DataError("sealed chunks must be non-empty")
-
-
-def seal_video_chunk(frames: Sequence[np.ndarray], meta_path: Path,
-                     node_id: str, start: datetime, fps: int = 10) -> ChunkMeta:
-    """Write accumulated frames as one sealed FSEQ chunk."""
-    if len(frames) < 1:
-        raise DataError("a video chunk needs at least one frame")
-    write_fseq(meta_path, frames, fps=fps)
-    return ChunkMeta(node_id=node_id, kind="video", start=start,
-                     path=Path(meta_path), size_bytes=Path(meta_path).stat().st_size)
 
 
 def daily_csv_name(node_id: str, day: date) -> str:

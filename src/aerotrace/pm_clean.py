@@ -7,9 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, TooFewPoints
-from .series import TimeSeries, bucket_resample
-
-HOUR_S = 3600
+from .series import HOUR_S, TimeSeries, bucket_resample
 
 
 @dataclass(frozen=True)
@@ -39,11 +37,6 @@ class NormalizationParams:
 class DropCounts:
     hardware_errors: int
     outliers: int
-    resample: int = 0
-    normalize: int = 0
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.hardware_errors, self.outliers, self.resample, self.normalize)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime
 
 from .errors import DataError
-from .series import UTC, as_utc, format_utc
+from .series import UTC, as_utc, format_utc, parse_utc
 
 START_BYTE_0 = 0x42
 START_BYTE_1 = 0x4D
@@ -205,7 +205,7 @@ def parse_csv_row(line: str) -> SensorSample:
 
     ts_text = parts[0]
     try:
-        ts = datetime.strptime(ts_text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=UTC)
+        ts = parse_utc(ts_text)
     except ValueError:
         # Recognizable ISO timestamps in another offset are rejected as non-UTC
         # rather than unparsable.

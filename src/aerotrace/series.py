@@ -12,6 +12,7 @@ import numpy as np
 from .errors import DataError, EmptyInput
 
 UTC = timezone.utc
+HOUR_S = 3600
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 
 

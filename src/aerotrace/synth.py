@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import Iterator
 
@@ -44,10 +44,6 @@ class SceneObject:
 
     def corner_at(self, t: float) -> tuple[float, float]:
         return (self.x0 + self.vx * t, self.y0 + self.vy * t)
-
-    def center_at(self, t: float) -> tuple[float, float]:
-        x, y = self.corner_at(t)
-        return (x + (self.width - 1) / 2.0, y + (self.height - 1) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,7 @@ def scene_frames(script: SceneScript, seed: int = 0) -> Iterator[np.ndarray]:
 def write_scene_fseq(script: SceneScript, path: str | Path, seed: int = 0) -> FseqInfo:
     if script.frame_count < 1:
         raise DataError("scene duration renders zero frames")
-    return write_fseq(path, list(scene_frames(script, seed)), fps=script.fps)
+    return write_fseq(path, scene_frames(script, seed), fps=script.fps)
 
 
 def synthetic_sample_source(seed: int = 0):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,11 +21,9 @@ from scipy import ndimage
 from .assignment import hungarian
 from .errors import AerotraceError, DataError, EmptyInput
 from .fseq import iter_fseq_frames, parse_chunk_start
-from .series import UTC, TimeSeries, floor_to
+from .series import HOUR_S, UTC, floor_to
 
 log = logging.getLogger(__name__)
-
-HOUR_S = 3600
 
 DIR_UP = 1
 DIR_DOWN = -1
@@ -194,10 +192,8 @@ class Track:
         self.hits = 1
         self.misses = 0
         self.history: list[tuple[float, float]] = [detection.center]
-        self.counted_up = False
-        self.counted_down = False
+        self.counted: set[int] = set()  # directions already crossed
         self.pending: list[tuple[int, int]] = []  # (frame index, direction)
-        self._checked = 1  # history prefix already scanned for crossings
 
     def predict(self) -> tuple[float, float, float, float]:
         if self.x[2] + self.x[6] <= 0:
@@ -216,13 +212,6 @@ class Track:
         self.history.append(detection.center)
 
 
-@dataclass
-class StepStats:
-    matched: int = 0
-    created: int = 0
-    removed: int = 0
-
-
 class SortTracker:
     """Tracking-by-detection: predict, associate by IOU, update, age out."""
 
@@ -231,8 +220,7 @@ class SortTracker:
         self.tracks: list[Track] = []
         self._next_id = 1
 
-    def step(self, detections: list[Detection]) -> StepStats:
-        stats = StepStats()
+    def step(self, detections: list[Detection]) -> None:
         predicted = [t.predict() for t in self.tracks]
 
         matches: list[tuple[int, int]] = []
@@ -245,21 +233,16 @@ class SortTracker:
         matched_t = {t for _, t in matches}
         for d, t in matches:
             self.tracks[t].update(detections[d])
-        stats.matched = len(matches)
 
         for i, track in enumerate(self.tracks):
             if i not in matched_t:
                 track.misses += 1
-        before = len(self.tracks)
         self.tracks = [t for t in self.tracks if t.misses <= self.params.max_age]
-        stats.removed = before - len(self.tracks)
 
         for d, det in enumerate(detections):
             if d not in matched_d:
                 self.tracks.append(Track(self._next_id, det))
                 self._next_id += 1
-                stats.created += 1
-        return stats
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +283,23 @@ def segment_crossing(line: CountLine, p: tuple[float, float],
     return DIR_UP if sq > 0 else DIR_DOWN
 
 
+def scan_crossings(history: Sequence[tuple[float, float]], line: CountLine,
+                   start: int, counted: set[int]) -> list[tuple[int, int]]:
+    """New crossing events on the path steps ending at ``start`` and later.
+
+    Events are (step index, direction) pairs. A direction already in
+    ``counted`` is skipped and every reported one is added to it, so scanning
+    a growing path piece by piece finds the same events as one whole scan.
+    """
+    events: list[tuple[int, int]] = []
+    for i in range(max(start, 1), len(history)):
+        d = segment_crossing(line, history[i - 1], history[i])
+        if d is not None and d not in counted:
+            counted.add(d)
+            events.append((i, d))
+    return events
+
+
 def count_crossings(history: Sequence[tuple[float, float]],
                     line: CountLine) -> list[tuple[int, int]]:
     """Crossing events along a center path as (step index, direction) pairs.
@@ -307,17 +307,7 @@ def count_crossings(history: Sequence[tuple[float, float]],
     Each path yields at most one event per direction, so a center dithering
     across the line cannot inflate the count.
     """
-    events: list[tuple[int, int]] = []
-    seen_up = seen_down = False
-    for i in range(1, len(history)):
-        d = segment_crossing(line, history[i - 1], history[i])
-        if d == DIR_UP and not seen_up:
-            events.append((i, DIR_UP))
-            seen_up = True
-        elif d == DIR_DOWN and not seen_down:
-            events.append((i, DIR_DOWN))
-            seen_down = True
-    return events
+    return scan_crossings(history, line, 1, set())
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +322,6 @@ class HourlyCounts:
     @property
     def total(self) -> tuple[int, ...]:
         return tuple(u + d for u, d in zip(self.up, self.down))
-
-    def total_series(self) -> TimeSeries:
-        return TimeSeries(self.hours, tuple(float(t) for t in self.total))
 
 
 class VehicleCounter:
@@ -362,16 +349,12 @@ class VehicleCounter:
         detections = extract_detections(mask, self.params.min_area)
         self.tracker.step(detections)
         for track in self.tracker.tracks:
-            while track._checked < len(track.history):
-                i = track._checked
-                d = segment_crossing(self.line, track.history[i - 1], track.history[i])
-                if d == DIR_UP and not track.counted_up:
-                    track.counted_up = True
-                    track.pending.append((frame_idx, DIR_UP))
-                elif d == DIR_DOWN and not track.counted_down:
-                    track.counted_down = True
-                    track.pending.append((frame_idx, DIR_DOWN))
-                track._checked += 1
+            # A step adds at most one point, so only the newest path step can
+            # be new; re-scanning an older one reports nothing, since any
+            # direction it crosses is already counted.
+            for _, d in scan_crossings(track.history, self.line,
+                                       len(track.history) - 1, track.counted):
+                track.pending.append((frame_idx, d))
             if track.hits >= self.params.min_hits and track.pending:
                 self.events.extend(track.pending)
                 track.pending.clear()

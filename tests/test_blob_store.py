@@ -3,8 +3,8 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from aerotrace.blob_store import (
-    TIER_ARCHIVE, TIER_COOL, ArchivedObject, BlobRef, BlobStore, FilesystemBackend,
-    InvalidBlobKey, InvalidNodeId, LocalFileMissing, MemoryBackend, UploadFailed,
+    TIER_ARCHIVE, TIER_COOL, ArchivedObject, BackendUnavailable, BlobRef, BlobStore,
+    FilesystemBackend, InvalidBlobKey, InvalidNodeId, LocalFileMissing, MemoryBackend, UploadFailed,
     UploadJob, estimate_storage_cost)
 from aerotrace.errors import DataError
 
@@ -46,6 +46,27 @@ class TestAddressing:
         with pytest.raises(InvalidBlobKey):
             BlobRef(container="node-a", key="")
 
+    @pytest.mark.parametrize("key", [
+        "/abs/path", "/etc/passwd", "video//x.fseq", "video/", ".", "video/./x",
+        "video\\..\\x", "csv/day.csv.meta", "video/x.fseq.tmp"])
+    def test_unsafe_key_rejected(self, key):
+        with pytest.raises(InvalidBlobKey):
+            BlobRef(container="node-a", key=key)
+
+    @pytest.mark.parametrize("key", [
+        "video/node-a_20220701_160000.fseq", "csv/node-a_2022-07-01.csv", "x"])
+    def test_node_keys_valid(self, key):
+        assert BlobRef(container="node-a", key=key).key == key
+
+    def test_absolute_key_cannot_escape_root(self, tmp_path):
+        store, _ = make_store(FilesystemBackend(tmp_path / "store"))
+        store.ensure_node_container("node-a")
+        outside = tmp_path / "outside.bin"
+        path = write_file(tmp_path, "x.bin", b"abc")
+        with pytest.raises(InvalidBlobKey):
+            store.upload(UploadJob(blob=BlobRef("node-a", str(outside)), local_path=path))
+        assert not outside.exists()
+
 
 @pytest.mark.parametrize("backend_factory", [MemoryBackend, "fs"])
 class TestUploadDownload:
@@ -61,9 +82,17 @@ class TestUploadDownload:
         path = write_file(tmp_path, "blob.bin", data)
         job = UploadJob(blob=BlobRef("node-a", "video/blob.bin"), local_path=path)
         store.upload(job)
-        assert job.state == "confirmed"
+        assert job.confirmed_at == T0
         assert job.attempts == 1
         assert store.download(job.blob) == data
+
+    def test_missing_object_is_backend_error(self, backend_factory, tmp_path):
+        store, _ = make_store(self._backend(backend_factory, tmp_path))
+        store.ensure_node_container("node-a")
+        with pytest.raises(BackendUnavailable):
+            store.download(BlobRef("node-a", "csv/nope.csv"))
+        with pytest.raises(BackendUnavailable):
+            store.rehydrate(BlobRef("node-a", "csv/nope.csv"))
 
     def test_container_isolation(self, backend_factory, tmp_path):
         store, _ = make_store(self._backend(backend_factory, tmp_path))
@@ -82,7 +111,7 @@ class TestRetries:
         store.ensure_node_container("node-a")
         path = write_file(tmp_path, "x.bin", b"abc")
         job = store.upload(UploadJob(blob=BlobRef("node-a", "video/x.bin"), local_path=path))
-        assert job.state == "confirmed"
+        assert job.confirmed_at == T0
         assert job.attempts == 3
         assert sleeper.sleeps == [5.0, 10.0]
 
@@ -94,7 +123,7 @@ class TestRetries:
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"), local_path=path)
         with pytest.raises(UploadFailed):
             store.upload(job)
-        assert job.state == "failed"
+        assert job.confirmed_at is None
         assert job.attempts == 5
         assert sleeper.sleeps == [5.0, 10.0, 20.0, 40.0]
 
@@ -186,3 +215,14 @@ class TestFilesystemSidecars:
         backend.set_tier("node-a", "csv/day.csv", TIER_ARCHIVE)
         again = FilesystemBackend(root)
         assert again.list_objects("node-a")[0].tier == TIER_ARCHIVE
+
+    @pytest.mark.parametrize("sidecar", ["", "tier=cool\n", "tier=cool\nuploaded_at=soon\n"])
+    def test_malformed_sidecar_is_backend_error(self, tmp_path, sidecar):
+        backend = FilesystemBackend(tmp_path / "store")
+        backend.ensure_container("node-a")
+        backend.put("node-a", "csv/day.csv", b"rows", T0)
+        (tmp_path / "store" / "node-a" / "csv" / "day.csv.meta").write_text(sidecar)
+        with pytest.raises(BackendUnavailable):
+            backend.get_tier("node-a", "csv/day.csv")
+        with pytest.raises(BackendUnavailable):
+            backend.list_objects("node-a")

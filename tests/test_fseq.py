@@ -46,6 +46,20 @@ class TestContainer:
         _, back = read_fseq(path)
         assert np.array_equal(back, frames)
 
+    def test_round_trip_from_generator(self, tmp_path, rng):
+        path = tmp_path / "g.fseq"
+        frames = random_frames(rng, 4, 6, 7)
+        info = write_fseq(path, (f for f in frames), fps=5)
+        assert (info.width, info.height, info.fps, info.frame_count) == (7, 6, 5, 4)
+        _, back = read_fseq(path)
+        assert np.array_equal(back, frames)
+
+    def test_zero_frames_rejected(self, tmp_path):
+        path = tmp_path / "z.fseq"
+        with pytest.raises(DataError):
+            write_fseq(path, (f for f in []), fps=10)
+        assert not path.exists()
+
     def test_streaming_reader(self, tmp_path, rng):
         path = tmp_path / "e.fseq"
         frames = random_frames(rng, 5, 8, 9)

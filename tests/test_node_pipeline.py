@@ -7,11 +7,10 @@ import pytest
 from aerotrace.blob_store import BlobStore, MemoryBackend
 from aerotrace.clocks import AcceleratedClock
 from aerotrace.errors import DataError
-from aerotrace.fseq import read_fseq_info
 from aerotrace.node_pipeline import (
-    BufferDirUnwritable, ChunkMeta, NodeConfig, SessionSummary, daily_csv_name,
+    BufferDirUnwritable, NodeConfig, SessionSummary, daily_csv_name,
     marker_path, parse_duration, parse_node_config, read_marker, retention_sweep,
-    run_node, scan_unconfirmed, seal_video_chunk, write_marker)
+    run_node, scan_unconfirmed, write_marker)
 from aerotrace.sensor_codec import parse_csv_row
 from aerotrace.synth import synthetic_sample_source
 
@@ -134,20 +133,6 @@ class TestConfigFile:
     def test_bad_node_id_rejected(self, tmp_path):
         with pytest.raises(DataError):
             NodeConfig(node_id="NODE!", buffer_dir=tmp_path)
-
-
-class TestSealVideoChunk:
-    def test_header_and_payload(self, tmp_path, rng):
-        frames = [rng.integers(0, 256, size=(730, 1296), dtype=np.uint8) for _ in range(3)]
-        meta = seal_video_chunk(frames, tmp_path / "c.fseq", "node-a", T0, fps=10)
-        info = read_fseq_info(meta.path)
-        assert (info.width, info.height, info.fps, info.frame_count) == (1296, 730, 10, 3)
-        assert meta.size_bytes == 14 + 3 * 1296 * 730
-        assert meta.kind == "video"
-
-    def test_zero_frames_rejected(self, tmp_path):
-        with pytest.raises(DataError):
-            seal_video_chunk([], tmp_path / "c.fseq", "node-a", T0)
 
 
 class TestRetentionSweep:

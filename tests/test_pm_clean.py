@@ -6,7 +6,7 @@ import pytest
 
 from aerotrace.errors import EmptyInput, TooFewPoints
 from aerotrace.pm_clean import (
-    CleanConfig, clean_pipeline, denormalize, filter_hardware_errors,
+    CleanConfig, DropCounts, clean_pipeline, denormalize, filter_hardware_errors,
     min_max_normalize, remove_outliers_stddev, resample_hourly)
 from aerotrace.series import TimeSeries
 
@@ -149,11 +149,11 @@ class TestPipeline:
         base[7] = 20001.0       # hardware error
         base[90] = 10.0 + 200.0  # far beyond 3 sigma of the rest
         result = clean_pipeline(make_series(base))
-        assert result.drops.as_tuple() == (1, 1, 0, 0)
+        assert result.drops == DropCounts(hardware_errors=1, outliers=1)
 
     def test_clean_input_drops_nothing(self):
         result = clean_pipeline(make_series([10, 11, 12, 13, 12, 11]))
-        assert result.drops.as_tuple() == (0, 0, 0, 0)
+        assert result.drops == DropCounts(hardware_errors=0, outliers=0)
 
     def test_step_order_fixed(self):
         # Normalization parameters come from the hourly means, not raw points.

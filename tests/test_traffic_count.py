@@ -2,13 +2,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aerotrace.errors import DataError
 from aerotrace.synth import SceneObject, SceneScript, scene_frames
 from aerotrace.traffic_count import (
     DIR_DOWN, DIR_UP, BackgroundModel, CountLine, CountParams, Detection,
     DimensionMismatch, SortTracker, count_crossings, count_frames, extract_detections,
-    iou, kf_predict, kf_update, measurement_from_box, segment_crossing)
+    iou, kf_predict, kf_update, measurement_from_box, scan_crossings, segment_crossing)
 
 UTC = timezone.utc
 T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
@@ -168,8 +170,8 @@ class TestTracker:
 
     def test_noop(self):
         tracker = SortTracker()
-        stats = tracker.step([])
-        assert tracker.tracks == [] and stats.matched == 0
+        tracker.step([])
+        assert tracker.tracks == []
 
     def test_single_object_keeps_one_id(self):
         tracker = SortTracker()
@@ -240,6 +242,39 @@ class TestCrossings:
 
     def test_touch_does_not_count(self):
         assert segment_crossing(self.line, (8.5, 5.0), (10.0, 5.0)) is None
+
+
+# Small integer grids around the line hit proper crossings, touches and
+# passes beyond the endpoints alike.
+paths = st.lists(st.tuples(st.integers(0, 20), st.integers(-5, 25)), min_size=1, max_size=30)
+
+
+class TestScanCrossingsProperties:
+    line = CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0))
+
+    @given(paths, st.lists(st.integers(1, 30), max_size=6))
+    def test_piecewise_scan_matches_whole_path(self, path, cuts):
+        whole = count_crossings(path, self.line)
+        counted: set[int] = set()
+        pieces, start = [], 1
+        for end in sorted({c for c in cuts if c < len(path)} | {len(path)}):
+            pieces += scan_crossings(path[:end], self.line, start, counted)
+            start = end
+        assert pieces == whole
+        assert counted == {d for _, d in whole}
+        assert len(whole) == len(counted) <= 2
+
+    @given(paths, st.lists(st.booleans(), min_size=30, max_size=30))
+    def test_newest_step_rescan_matches_whole_path(self, path, repeats):
+        # The counter scans only the newest step of each live track, and a
+        # frame without a match scans the same step again.
+        whole = count_crossings(path, self.line)
+        counted: set[int] = set()
+        events = []
+        for n in range(1, len(path) + 1):
+            for _ in range(2 if repeats[n - 1] else 1):
+                events += scan_crossings(path[:n], self.line, n - 1, counted)
+        assert events == whole
 
 
 def run_scene(script, params=CountParams()):
