@@ -1,9 +1,13 @@
 """Minimum-cost bipartite assignment.
 
-The solver is the O(n^2 m) potentials formulation of the Hungarian method.
-On top of it, ``hungarian`` canonicalizes the answer: among all assignments
-achieving the optimal total cost it returns the lexicographically smallest
-pair list, so results are reproducible across platforms even when optima tie.
+The cost matrix is padded square with zeros and solved once by the O(n^3)
+potentials form of the Hungarian method. An assignment is optimal exactly
+when every pair in it is *tight*: its reduced cost ``|a[i, j] - u[i] - v[j]|``
+under the solver's row and column potentials is within a tolerance.
+``hungarian`` walks the rows in order and moves each to its smallest tight
+real column whenever an alternating cycle of tight edges, leaving earlier rows
+in place, can free it. The result is the lexicographically smallest optimal
+pair list, reproducible across platforms even when optima tie.
 """
 from __future__ import annotations
 
@@ -15,28 +19,26 @@ import numpy as np
 from .errors import DataError
 
 
-def _jv_min_cost(cost: list[list[float]]) -> float:
-    """Optimal total cost matching every row; requires rows <= columns."""
+def _jv(cost: list[list[float]]) -> tuple[list[float], list[float], list[int]]:
+    """Solve a square matrix: row potentials, column potentials, row of each column."""
     n = len(cost)
-    m = len(cost[0])
-    INF = math.inf
     u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    p = [0] * (m + 1)      # p[j]: row currently matched to column j (1-based)
-    way = [0] * (m + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)      # p[j]: row currently matched to column j (1-based)
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (m + 1)
-        used = [False] * (m + 1)
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = INF
+            delta = math.inf
             j1 = 0
             row = cost[i0 - 1]
             ui0 = u[i0]
-            for j in range(1, m + 1):
+            for j in range(1, n + 1):
                 if not used[j]:
                     cur = row[j - 1] - ui0 - v[j]
                     if cur < minv[j]:
@@ -45,7 +47,7 @@ def _jv_min_cost(cost: list[list[float]]) -> float:
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
-            for j in range(m + 1):
+            for j in range(n + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -54,29 +56,25 @@ def _jv_min_cost(cost: list[list[float]]) -> float:
             j0 = j1
             if p[j0] == 0:
                 break
-        while True:
+        while j0:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-            if j0 == 0:
-                break
-    total = 0.0
-    for j in range(1, m + 1):
-        if p[j] > 0:
-            total += cost[p[j] - 1][j - 1]
-    return total
+    return u[1:], v[1:], [r - 1 for r in p[1:]]
 
 
-def min_assignment_cost(cost: Sequence[Sequence[float]] | np.ndarray) -> float:
-    """Minimum total cost of any matching of size min(rows, cols)."""
-    rows = [list(map(float, r)) for r in cost]
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    if n == 0 or m == 0:
-        return 0.0
-    if n <= m:
-        return _jv_min_cost(rows)
-    return _jv_min_cost([list(col) for col in zip(*rows)])
+def _reseat(tight: list[list[int]], col: list[int], row_of: list[int],
+            j: int, goal: int, seen: set[int]) -> bool:
+    """Shift the holder of column ``j`` along tight edges, outside ``seen``, onto ``goal``."""
+    r = row_of[j]
+    for k in tight[r]:
+        if k not in seen:
+            seen.add(k)
+            if k == goal or _reseat(tight, col, row_of, k, goal, seen):
+                col[r] = k
+                row_of[k] = r
+                return True
+    return False
 
 
 def hungarian(cost: Sequence[Sequence[float]] | np.ndarray) -> list[tuple[int, int]]:
@@ -84,48 +82,31 @@ def hungarian(cost: Sequence[Sequence[float]] | np.ndarray) -> list[tuple[int, i
 
     Pairs come back sorted by row. Ties between equally cheap assignments are
     resolved deterministically: the flat pair sequence is the lexicographically
-    smallest among all optimal assignments, found by greedily fixing the
-    smallest feasible (row, col) and re-solving the remainder.
+    smallest among all optimal assignments.
     """
     a = np.asarray(cost, dtype=float)
     if a.ndim != 2:
         raise DataError(f"cost matrix must be 2-D, got shape {a.shape}")
     n, m = a.shape
-    k = min(n, m)
-    if k == 0:
+    if min(n, m) == 0:
         return []
     if not np.isfinite(a).all():
         raise DataError("cost matrix must be finite")
 
-    total = min_assignment_cost(a)
-    tol = 1e-11 * max(1.0, abs(total))
-
-    pairs: list[tuple[int, int]] = []
-    cols_free = list(range(m))
-    fixed_cost = 0.0
-    min_row = 0
-    for step in range(k):
-        remaining = k - step
-        placed = False
-        for r in range(min_row, n):
-            if n - r < remaining:
-                break  # too few rows left below r to finish the matching
-            for ci, c in enumerate(cols_free):
-                cand = fixed_cost + a[r, c]
-                sub_rows = range(r + 1, n)
-                sub_cols = cols_free[:ci] + cols_free[ci + 1:]
-                if remaining > 1:
-                    sub = [[a[rr, cc] for cc in sub_cols] for rr in sub_rows]
-                    cand += min_assignment_cost(sub)
-                if abs(cand - total) <= tol:
-                    pairs.append((r, c))
-                    fixed_cost += a[r, c]
-                    cols_free.pop(ci)
-                    min_row = r + 1
-                    placed = True
-                    break
-            if placed:
+    size = max(n, m)
+    square = np.zeros((size, size))
+    square[:n, :m] = a
+    u, v, row_of = _jv(square.tolist())
+    col = np.argsort(row_of).tolist()
+    tol = 1e-11 * max(1.0, abs(float(square[row_of, range(size)].sum())))
+    reduced = np.abs(square - np.add.outer(u, v))
+    tight = [np.flatnonzero(row <= tol).tolist() for row in reduced]
+    for i in range(n):  # rows before i stay fixed; padding columns (>= m) rank last
+        for c in tight[i]:
+            if c >= min(col[i], m):
                 break
-        if not placed:
-            raise AssertionError("assignment canonicalization failed to extend an optimum")
-    return pairs
+            if row_of[c] > i and _reseat(tight, col, row_of, c, col[i], {c, *col[:i]}):
+                col[i] = c
+                row_of[c] = i
+                break
+    return [(i, col[i]) for i in range(n) if col[i] < m]

@@ -110,6 +110,8 @@ def moving_average(series: TimeSeries, window: timedelta = timedelta(minutes=10)
     if len(series) == 0:
         raise EmptyInput("moving_average needs a non-empty series")
     w = window.total_seconds()
+    if w <= 0:
+        raise DataError(f"moving-average window must be positive, got {w} s")
     times = series.epoch_array()
     vals = series.values_array()
     out = np.empty(len(vals))
@@ -170,8 +172,8 @@ def hp_filter(values: Sequence[float], lam: float = 1600.0) -> tuple[np.ndarray,
     y = np.asarray(values, dtype=float)
     if y.size < 4:
         raise SeriesTooShort(f"trend filter needs >= 4 points, got {y.size}")
-    if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise NonPositiveLambda(f"lambda must be positive and finite, got {lam}")
     n = y.size
     eye = sparse.eye(n, format="csc")
     data = np.repeat([[1.0], [-2.0], [1.0]], n, axis=1)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from datetime import datetime
 from typing import Sequence
 
+from .errors import DataError
+
 CHART_VERSION_COMMENT = "<!-- aerotrace-chart v1 -->"
 
 WIDTH, HEIGHT = 960.0, 480.0
@@ -49,7 +51,7 @@ def render_dual_axis_chart(times: Sequence[datetime],
                            right_label: str,
                            title: str) -> str:
     if not (len(times) == len(left_values) == len(right_values)) or not times:
-        raise ValueError("chart inputs must be equal-length and non-empty")
+        raise DataError("chart inputs must be equal-length and non-empty")
     n = len(times)
     l_lo, l_hi = _scale(left_values)
     r_lo, r_hi = _scale(right_values)

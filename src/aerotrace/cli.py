@@ -19,7 +19,7 @@ from .blob_store import BlobRef, BlobStore, FilesystemBackend
 from .calib_metrics import calibration_report, format_report
 from .clocks import AcceleratedClock
 from .correlate import emit_report, join_hourly, lagged_cross_correlation
-from .errors import BackendError, DataError
+from .errors import AerotraceError, BackendError, DataError
 from .node_pipeline import parse_duration, parse_node_config, run_node
 from .pm_clean import CleanConfig, clean_pipeline
 from .sensor_codec import parse_csv_row
@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         sys.stderr.write(f"aerotrace: backend error: {exc}\n")
         return EXIT_BACKEND
-    except OSError as exc:
+    except (OSError, AerotraceError) as exc:
         sys.stderr.write(f"aerotrace: {exc}\n")
         return EXIT_DATA
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from datetime import datetime, timedelta
 
+from .errors import DataError
 from .series import as_utc
 
 
@@ -24,8 +25,8 @@ class AcceleratedClock:
     """
 
     def __init__(self, start: datetime, accel: float = 1.0):
-        if accel <= 0:
-            raise ValueError(f"accel={accel} must be positive")
+        if not 0 < accel < float("inf"):
+            raise DataError(f"accel={accel} must be positive and finite")
         self.start = as_utc(start)
         self.accel = float(accel)
         self._mono0 = time.monotonic()

@@ -105,6 +105,8 @@ class LagScanResult:
 def lagged_cross_correlation(joined: JoinedSeries, max_lag: int = 6) -> LagScanResult:
     """Correlate vehicles[0:n-k] with pm25[k:n] for each lag k, report the max-r lag."""
     n = len(joined)
+    if max_lag < 0:
+        raise DataError(f"max_lag must be non-negative, got {max_lag}")
     if n <= max_lag + 3:
         raise SeriesTooShort(f"need more than {max_lag + 3} joined hours, have {n}")
     results = []

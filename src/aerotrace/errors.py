@@ -1,7 +1,7 @@
 """Exception hierarchy shared across modules.
 
-The CLI maps these to exit codes: usage problems exit 1, ``DataError`` exits 2,
-``BackendError`` exits 3.
+The CLI maps these to exit codes: usage problems exit 1, ``BackendError``
+exits 3, and ``DataError`` or any other package error exits 2.
 """
 
 

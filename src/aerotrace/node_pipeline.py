@@ -18,6 +18,7 @@ import logging
 import queue
 import re
 import threading
+import time
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -25,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blob_store import (BlobRef, BlobStore, LocalFileMissing, UploadFailed,
-                         UploadJob, validate_node_id)
+from .blob_store import BlobRef, BlobStore, UploadJob, validate_node_id
 from .errors import AerotraceError, DataError
 from .fseq import FseqWriter, chunk_filename
 from .sensor_codec import SensorSample, sample_to_csv_row
@@ -212,7 +212,8 @@ class UploadWorker:
     """Single consumer thread pushing sealed files into the blob store.
 
     ``enqueue`` never blocks: a full queue drops the attempt (the file stays
-    on disk for the next restart scan) and duplicate names are ignored.
+    on disk for the next restart scan) and duplicate names are ignored. A failed
+    upload, a local ``OSError`` included, is counted and leaves the file unmarked.
     """
 
     def __init__(self, store: BlobStore, node_id: str, capacity: int = 64):
@@ -251,16 +252,23 @@ class UploadWorker:
                 local_path=path)
             try:
                 self.store.upload(job)
-            except (UploadFailed, LocalFileMissing) as exc:
+                write_marker(path, job.confirmed_at)
+            except (OSError, AerotraceError) as exc:
                 self.failed += 1
                 log.error("upload of %s failed: %s", path, exc)
                 continue
-            write_marker(path, job.confirmed_at)
             self.confirmed += 1
 
     def drain(self, timeout_s: float = 600.0) -> None:
-        self.queue.put(None)
-        self._thread.join(timeout=timeout_s)
+        """Finish queued uploads or raise after ``timeout_s``; a dead thread returns at once."""
+        deadline = time.monotonic() + timeout_s
+        while self._thread.is_alive() and time.monotonic() < deadline:
+            try:
+                self.queue.put(None, timeout=0.05)
+                break
+            except queue.Full:
+                continue
+        self._thread.join(timeout=max(0.0, deadline - time.monotonic()))
         if self._thread.is_alive():
             raise AerotraceError("upload worker did not drain in time")
 
@@ -421,7 +429,7 @@ def run_node(config: NodeConfig,
             sample = sample_source(ts)
             enqueue(csv_sink.write(sample), "csv")
             summary.samples_written += 1
-        if clock.now() >= next_sweep:
+        if t >= next_sweep:
             summary.files_deleted += len(
                 retention_sweep(buffer_dir, clock.now(), config.retention_s))
             next_sweep += sweep_dt

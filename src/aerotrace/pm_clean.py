@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, TooFewPoints
+from .errors import DataError, EmptyInput, TooFewPoints
 from .series import HOUR_S, TimeSeries, bucket_resample
 
 
@@ -17,9 +17,9 @@ class CleanConfig:
 
     def __post_init__(self) -> None:
         if self.hw_error_threshold <= 0:
-            raise ValueError("hw_error_threshold must be positive")
+            raise DataError("hw_error_threshold must be positive")
         if self.stddev_k <= 0:
-            raise ValueError("stddev_k must be positive")
+            raise DataError("stddev_k must be positive")
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class NormalizationParams:
 
     def __post_init__(self) -> None:
         if self.x_min > self.x_max:
-            raise ValueError(f"x_min={self.x_min} > x_max={self.x_max}")
+            raise DataError(f"x_min={self.x_min} > x_max={self.x_max}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,6 @@ def remove_outliers_stddev(series: TimeSeries, k: float = 3.0) -> TimeSeries:
 
 def resample_hourly(series: TimeSeries) -> TimeSeries:
     """Bucket by UTC wall-clock hour: mean per hour, interior gaps interpolated."""
-    if len(series) == 0:
-        raise EmptyInput("cannot resample an empty series")
     return bucket_resample(series, HOUR_S)
 
 

@@ -88,6 +88,8 @@ def bucket_resample(series: TimeSeries, bucket_s: int) -> TimeSeries:
     """
     if len(series) == 0:
         raise EmptyInput("cannot resample an empty series")
+    if bucket_s < 1:
+        raise DataError(f"bucket length must be at least 1 s, got {bucket_s}")
     idx = [math.floor(t.timestamp() / bucket_s) for t in series.times]
     b0, b1 = idx[0], idx[-1]
     n = b1 - b0 + 1

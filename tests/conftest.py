@@ -24,13 +24,15 @@ class FlakyBackend:
     """MemoryBackend wrapper whose puts fail a scripted number of times.
 
     fail_times=None means every put fails forever. Keys matching
-    ``fail_prefix`` (when set) are the only ones affected.
+    ``fail_prefix`` (when set) are the only ones affected. A failing put
+    raises ``error``.
     """
 
-    def __init__(self, fail_times=0, fail_prefix=None):
+    def __init__(self, fail_times=0, fail_prefix=None, error=BackendUnavailable):
         self.inner = MemoryBackend()
         self.fail_times = fail_times
         self.fail_prefix = fail_prefix
+        self.error = error
         self.put_attempts = 0
         self._lock = threading.Lock()
 
@@ -47,7 +49,7 @@ class FlakyBackend:
         with self._lock:
             self.put_attempts += 1
             if self._should_fail(key):
-                raise BackendUnavailable(f"scripted failure #{self.put_attempts}")
+                raise self.error(f"scripted failure #{self.put_attempts}")
         return self.inner.put(container, key, data, uploaded_at)
 
     def __getattr__(self, name):

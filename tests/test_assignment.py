@@ -3,8 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.optimize import linear_sum_assignment
 
-from aerotrace.assignment import hungarian, min_assignment_cost
+from aerotrace import assignment
+from aerotrace.assignment import hungarian
 from aerotrace.errors import DataError
 
 
@@ -78,10 +83,40 @@ class TestHungarian:
         cost = [[5.0, 5.0], [0.0, 9.0], [9.0, 0.0]]
         assert hungarian(cost) == [(1, 0), (2, 1)]
 
-    def test_min_cost_helper_matches(self):
-        rnd = random.Random(79)
-        for _ in range(50):
-            n, m = rnd.randint(1, 6), rnd.randint(1, 6)
-            cost = [[rnd.uniform(0, 5) for _ in range(m)] for _ in range(n)]
-            expected, _ = brute_force(cost)
-            assert min_assignment_cost(cost) == pytest.approx(expected, abs=1e-9)
+    def test_one_solve_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(cost):
+            calls.append(len(cost))
+            return solve(cost)
+
+        solve = assignment._jv
+        monkeypatch.setattr(assignment, "_jv", counting)
+        hungarian(np.zeros((7, 5)))
+        assert calls == [7]
+
+
+# Cost matrices up to 16x16 in either orientation, with many exactly equal entries.
+TIE_HEAVY = arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=16),
+                   elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.0]),
+                                      st.floats(0.0, 1.0), st.integers(-3, 3).map(float)))
+
+
+class TestHungarianProperties:
+    @settings(deadline=None)
+    @given(TIE_HEAVY)
+    def test_optimal_total_matches_scipy(self, cost):
+        pairs = hungarian(cost)
+        n, m = cost.shape
+        assert len(pairs) == min(n, m)
+        assert pairs == sorted(pairs)
+        assert len({c for _, c in pairs}) == len(pairs)
+        rows, cols = linear_sum_assignment(cost)
+        assert pairs_cost(cost, pairs) == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
+
+    @settings(deadline=None)
+    @given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.sampled_from([0.0, 1.0, 2.0])))
+    def test_small_ties_give_smallest_optimum(self, cost):
+        _, optima = brute_force(cost)
+        assert hungarian(cost) == min(optima)

@@ -4,11 +4,12 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from aerotrace import node_pipeline
 from aerotrace.blob_store import BlobStore, MemoryBackend
 from aerotrace.clocks import AcceleratedClock
 from aerotrace.errors import DataError
 from aerotrace.node_pipeline import (
-    BufferDirUnwritable, NodeConfig, SessionSummary, daily_csv_name,
+    BufferDirUnwritable, NodeConfig, SessionSummary, UploadWorker, daily_csv_name,
     marker_path, parse_duration, parse_node_config, read_marker, retention_sweep,
     run_node, scan_unconfirmed, write_marker)
 from aerotrace.sensor_codec import parse_csv_row
@@ -329,3 +330,60 @@ class TestRunNode:
         with pytest.raises(DataError):
             run_node(config, synthetic_sample_source(0), fast_frame_source(32, 32),
                      make_store(clock), clock, timedelta(seconds=10))
+
+    def test_lagging_loop_sweeps_on_schedule(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_sweep(*args):
+            calls.append(args)
+            return retention_sweep(*args)
+
+        monkeypatch.setattr(node_pipeline, "retention_sweep", counting_sweep)
+        clock = AcceleratedClock(start=T0, accel=1e6)  # the loop lags the clock
+        config = make_config(tmp_path, video_chunk_len_s=5, retention_s=0.0)
+        summary = run(config, clock, make_store(clock), 120)
+        assert summary.chunks_sealed == 24
+        assert len(calls) <= 120 / 5 + 1
+
+
+def drain_within(worker, seconds):
+    """Run ``worker.drain`` in a helper thread; True if it returned in time."""
+    done = threading.Event()
+
+    def target():
+        worker.drain(timeout_s=seconds)
+        done.set()
+
+    threading.Thread(target=target, daemon=True).start()
+    return done.wait(seconds + 5.0)
+
+
+class TestUploadWorker:
+    def start(self, tmp_path, backend, **kwargs):
+        clock = AcceleratedClock(start=T0, accel=1000.0)
+        store = make_store(clock, backend)
+        store.ensure_node_container("node-a")
+        paths = [tmp_path / name for name in ("a.fseq", "b.fseq")]
+        for path in paths:
+            path.write_bytes(b"frames")
+        return UploadWorker(store, "node-a", **kwargs), paths
+
+    def test_local_os_error_counts_as_failure_and_keeps_serving(self, tmp_path):
+        # an OSError such as a full disk, raised below the retry layer
+        worker, (first, second) = self.start(tmp_path, FlakyBackend(fail_times=1, error=OSError))
+        worker.enqueue(first, "video")
+        worker.enqueue(second, "video")
+        assert drain_within(worker, 5.0)
+        assert (worker.failed, worker.confirmed) == (1, 1)
+        assert read_marker(first) is None and first.exists()
+        assert read_marker(second) is not None
+
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_drain_returns_when_thread_is_gone(self, tmp_path):
+        backend = FlakyBackend(fail_times=None, error=RuntimeError)
+        worker, (first, second) = self.start(tmp_path, backend, capacity=1)
+        worker.enqueue(first, "video")
+        worker._thread.join(timeout=5.0)
+        assert not worker._thread.is_alive()
+        assert worker.enqueue(second, "video")  # the queue is now full
+        assert drain_within(worker, 0.5)
