@@ -37,24 +37,40 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
     and one optimal path from (0, 0) to (n-1, m-1); ties in the backtrack are
     broken by preferring the diagonal step, then the step that advances the
     reference index.
+
+    The table is filled in wavefront order, one anti-diagonal i + j = k per
+    numpy pass, since each cell depends only on the two diagonals before it.
+    D is stored inside one (n+1) x (m+1) float64 table with a +inf border
+    and a 0 corner, so the fill needs (n+1)(m+1) * 8 bytes (16.6 MB for
+    n = m = 1440); the costs are computed one diagonal at a time. Every
+    cell gets the same ``cost + min`` of the same three values as in a
+    row-by-row fill, so the result is bit-identical to it. Non-finite input
+    raises ``DataError``, because with a NaN that minimum would depend on
+    argument order.
     """
     a = np.asarray(reference, dtype=float)
     b = np.asarray(test, dtype=float)
     if a.size == 0 or b.size == 0:
         raise EmptyInput("dtw needs two non-empty sequences")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("dtw needs finite values")
     n, m = a.size, b.size
-    cost = np.abs(a[:, None] - b[None, :])
-    D = np.empty((n, m))
-    D[0, 0] = cost[0, 0]
-    for i in range(1, n):
-        D[i, 0] = D[i - 1, 0] + cost[i, 0]
-    for j in range(1, m):
-        D[0, j] = D[0, j - 1] + cost[0, j]
-    for i in range(1, n):
-        row = D[i]
-        prev = D[i - 1]
-        for j in range(1, m):
-            row[j] = cost[i, j] + min(prev[j - 1], prev[j], row[j - 1])
+    P = np.full((n + 1, m + 1), np.inf)
+    P[0, 0] = 0.0
+    # In the flat C-order view, cell P[i, k - i] sits at i * m + k, so each
+    # diagonal and its three predecessors are stride-m slices. The cell's
+    # test value b[k - i - 1] is b_rev[m - k + i], which rises with i.
+    flat = P.reshape(-1)
+    b_rev = b[::-1]
+    for k in range(2, n + m + 1):
+        lo, hi = max(1, k - m), min(n, k - 1)
+        start, stop = lo * m + k, hi * m + k + 1
+        cost = np.abs(a[lo - 1:hi] - b_rev[m - k + lo:m - k + hi + 1])
+        least = np.minimum(flat[start - m - 2:stop - m - 2:m],
+                           flat[start - m - 1:stop - m - 1:m])
+        np.minimum(least, flat[start - 1:stop - 1:m], out=least)
+        flat[start:stop:m] = cost + least
+    D = P[1:, 1:]
 
     path: WarpPath = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
@@ -95,14 +111,11 @@ def warp_onto_reference(test: Sequence[float], path: WarpPath, n_ref: int) -> np
     timestamps.
     """
     b = np.asarray(test, dtype=float)
-    sums = np.zeros(n_ref)
-    counts = np.zeros(n_ref)
-    for i, j in path:
-        sums[i] += b[j]
-        counts[i] += 1
-    if np.any(counts == 0):
+    i, j = np.asarray(path, dtype=np.intp).reshape(-1, 2).T
+    counts = np.bincount(i, minlength=n_ref)
+    if counts.size != n_ref or not counts.all():
         raise DataError("warp path does not cover every reference index")
-    return sums / counts
+    return np.bincount(i, weights=b[j], minlength=n_ref) / counts
 
 
 def moving_average(series: TimeSeries, window: timedelta = timedelta(minutes=10)) -> TimeSeries:

@@ -33,7 +33,11 @@ class AcceleratedClock:
 
     def now(self) -> datetime:
         elapsed = (time.monotonic() - self._mono0) * self.accel
-        return self.start + timedelta(seconds=elapsed)
+        try:
+            return self.start + timedelta(seconds=elapsed)
+        except OverflowError:
+            raise DataError(f"virtual time {elapsed:.3g} s after start is out of "
+                            f"datetime range at accel={self.accel:g}") from None
 
     def sleep(self, seconds: float) -> None:
         if seconds > 0:

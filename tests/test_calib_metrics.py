@@ -4,12 +4,16 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from aerotrace import calib_metrics
 from aerotrace.calib_metrics import (
     AllReferenceZero, NonPositiveLambda, NoTemporalOverlap, align_pair,
-    calibration_report, dtw, hp_filter, mape, moving_average, rmse,
+    calibration_report, dtw, format_report, hp_filter, mape, moving_average, rmse,
     trend_match_score, validate_warp_path, warp_onto_reference)
-from aerotrace.errors import EmptyInput, SeriesTooShort
+from aerotrace.errors import DataError, EmptyInput, SeriesTooShort
 from aerotrace.series import TimeSeries
 
 from conftest import T0, at, make_series
@@ -38,7 +42,93 @@ def enumerate_path_costs(a, b):
     return best[0]
 
 
+def dtw_oracle(reference, test):
+    """Row-by-row DTW fill and backtrack; ``dtw`` must match it bit for bit."""
+    a = np.asarray(reference, dtype=float)
+    b = np.asarray(test, dtype=float)
+    n, m = a.size, b.size
+    cost = np.abs(a[:, None] - b[None, :])
+    D = np.empty((n, m))
+    D[0, 0] = cost[0, 0]
+    for i in range(1, n):
+        D[i, 0] = D[i - 1, 0] + cost[i, 0]
+    for j in range(1, m):
+        D[0, j] = D[0, j - 1] + cost[0, j]
+    for i in range(1, n):
+        row = D[i]
+        prev = D[i - 1]
+        for j in range(1, m):
+            row[j] = cost[i, j] + min(prev[j - 1], prev[j], row[j - 1])
+
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while (i, j) != (0, 0):
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = D[i - 1, j - 1], D[i - 1, j], D[i, j - 1]
+            best = min(diag, up, left)
+            if diag == best:
+                i, j = i - 1, j - 1
+            elif up == best:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    path.reverse()
+    return float(D[n - 1, m - 1]), path
+
+
+def warp_oracle(test, path, n_ref):
+    """Per-step loop that ``warp_onto_reference`` must match bit for bit."""
+    b = np.asarray(test, dtype=float)
+    sums = np.zeros(n_ref)
+    counts = np.zeros(n_ref)
+    for i, j in path:
+        sums[i] += b[j]
+        counts[i] += 1
+    return sums / counts
+
+
+def sequence_pairs(elements):
+    seq = arrays(float, st.integers(1, 40), elements=elements)
+    return st.tuples(seq, seq)
+
+
+# Tie-heavy integers, moderate reals, and full-range reals whose costs overflow to inf.
+DTW_PAIRS = st.one_of(sequence_pairs(st.sampled_from([0.0, 1.0, 2.0])),
+                      sequence_pairs(st.floats(-1e6, 1e6)),
+                      sequence_pairs(st.floats(allow_nan=False, allow_infinity=False)))
+
+
 class TestDtw:
+    @settings(deadline=None, max_examples=300)
+    @given(DTW_PAIRS)
+    @example((np.array([1.0]), np.array([0.0, 2.0, 1.0, 1.0])))
+    @example((np.array([2.0, 0.0, 1.0]), np.array([1.0])))
+    @example((np.array([1.0]), np.array([1.0])))
+    def test_matches_row_by_row_oracle(self, pair):
+        a, b = pair
+        with np.errstate(over="ignore"):
+            dist, path = dtw(a, b)
+            expected_dist, expected_path = dtw_oracle(a, b)
+            warped = warp_onto_reference(b, path, a.size)
+            expected_warped = warp_oracle(b, path, a.size)
+        assert np.float64(dist).tobytes() == np.float64(expected_dist).tobytes()
+        assert path == expected_path
+        assert warped.tobytes() == expected_warped.tobytes()
+
+    @pytest.mark.parametrize("a, b", [
+        ([math.nan, 1.0, 2.0], [1.0, 2.0]),
+        ([math.inf, 1.0], [math.inf, 1.0]),
+        ([1.0, 2.0], [1.0, -math.inf]),
+    ])
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(DataError, match="finite"):
+            dtw(a, b)
+
     def test_identical_series(self):
         dist, path = dtw([3, 1, 4, 1, 5], [3, 1, 4, 1, 5])
         assert dist == 0.0
@@ -96,6 +186,15 @@ class TestWarp:
         path = [(0, 0), (1, 1), (1, 2), (2, 3)]
         out = warp_onto_reference([1.0, 10.0, 20.0, 2.0], path, 3)
         assert list(out) == [1.0, 15.0, 2.0]
+
+    @pytest.mark.parametrize("path, n_ref", [
+        ([(0, 0), (2, 1)], 3),
+        ([(0, 0), (1, 1), (2, 1)], 2),
+        ([], 2),
+    ])
+    def test_path_must_cover_exactly_the_reference(self, path, n_ref):
+        with pytest.raises(DataError, match="does not cover every reference index"):
+            warp_onto_reference([1.0, 2.0], path, n_ref)
 
 
 class TestMovingAverage:
@@ -284,3 +383,14 @@ class TestAlignAndReport:
         assert report.n_points == len(align_pair(ref, ref, 120).times)
         lo, hi = report.data_range
         assert lo <= min(ref.values) + 1.0 and hi >= max(ref.values) - 1.0
+
+    def test_report_text_matches_oracles(self, monkeypatch):
+        rnd = np.random.default_rng(300)
+        base = 20 + 8 * np.sin(np.arange(300) / 20.0)
+        ref = make_series(base + rnd.normal(0, 0.5, 300), step_s=60)
+        test = make_series(1.1 * np.roll(base, 3) + rnd.normal(0, 1.0, 300), step_s=60)
+        text = format_report(calibration_report(ref, test))
+        monkeypatch.setattr(calib_metrics, "dtw", dtw_oracle)
+        monkeypatch.setattr(calib_metrics, "warp_onto_reference", warp_oracle)
+        assert format_report(calibration_report(ref, test)) == text
+        assert "n_points=300\n" in text

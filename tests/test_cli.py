@@ -47,6 +47,7 @@ def write_inputs(d):
     "correlate --vehicles {d}/veh.csv --pm25 {d}/pm.csv --max-lag -1 --out-dir {d}/corr",
     "node run --config {d}/node.conf --duration 1s --accel 0",
     "node run --config {d}/node.conf --duration 1s --accel inf",
+    "node run --config {d}/node.conf --duration 1s --accel 1e308",
 ])
 def test_out_of_range_value_exits_data_error(tmp_path, capsys, argv):
     write_inputs(tmp_path)
