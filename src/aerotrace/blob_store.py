@@ -1,16 +1,17 @@
-"""Per-node blob storage: addressing, retried byte-stream upload, tiering, cost model.
+"""Per-node blob storage: addressing, retried file upload, tiering, cost model.
 
 Each monitoring node owns one container named after it; every object the node
-produces lands in that container under a ``video/`` or ``csv/`` key. Backends
-are pluggable; the two shipped here (in-memory x filesystem) behave alike:
-``put`` stores bytes and stamps an upload time, objects start in the ``cool``
-tier, and ``archive`` objects refuse reads until rehydrated.
+produces lands in that container under a ``video/`` or ``csv/`` key. One
+backend ships, ``FilesystemBackend``: ``put`` copies a local file by path and
+stamps an upload time, objects start in the ``cool`` tier, and ``archive``
+objects refuse reads until rehydrated. ``BlobStore`` only calls the backend's
+methods, so tests substitute fakes that wrap it.
 """
 from __future__ import annotations
 
 import logging
 import re
-import threading
+import shutil
 import time as _time
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -29,6 +30,10 @@ NODE_ID_RE = re.compile(r"^[a-z0-9-]{1,63}$")
 
 GB = 10 ** 9
 DAYS_PER_MONTH = 30
+
+MAX_ATTEMPTS = 5
+BACKOFF_BASE_S = 5.0
+BACKOFF_FACTOR = 2.0
 
 
 class BackendUnavailable(BackendError):
@@ -99,61 +104,6 @@ class ObjectInfo:
     tier: str
 
 
-class MemoryBackend:
-    """Dict-backed backend for tests and simulations. Thread-safe."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._containers: dict[str, dict[str, dict]] = {}
-
-    def ensure_container(self, name: str) -> None:
-        with self._lock:
-            self._containers.setdefault(name, {})
-
-    def container_exists(self, name: str) -> bool:
-        with self._lock:
-            return name in self._containers
-
-    def _container(self, name: str) -> dict:
-        if name not in self._containers:
-            raise BackendUnavailable(f"container {name!r} does not exist")
-        return self._containers[name]
-
-    def _object(self, container: str, key: str) -> dict:
-        objs = self._container(container)
-        if key not in objs:
-            raise BackendUnavailable(f"{container}/{key} not found")
-        return objs[key]
-
-    def put(self, container: str, key: str, data: bytes, uploaded_at: datetime) -> int:
-        with self._lock:
-            self._container(container)[key] = {
-                "data": bytes(data), "uploaded_at": uploaded_at, "tier": TIER_COOL,
-            }
-            return len(data)
-
-    def get(self, container: str, key: str) -> bytes:
-        with self._lock:
-            return self._object(container, key)["data"]
-
-    def get_tier(self, container: str, key: str) -> str:
-        with self._lock:
-            return self._object(container, key)["tier"]
-
-    def set_tier(self, container: str, key: str, tier: str) -> None:
-        with self._lock:
-            self._object(container, key)["tier"] = tier
-
-    def list_objects(self, container: str) -> list[ObjectInfo]:
-        with self._lock:
-            objs = self._container(container)
-            return sorted(
-                (ObjectInfo(key=k, size=len(o["data"]), uploaded_at=o["uploaded_at"],
-                            tier=o["tier"]) for k, o in objs.items()),
-                key=lambda o: o.key,
-            )
-
-
 class FilesystemBackend:
     """Stores objects as ``<root>/<container>/<key>`` plus a flat-text sidecar.
 
@@ -168,9 +118,6 @@ class FilesystemBackend:
     def ensure_container(self, name: str) -> None:
         (self.root / name).mkdir(parents=True, exist_ok=True)
 
-    def container_exists(self, name: str) -> bool:
-        return (self.root / name).is_dir()
-
     def _obj_path(self, container: str, key: str) -> Path:
         cdir = self.root / container
         if not cdir.is_dir():
@@ -183,14 +130,19 @@ class FilesystemBackend:
             raise BackendUnavailable(f"{container}/{key} not found")
         return path
 
-    def put(self, container: str, key: str, data: bytes, uploaded_at: datetime) -> int:
+    def put(self, container: str, key: str, src: Path, uploaded_at: datetime) -> int:
+        """Copy the file ``src`` into the object; returns the stored size.
+
+        The copy lands under a ``.tmp`` name and the sidecar is written before
+        the rename, so an object is never listed without its sidecar.
+        """
         path = self._obj_path(container, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        tmp.replace(path)
+        shutil.copyfile(src, tmp)
         self._write_meta(path, TIER_COOL, uploaded_at)
-        return len(data)
+        tmp.replace(path)
+        return path.stat().st_size
 
     @staticmethod
     def _meta_path(path: Path) -> Path:
@@ -248,9 +200,6 @@ class BlobStore:
     backend: object
     sleep: Callable[[float], None] = _time.sleep
     now: Callable[[], datetime] = lambda: datetime.now(tz=UTC)
-    max_attempts: int = 5
-    backoff_base_s: float = 5.0
-    backoff_factor: float = 2.0
 
     def ensure_node_container(self, node_id: str) -> str:
         validate_node_id(node_id)
@@ -258,30 +207,31 @@ class BlobStore:
         return node_id
 
     def upload(self, job: UploadJob) -> UploadJob:
-        """Stream a sealed local file into its blob, retrying transient failures.
+        """Copy a sealed local file into its blob, retrying transient failures.
 
-        Backoff between attempts is ``base * factor**(attempt-1)``. After
-        ``max_attempts`` failures UploadFailed is raised; on success the job
-        gets its ``confirmed_at`` stamp.
+        The backend copies the file by path, so its contents are never held in
+        memory; the size it stored must then equal the file's size. Backoff
+        between attempts is ``BACKOFF_BASE_S * BACKOFF_FACTOR**(attempt-1)``.
+        After ``MAX_ATTEMPTS`` failures UploadFailed is raised; on success the
+        job gets its ``confirmed_at`` stamp.
         """
         path = Path(job.local_path)
         if not path.is_file():
             raise LocalFileMissing(f"{path} does not exist")
-        data = path.read_bytes()
-        delay = self.backoff_base_s
+        delay = BACKOFF_BASE_S
         while True:
             job.attempts += 1
             try:
-                stored = self.backend.put(job.blob.container, job.blob.key, data, self.now())
+                stored = self.backend.put(job.blob.container, job.blob.key, path, self.now())
             except BackendUnavailable as exc:
                 log.warning("upload attempt %d for %s failed: %s",
                             job.attempts, job.blob.key, exc)
-                if job.attempts >= self.max_attempts:
+                if job.attempts >= MAX_ATTEMPTS:
                     raise UploadFailed(job) from exc
                 self.sleep(delay)
-                delay *= self.backoff_factor
+                delay *= BACKOFF_FACTOR
                 continue
-            if stored != len(data):
+            if stored != path.stat().st_size:
                 raise UploadFailed(job)
             job.confirmed_at = self.now()
             return job

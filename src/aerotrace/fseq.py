@@ -76,7 +76,7 @@ class FseqWriter:
 
     def add(self, frame: np.ndarray) -> None:
         arr = _check_frame(frame, self.width, self.height)
-        self._fh.write(arr.tobytes())
+        self._fh.write(np.ascontiguousarray(arr))
         self.count += 1
 
     def close(self) -> int:

@@ -402,41 +402,44 @@ def run_node(config: NodeConfig,
     sweep_dt = timedelta(seconds=config.video_chunk_len_s)
     next_sweep = start + sweep_dt
 
-    while True:
-        t = min(next_sample, next_frame)
-        if t >= end:
-            break
-        clock.sleep_until(t)
-        if next_frame <= next_sample:
-            ts = next_frame
-            frame = frame_source(ts)
-            if frame.shape != (config.frame_height, config.frame_width):
-                raise DataError(
-                    f"frame source produced {frame.shape}, config says "
-                    f"{(config.frame_height, config.frame_width)}")
-            enqueue(chunk_sink.add(ts, frame), "video")
-            next_frame += frame_dt
-        else:
-            ts = next_sample
-            next_sample += sample_dt
-            wall = as_utc(clock.now())
-            if prev_wall is not None and wall < prev_wall:
-                summary.samples_dropped += 1
-                log.warning("clock went backwards (%s < %s), dropping sample",
-                            wall, prev_wall)
-                continue
-            prev_wall = wall
-            sample = sample_source(ts)
-            enqueue(csv_sink.write(sample), "csv")
-            summary.samples_written += 1
-        if t >= next_sweep:
-            summary.files_deleted += len(
-                retention_sweep(buffer_dir, clock.now(), config.retention_s))
-            next_sweep += sweep_dt
+    try:
+        while True:
+            t = min(next_sample, next_frame)
+            if t >= end:
+                break
+            clock.sleep_until(t)
+            if next_frame <= next_sample:
+                ts = next_frame
+                frame = frame_source(ts)
+                if frame.shape != (config.frame_height, config.frame_width):
+                    raise DataError(
+                        f"frame source produced {frame.shape}, config says "
+                        f"{(config.frame_height, config.frame_width)}")
+                enqueue(chunk_sink.add(ts, frame), "video")
+                next_frame += frame_dt
+            else:
+                ts = next_sample
+                next_sample += sample_dt
+                wall = as_utc(clock.now())
+                if prev_wall is not None and wall < prev_wall:
+                    summary.samples_dropped += 1
+                    log.warning("clock went backwards (%s < %s), dropping sample",
+                                wall, prev_wall)
+                    continue
+                prev_wall = wall
+                sample = sample_source(ts)
+                enqueue(csv_sink.write(sample), "csv")
+                summary.samples_written += 1
+            if t >= next_sweep:
+                summary.files_deleted += len(
+                    retention_sweep(buffer_dir, clock.now(), config.retention_s))
+                next_sweep += sweep_dt
 
-    enqueue(chunk_sink.seal(), "video")
-    enqueue(csv_sink.seal(), "csv")
-    worker.drain()
+        enqueue(chunk_sink.seal(), "video")
+        enqueue(csv_sink.seal(), "csv")
+    finally:
+        # Also on a loop error: the worker finishes its queue and its thread ends.
+        worker.drain()
     summary.uploads_enqueued = worker.enqueued
     summary.uploads_dropped = worker.dropped
     summary.uploads_confirmed = worker.confirmed

@@ -91,13 +91,11 @@ def bucket_resample(series: TimeSeries, bucket_s: int) -> TimeSeries:
     if bucket_s < 1:
         raise DataError(f"bucket length must be at least 1 s, got {bucket_s}")
     idx = [math.floor(t.timestamp() / bucket_s) for t in series.times]
-    b0, b1 = idx[0], idx[-1]
-    n = b1 - b0 + 1
-    sums = np.zeros(n)
-    counts = np.zeros(n)
-    for i, v in zip(idx, series.values):
-        sums[i - b0] += v
-        counts[i - b0] += 1
+    b0, n = idx[0], idx[-1] - idx[0] + 1
+    offsets = np.array(idx) - b0
+    # bincount adds in input order, as a per-point loop would.
+    sums = np.bincount(offsets, weights=series.values, minlength=n)
+    counts = np.bincount(offsets, minlength=n)
     filled = np.flatnonzero(counts > 0)
     means = sums[filled] / counts[filled]
     grid = np.interp(np.arange(n), filled, means)

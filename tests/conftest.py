@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from aerotrace.blob_store import BackendUnavailable, MemoryBackend
+from aerotrace.blob_store import BackendUnavailable, FilesystemBackend
 
 UTC = timezone.utc
 T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
@@ -21,15 +21,15 @@ def make_series(values, start: datetime = T0, step_s: float = 10.0):
 
 
 class FlakyBackend:
-    """MemoryBackend wrapper whose puts fail a scripted number of times.
+    """FilesystemBackend wrapper, rooted at ``root``, whose puts fail a scripted number of times.
 
     fail_times=None means every put fails forever. Keys matching
     ``fail_prefix`` (when set) are the only ones affected. A failing put
     raises ``error``.
     """
 
-    def __init__(self, fail_times=0, fail_prefix=None, error=BackendUnavailable):
-        self.inner = MemoryBackend()
+    def __init__(self, root, fail_times=0, fail_prefix=None, error=BackendUnavailable):
+        self.inner = FilesystemBackend(root)
         self.fail_times = fail_times
         self.fail_prefix = fail_prefix
         self.error = error
@@ -45,12 +45,12 @@ class FlakyBackend:
             return True
         return False
 
-    def put(self, container, key, data, uploaded_at):
+    def put(self, container, key, src, uploaded_at):
         with self._lock:
             self.put_attempts += 1
             if self._should_fail(key):
                 raise self.error(f"scripted failure #{self.put_attempts}")
-        return self.inner.put(container, key, data, uploaded_at)
+        return self.inner.put(container, key, src, uploaded_at)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)

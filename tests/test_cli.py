@@ -13,7 +13,9 @@ def test_store_get_missing_key_exits_backend_error(tmp_path, capsys):
     root = tmp_path / "store"
     backend = FilesystemBackend(root)
     backend.ensure_container("node-a")
-    backend.put("node-a", "csv/day.csv", b"rows", T0)
+    src = tmp_path / "day.csv"
+    src.write_bytes(b"rows")
+    backend.put("node-a", "csv/day.csv", src, T0)
     out = tmp_path / "got.csv"
     argv = ["store", "get", "--root", str(root), "--node", "node-a", "--out", str(out)]
 

@@ -54,6 +54,15 @@ class TestContainer:
         _, back = read_fseq(path)
         assert np.array_equal(back, frames)
 
+    def test_round_trip_non_contiguous_view(self, tmp_path, rng):
+        path = tmp_path / "v.fseq"
+        big = random_frames(rng, 1, 20, 30)[0]
+        view = big[::2, ::2]
+        assert not view.flags.c_contiguous
+        write_fseq(path, [view, view[::-1]], fps=10)
+        _, back = read_fseq(path)
+        assert np.array_equal(back, [view, view[::-1]])
+
     def test_zero_frames_rejected(self, tmp_path):
         path = tmp_path / "z.fseq"
         with pytest.raises(DataError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from aerotrace import node_pipeline
-from aerotrace.blob_store import BlobStore, MemoryBackend
+from aerotrace.blob_store import BlobRef, BlobStore, FilesystemBackend
 from aerotrace.clocks import AcceleratedClock
 from aerotrace.errors import DataError
 from aerotrace.node_pipeline import (
@@ -40,8 +40,9 @@ def make_config(tmp_path, **overrides):
     return NodeConfig(**defaults)
 
 
-def make_store(clock, backend=None):
-    return BlobStore(backend or MemoryBackend(), sleep=clock.sleep, now=clock.now)
+def make_store(clock, tmp_path, backend=None):
+    backend = backend or FilesystemBackend(tmp_path / "store")
+    return BlobStore(backend, sleep=clock.sleep, now=clock.now)
 
 
 def run(config, clock, store, duration_s, **kwargs):
@@ -51,16 +52,16 @@ def run(config, clock, store, duration_s, **kwargs):
 
 
 class SlowBackend:
-    """Adds virtual latency to every put via the run's clock."""
+    """FilesystemBackend wrapper that adds virtual latency to every put via the run's clock."""
 
-    def __init__(self, inner, clock, latency_s):
-        self.inner = inner
+    def __init__(self, root, clock, latency_s):
+        self.inner = FilesystemBackend(root)
         self.clock = clock
         self.latency_s = latency_s
 
-    def put(self, container, key, data, uploaded_at):
+    def put(self, container, key, src, uploaded_at):
         self.clock.sleep(self.latency_s)
-        return self.inner.put(container, key, data, uploaded_at)
+        return self.inner.put(container, key, src, uploaded_at)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -183,7 +184,7 @@ class TestRunNode:
     def test_one_hour_run(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)
         config = make_config(tmp_path)
-        store = make_store(clock)
+        store = make_store(clock, tmp_path)
         summary = run(config, clock, store, 3600)
 
         assert summary.chunks_sealed == 12
@@ -207,20 +208,19 @@ class TestRunNode:
         assert len(chunk_keys) == 12
         for obj in objects:
             local = config.buffer_dir / obj.key.split("/", 1)[1]
-            from aerotrace.blob_store import BlobRef
             assert store.download(BlobRef("node-a", obj.key)) == local.read_bytes()
 
     def test_zero_duration(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=1000.0)
         config = make_config(tmp_path)
-        summary = run(config, clock, make_store(clock), 0)
+        summary = run(config, clock, make_store(clock, tmp_path), 0)
         assert summary == SessionSummary()
 
     def test_midnight_rotation(self, tmp_path):
         start = datetime(2022, 7, 1, 23, 55, 0, tzinfo=UTC)
         clock = AcceleratedClock(start=start, accel=40000.0)
         config = make_config(tmp_path, start_time=start)
-        store = make_store(clock)
+        store = make_store(clock, tmp_path)
         summary = run(config, clock, store, 1200)
         assert summary.csvs_sealed == 2
         assert summary.chunks_sealed == 4
@@ -233,8 +233,8 @@ class TestRunNode:
     def test_slow_store_does_not_disturb_cadence(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=7200.0)
         config = make_config(tmp_path)
-        backend = SlowBackend(MemoryBackend(), clock, latency_s=900.0)  # 3x chunk length
-        store = make_store(clock, backend)
+        backend = SlowBackend(tmp_path / "store", clock, latency_s=900.0)  # 3x chunk length
+        store = make_store(clock, tmp_path, backend)
         summary = run(config, clock, store, 900)
         assert summary.chunks_sealed == 3
         assert summary.uploads_confirmed == 4
@@ -255,7 +255,7 @@ class TestRunNode:
     def test_failing_store_keeps_files(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)
         config = make_config(tmp_path)
-        store = make_store(clock, FlakyBackend(fail_times=None))
+        store = make_store(clock, tmp_path, FlakyBackend(tmp_path / "store", fail_times=None))
         summary = run(config, clock, store, 600)
         assert summary.uploads_failed == summary.uploads_enqueued == 3
         assert summary.uploads_confirmed == 0
@@ -270,26 +270,27 @@ class TestRunNode:
     def test_restart_rescans_and_dedupes(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)
         config = make_config(tmp_path)
-        run(config, clock, make_store(clock, FlakyBackend(fail_times=None)), 600)
+        failing = FlakyBackend(tmp_path / "store", fail_times=None)
+        run(config, clock, make_store(clock, tmp_path, failing), 600)
 
         day2 = datetime(2022, 7, 2, 9, 0, 0, tzinfo=UTC)
         config2 = make_config(tmp_path, start_time=day2)
         clock2 = AcceleratedClock(start=day2, accel=40000.0)
-        store2 = make_store(clock2)
+        store2 = make_store(clock2, tmp_path)
         summary2 = run(config2, clock2, store2, 0)
         assert summary2.uploads_enqueued == 3
         assert summary2.uploads_confirmed == 3
 
         clock3 = AcceleratedClock(start=day2 + timedelta(hours=1), accel=40000.0)
         config3 = make_config(tmp_path, start_time=day2 + timedelta(hours=1))
-        summary3 = run(config3, clock3, make_store(clock3), 0)
+        summary3 = run(config3, clock3, make_store(clock3, tmp_path), 0)
         assert summary3.uploads_enqueued == 0
 
     def test_bounded_queue_drops_and_recovers(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=36000.0)
         config = make_config(tmp_path)
-        backend = SlowBackend(MemoryBackend(), clock, latency_s=6000.0)
-        store = make_store(clock, backend)
+        backend = SlowBackend(tmp_path / "store", clock, latency_s=6000.0)
+        store = make_store(clock, tmp_path, backend)
         summary = run(config, clock, store, 1800, queue_capacity=1)
         total_jobs = summary.chunks_sealed + summary.csvs_sealed
         assert total_jobs == 7
@@ -300,7 +301,7 @@ class TestRunNode:
         day2 = datetime(2022, 7, 2, 9, 0, 0, tzinfo=UTC)
         config2 = make_config(tmp_path, start_time=day2)
         clock2 = AcceleratedClock(start=day2, accel=40000.0)
-        summary2 = run(config2, clock2, make_store(clock2), 0)
+        summary2 = run(config2, clock2, make_store(clock2, tmp_path), 0)
         assert summary2.uploads_enqueued == summary.uploads_dropped
         assert summary2.uploads_confirmed == summary.uploads_dropped
 
@@ -312,7 +313,7 @@ class TestRunNode:
         config = make_config(tmp_path)
         summary = run_node(config, synthetic_sample_source(0),
                            fast_frame_source(64, 36),
-                           make_store(inner), clock, timedelta(seconds=60))
+                           make_store(inner, tmp_path), clock, timedelta(seconds=60))
         assert summary.samples_dropped == 1
         assert summary.samples_written == 5
 
@@ -322,14 +323,23 @@ class TestRunNode:
         clock = AcceleratedClock(start=T0, accel=1000.0)
         config = make_config(tmp_path, buffer_dir=target)
         with pytest.raises(BufferDirUnwritable):
-            run(config, clock, make_store(clock), 10)
+            run(config, clock, make_store(clock, tmp_path), 10)
 
     def test_frame_shape_enforced(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=1000.0)
         config = make_config(tmp_path)
         with pytest.raises(DataError):
             run_node(config, synthetic_sample_source(0), fast_frame_source(32, 32),
-                     make_store(clock), clock, timedelta(seconds=10))
+                     make_store(clock, tmp_path), clock, timedelta(seconds=10))
+
+    def test_loop_error_stops_upload_worker(self, tmp_path):
+        before = set(threading.enumerate())
+        clock = AcceleratedClock(start=T0, accel=1000.0)
+        config = make_config(tmp_path, frame_width=8, frame_height=8)
+        with pytest.raises(DataError):
+            run_node(config, synthetic_sample_source(0), fast_frame_source(4, 4),
+                     make_store(clock, tmp_path), clock, timedelta(seconds=10))
+        assert set(threading.enumerate()) <= before
 
     def test_lagging_loop_sweeps_on_schedule(self, tmp_path, monkeypatch):
         calls = []
@@ -341,7 +351,7 @@ class TestRunNode:
         monkeypatch.setattr(node_pipeline, "retention_sweep", counting_sweep)
         clock = AcceleratedClock(start=T0, accel=1e6)  # the loop lags the clock
         config = make_config(tmp_path, video_chunk_len_s=5, retention_s=0.0)
-        summary = run(config, clock, make_store(clock), 120)
+        summary = run(config, clock, make_store(clock, tmp_path), 120)
         assert summary.chunks_sealed == 24
         assert len(calls) <= 120 / 5 + 1
 
@@ -361,7 +371,7 @@ def drain_within(worker, seconds):
 class TestUploadWorker:
     def start(self, tmp_path, backend, **kwargs):
         clock = AcceleratedClock(start=T0, accel=1000.0)
-        store = make_store(clock, backend)
+        store = make_store(clock, tmp_path, backend)
         store.ensure_node_container("node-a")
         paths = [tmp_path / name for name in ("a.fseq", "b.fseq")]
         for path in paths:
@@ -370,7 +380,8 @@ class TestUploadWorker:
 
     def test_local_os_error_counts_as_failure_and_keeps_serving(self, tmp_path):
         # an OSError such as a full disk, raised below the retry layer
-        worker, (first, second) = self.start(tmp_path, FlakyBackend(fail_times=1, error=OSError))
+        worker, (first, second) = self.start(
+            tmp_path, FlakyBackend(tmp_path / "store", fail_times=1, error=OSError))
         worker.enqueue(first, "video")
         worker.enqueue(second, "video")
         assert drain_within(worker, 5.0)
@@ -380,7 +391,7 @@ class TestUploadWorker:
 
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_drain_returns_when_thread_is_gone(self, tmp_path):
-        backend = FlakyBackend(fail_times=None, error=RuntimeError)
+        backend = FlakyBackend(tmp_path / "store", fail_times=None, error=RuntimeError)
         worker, (first, second) = self.start(tmp_path, backend, capacity=1)
         worker.enqueue(first, "video")
         worker._thread.join(timeout=5.0)

@@ -1,6 +1,10 @@
+import math
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aerotrace.errors import DataError, EmptyInput
 from aerotrace.series import TimeSeries, bucket_resample, floor_to, parse_utc, read_csv_series, write_csv_series
@@ -8,6 +12,23 @@ from aerotrace.series import TimeSeries, bucket_resample, floor_to, parse_utc, r
 from conftest import T0, at, make_series
 
 UTC = timezone.utc
+
+
+def bucket_resample_oracle(series, bucket_s):
+    """The per-point loop ``bucket_resample`` replaced with ``np.bincount``."""
+    idx = [math.floor(t.timestamp() / bucket_s) for t in series.times]
+    b0, b1 = idx[0], idx[-1]
+    n = b1 - b0 + 1
+    sums = np.zeros(n)
+    counts = np.zeros(n)
+    for i, v in zip(idx, series.values):
+        sums[i - b0] += v
+        counts[i - b0] += 1
+    filled = np.flatnonzero(counts > 0)
+    means = sums[filled] / counts[filled]
+    grid = np.interp(np.arange(n), filled, means)
+    times = tuple(datetime.fromtimestamp((b0 + k) * bucket_s, tz=UTC) for k in range(n))
+    return TimeSeries(times, tuple(float(x) for x in grid))
 
 
 class TestTimeSeries:
@@ -54,6 +75,17 @@ class TestBucketResample:
         out = bucket_resample(s, 3600)
         assert out.values == (10.0, 20.0, 30.0)
         assert out.times == (T0, at(3600), at(7200))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(0, 20_000), min_size=1, max_size=200, unique=True),
+           st.lists(st.floats(-1e6, 1e6), min_size=200, max_size=200),
+           st.sampled_from([1, 7, 60, 900, 3600]))
+    def test_matches_per_point_loop(self, offsets, values, bucket_s):
+        s = TimeSeries.from_points(
+            (at(t), v) for t, v in zip(sorted(offsets), values))
+        out, want = bucket_resample(s, bucket_s), bucket_resample_oracle(s, bucket_s)
+        assert out.times == want.times
+        assert np.array(out.values).tobytes() == np.array(want.values).tobytes()
 
 
 class TestCsvIo:
