@@ -23,7 +23,7 @@ from .errors import AerotraceError, BackendError, DataError
 from .node_pipeline import parse_duration, parse_node_config, run_node
 from .pm_clean import CleanConfig, clean_pipeline
 from .sensor_codec import parse_csv_row
-from .series import UTC, TimeSeries, format_utc, parse_utc, read_csv_series
+from .series import UTC, TimeSeries, format_utc, parse_utc, read_csv_series, read_rows
 from .synth import moving_block_frame_source, parse_scene_script, synthetic_sample_source, write_scene_fseq
 from .traffic_count import CountLine, CountParams, count_video
 
@@ -70,9 +70,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _read_sensor_series(path: Path, column: str) -> TimeSeries:
     points = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_rows(path):
         try:
             sample = parse_csv_row(line)
         except DataError as exc:

@@ -239,5 +239,6 @@ def parse_csv_row(line: str) -> SensorSample:
     try:
         return SensorSample(timestamp=ts, pm1_0=ints[0], pm2_5=ints[1], pm10=ints[2], env=env)
     except DataError:
-        bad = next(i for i, v in zip((1, 2, 3), ints) if v < 0)
+        # A negative PM, or else a sub-second timestamp in a zero-offset form.
+        bad = next((i for i, v in zip((1, 2, 3), ints) if v < 0), 0)
         raise UnparsableField(bad, parts[bad]) from None

@@ -110,14 +110,19 @@ def write_csv_series(path: str | Path, series: TimeSeries, header: str = "hour_s
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_rows(path: str | Path) -> list[tuple[int, str]]:
+    """The non-blank lines of a text file, each with its 1-based physical line number."""
+    lines = Path(path).read_text().splitlines()
+    return [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+
+
 def read_csv_series(path: str | Path, value_col: int = 1) -> TimeSeries:
     """Read a headered CSV whose first column is an ISO UTC timestamp."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    rows = read_rows(path)
+    if not rows:
         raise DataError(f"{path}: empty file")
     points = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows[1:]:
         fields = line.split(",")
         if value_col >= len(fields):
             raise DataError(f"{path}:{lineno}: expected at least {value_col + 1} columns")

@@ -132,6 +132,12 @@ class TestCsvRows:
             parse_csv_row("2022-07-01T16:00:00Z,5,twelve,15,27.00,65.50,1008.25")
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize("stamp", ["2022-07-01T16:00:00.500+00:00", "2022-07-01T16:00:00.500Z"])
+    def test_subsecond_timestamp_unparsable(self, stamp):
+        with pytest.raises(UnparsableField) as exc:
+            parse_csv_row(f"{stamp},5,12,15,27.00,65.50,1008.25")
+        assert exc.value.index == 0
+
     def test_out_of_range_humidity(self):
         with pytest.raises(UnparsableField) as exc:
             parse_csv_row("2022-07-01T16:00:00Z,5,12,15,27.00,165.50,1008.25")

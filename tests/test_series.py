@@ -102,6 +102,12 @@ class TestCsvIo:
         with pytest.raises(DataError):
             read_csv_series(path)
 
+    def test_error_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("hour_start,value\n\n\n2022-07-01T16:00:00Z,1.0\n2022-07-01T17:00:00Z,x\n")
+        with pytest.raises(DataError, match=r"gaps\.csv:5: "):
+            read_csv_series(path)
+
     def test_parse_utc_strict(self):
         assert parse_utc("2022-07-01T16:00:00Z") == T0
         with pytest.raises(ValueError):
