@@ -2,9 +2,9 @@
 
 Each monitoring node owns one container named after it; every object the node
 produces lands in that container under a ``video/`` or ``csv/`` key. One
-backend ships, ``FilesystemBackend``: ``put`` copies a local file by path and
-stamps an upload time, objects start in the ``cool`` tier, and ``archive``
-objects refuse reads until rehydrated. ``BlobStore`` only calls the backend's
+backend ships, ``FilesystemBackend``: ``put`` and ``get`` copy local files by
+path, ``put`` stamps an upload time, objects start in the ``cool`` tier, and
+``archive`` objects refuse reads until rehydrated. ``BlobStore`` only calls the backend's
 methods, so tests substitute fakes that wrap it.
 """
 from __future__ import annotations
@@ -134,14 +134,19 @@ class FilesystemBackend:
         """Copy the file ``src`` into the object; returns the stored size.
 
         The copy lands under a ``.tmp`` name and the sidecar is written before
-        the rename, so an object is never listed without its sidecar.
+        the rename, so an object is never listed without its sidecar. A failed
+        put removes its ``.tmp`` file.
         """
         path = self._obj_path(container, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
-        shutil.copyfile(src, tmp)
-        self._write_meta(path, TIER_COOL, uploaded_at)
-        tmp.replace(path)
+        try:
+            shutil.copyfile(src, tmp)
+            self._write_meta(path, TIER_COOL, uploaded_at)
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path.stat().st_size
 
     @staticmethod
@@ -163,8 +168,9 @@ class FilesystemBackend:
         except (OSError, KeyError, ValueError) as exc:
             raise BackendUnavailable(f"{path}: unreadable sidecar: {exc!r}") from exc
 
-    def get(self, container: str, key: str) -> bytes:
-        return self._existing(container, key).read_bytes()
+    def get(self, container: str, key: str, dst: Path) -> None:
+        """Copy the object to the file ``dst``."""
+        shutil.copyfile(self._existing(container, key), dst)
 
     def get_tier(self, container: str, key: str) -> str:
         return self._read_meta(self._existing(container, key))[0]
@@ -236,11 +242,12 @@ class BlobStore:
             job.confirmed_at = self.now()
             return job
 
-    def download(self, ref: BlobRef) -> bytes:
+    def download(self, ref: BlobRef, dst: Path) -> None:
+        """Copy an object to the file ``dst``; archive-tier objects are refused."""
         tier = self.backend.get_tier(ref.container, ref.key)
         if tier == TIER_ARCHIVE:
             raise ArchivedObject(f"{ref.container}/{ref.key} is archived; rehydrate first")
-        return self.backend.get(ref.container, ref.key)
+        self.backend.get(ref.container, ref.key, dst)
 
     def rehydrate(self, ref: BlobRef) -> None:
         """Test hook: flip an archived object back to the cool tier."""

@@ -118,9 +118,9 @@ def cmd_store_ls(args: argparse.Namespace) -> int:
 
 def cmd_store_get(args: argparse.Namespace) -> int:
     store = BlobStore(FilesystemBackend(_store_root(args.root)))
-    data = store.download(BlobRef(container=args.node, key=args.key))
-    Path(args.out).write_bytes(data)
-    log.info("wrote %d bytes to %s", len(data), args.out)
+    out = Path(args.out)
+    store.download(BlobRef(container=args.node, key=args.key), out)
+    log.info("wrote %d bytes to %s", out.stat().st_size, out)
     return EXIT_OK
 
 

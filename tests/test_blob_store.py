@@ -86,13 +86,15 @@ class TestUploadDownload:
         store.upload(job)
         assert job.confirmed_at == T0
         assert job.attempts == 1
-        assert store.download(job.blob) == data
+        out = tmp_path / "out.bin"
+        store.download(job.blob, out)
+        assert out.read_bytes() == data
 
     def test_missing_object_is_backend_error(self, backend_cls, tmp_path):
         store, _ = make_store(tmp_path, backend_cls(tmp_path / "store"))
         store.ensure_node_container("node-a")
         with pytest.raises(BackendUnavailable):
-            store.download(BlobRef("node-a", "csv/nope.csv"))
+            store.download(BlobRef("node-a", "csv/nope.csv"), tmp_path / "out.csv")
         with pytest.raises(BackendUnavailable):
             store.rehydrate(BlobRef("node-a", "csv/nope.csv"))
 
@@ -189,10 +191,13 @@ class TestTierPolicy:
         store = self._loaded_store(tmp_path)
         store.apply_tier_policy("node-a", timedelta(days=30), now=T0)
         ref = BlobRef("node-a", "video/old.bin")
+        out = tmp_path / "out.bin"
         with pytest.raises(ArchivedObject):
-            store.download(ref)
+            store.download(ref, out)
+        assert not out.exists()
         store.rehydrate(ref)
-        assert store.download(ref) == b"x" * 10
+        store.download(ref, out)
+        assert out.read_bytes() == b"x" * 10
 
 
 class TestCostModel:
@@ -250,6 +255,25 @@ class TestFilesystemSidecars:
         with pytest.raises(OSError):
             put_bytes(backend, "csv/day.csv", b"rows", T0, tmp_path)
         assert backend.list_objects("node-a") == []
+        assert list((tmp_path / "store" / "node-a").rglob("*.tmp")) == []
+
+
+def test_download_never_holds_the_object_in_memory(tmp_path):
+    store, _ = make_store(tmp_path)
+    store.ensure_node_container("node-a")
+    path = tmp_path / "chunk.fseq"
+    with open(path, "wb") as fh:
+        fh.truncate(16 << 20)
+    store.upload(UploadJob(blob=BlobRef("node-a", "video/chunk.fseq"), local_path=path))
+    out = tmp_path / "out.fseq"
+    tracemalloc.start()
+    try:
+        store.download(BlobRef("node-a", "video/chunk.fseq"), out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == 16 << 20
+    assert peak < 1 << 20
 
 
 def test_upload_never_holds_the_file_in_memory(tmp_path):

@@ -1,6 +1,9 @@
 """Import hygiene: every module-level import in ``src/aerotrace`` is used by its
-module, and importing the CLI leaves ``scipy.optimize`` unloaded."""
+module, importing the CLI leaves ``scipy.optimize`` unloaded, and every name the
+benchmark's tracer wraps still exists."""
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "aerotrace"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "aerotrace"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,3 +54,23 @@ def test_cli_import_leaves_out_scipy_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps each ``module:attr`` of its LAYERS table; a
+    # refactor that deletes or moves one of them breaks the traced benchmark.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for target, _, _ in tracer.LAYERS:
+        module_name, _, path = target.partition(":")
+        owner = importlib.import_module(module_name)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        found = vars(owner) if isinstance(owner, type) else dir(owner)
+        if attr not in found:
+            missing.append(target)
+    assert tracer.LAYERS
+    assert missing == []

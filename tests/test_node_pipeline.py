@@ -208,7 +208,9 @@ class TestRunNode:
         assert len(chunk_keys) == 12
         for obj in objects:
             local = config.buffer_dir / obj.key.split("/", 1)[1]
-            assert store.download(BlobRef("node-a", obj.key)) == local.read_bytes()
+            got = tmp_path / "got.bin"
+            store.download(BlobRef("node-a", obj.key), got)
+            assert got.read_bytes() == local.read_bytes()
 
     def test_zero_duration(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=1000.0)
