@@ -4,7 +4,7 @@ used to judge a low-cost sensor against a reference instrument."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -125,8 +125,7 @@ def moving_average(series: TimeSeries, window: timedelta = timedelta(minutes=10)
     w = window.total_seconds()
     if w <= 0:
         raise DataError(f"moving-average window must be positive, got {w} s")
-    times = series.epoch_array()
-    vals = series.values_array()
+    times, vals = series.epoch, series.values
     out = np.empty(len(vals))
     left = 0
     acc = 0.0
@@ -211,37 +210,18 @@ def trend_match_score(cycle_ref: Sequence[float], cycle_test: Sequence[float]) -
     return float(agree.sum()) / a.size * 100.0
 
 
-@dataclass(frozen=True)
-class AlignedPair:
-    """Reference and test series resampled onto one shared timestamp grid."""
-
-    times: tuple[datetime, ...]
-    reference: np.ndarray
-    test: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (len(self.times) == self.reference.size == self.test.size):
-            raise DataError("aligned pair lengths differ")
-        if len(self.times) < 2:
-            raise SeriesTooShort("aligned pair needs >= 2 shared points")
-
-
-def align_pair(reference: TimeSeries, test: TimeSeries, grid_step_s: int = 60) -> AlignedPair:
+def align_pair(reference: TimeSeries, test: TimeSeries,
+               grid_step_s: int = 60) -> tuple[TimeSeries, TimeSeries]:
     """Resample both series onto a shared regular grid restricted to their overlap."""
     if len(reference) < 2 or len(test) < 2:
         raise SeriesTooShort("alignment needs >= 2 points per series")
     ref_g = bucket_resample(reference, grid_step_s)
     test_g = bucket_resample(test, grid_step_s)
-    common = sorted(set(ref_g.times) & set(test_g.times))
-    if len(common) < 2:
+    common, ri, ti = np.intersect1d(ref_g.epoch, test_g.epoch, assume_unique=True,
+                                    return_indices=True)
+    if common.size < 2:
         raise NoTemporalOverlap("series do not share at least 2 grid buckets")
-    ref_map = dict(zip(ref_g.times, ref_g.values))
-    test_map = dict(zip(test_g.times, test_g.values))
-    return AlignedPair(
-        times=tuple(common),
-        reference=np.array([ref_map[t] for t in common]),
-        test=np.array([test_map[t] for t in common]),
-    )
+    return TimeSeries(common, ref_g.values[ri]), TimeSeries(common, test_g.values[ti])
 
 
 @dataclass(frozen=True)
@@ -275,14 +255,12 @@ def calibration_report(reference: TimeSeries, test: TimeSeries,
     compute MAPE and RMSE on the smoothed pair and the trend-match score on
     their trend-filter cycles.
     """
-    pair = align_pair(reference, test, grid_step_s)
-    distance, path = dtw(pair.reference, pair.test)
-    warped = warp_onto_reference(pair.test, path, n_ref=pair.reference.size)
+    ref_g, test_g = align_pair(reference, test, grid_step_s)
+    distance, path = dtw(ref_g.values, test_g.values)
+    warped = warp_onto_reference(test_g.values, path, n_ref=len(ref_g))
 
-    ref_series = TimeSeries(pair.times, tuple(pair.reference))
-    test_series = TimeSeries(pair.times, tuple(warped))
-    ref_ma = moving_average(ref_series, window).values_array()
-    test_ma = moving_average(test_series, window).values_array()
+    ref_ma = moving_average(ref_g, window).values
+    test_ma = moving_average(test_g.with_values(warped), window).values
 
     mape_res = mape(ref_ma, test_ma)
     err = rmse(ref_ma, test_ma)
@@ -290,14 +268,14 @@ def calibration_report(reference: TimeSeries, test: TimeSeries,
     _, cycle_test = hp_filter(test_ma, lam)
     trend_pct = trend_match_score(cycle_ref, cycle_test)
 
-    lo = float(min(pair.reference.min(), warped.min()))
-    hi = float(max(pair.reference.max(), warped.max()))
+    lo = float(min(ref_g.values.min(), warped.min()))
+    hi = float(max(ref_g.values.max(), warped.max()))
     return CalibrationReport(
         mape_pct=mape_res.pct,
         rmse=err,
         trend_match_pct=trend_pct,
         dtw_distance=distance,
-        n_points=pair.reference.size,
+        n_points=len(ref_g),
         data_range=(lo, hi),
         mape_skipped=mape_res.skipped,
         window_s=window.total_seconds(),

@@ -22,8 +22,9 @@ from .correlate import emit_report, join_hourly, lagged_cross_correlation
 from .errors import AerotraceError, BackendError, DataError
 from .node_pipeline import parse_duration, parse_node_config, run_node
 from .pm_clean import CleanConfig, clean_pipeline
-from .sensor_codec import parse_csv_row
-from .series import UTC, TimeSeries, format_utc, parse_utc, read_csv_series, read_rows
+from .sensor_codec import CSV_FIELDS, parse_csv_columns, parse_csv_row
+from .series import (
+    UTC, TimeSeries, format_csv_series, format_utc, parse_utc, read_csv_series, read_rows)
 from .synth import moving_block_frame_source, parse_scene_script, synthetic_sample_source, write_scene_fseq
 from .traffic_count import CountLine, CountParams, count_video
 
@@ -69,20 +70,23 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_sensor_series(path: Path, column: str) -> TimeSeries:
-    points = []
-    for lineno, line in read_rows(path):
+    linenos, lines = read_rows(path)
+    if not lines:
+        raise DataError(f"{path}: no rows")
+    table = parse_csv_columns(lines)
+    if table is not None:
+        epoch, fields = table
+        return TimeSeries(epoch, fields[column])
+    epoch, values = [], []
+    for lineno, line in zip(linenos, lines):
         try:
             sample = parse_csv_row(line)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if column in ("pm1_0", "pm2_5", "pm10"):
-            value = float(getattr(sample, column))
-        else:
-            value = float(getattr(sample.env, column))
-        points.append((sample.timestamp, value))
-    if not points:
-        raise DataError(f"{path}: no rows")
-    return TimeSeries.from_points(points)
+        source = sample if column in ("pm1_0", "pm2_5", "pm10") else sample.env
+        epoch.append(int(sample.timestamp.timestamp()))
+        values.append(float(getattr(source, column)))
+    return TimeSeries(epoch, values)
 
 
 def cmd_node_run(args: argparse.Namespace) -> int:
@@ -139,9 +143,7 @@ def cmd_analyze_clean(args: argparse.Namespace) -> int:
     series = _read_sensor_series(_read_input(args.infile), args.column)
     config = CleanConfig(hw_error_threshold=args.threshold, stddev_k=args.stddev_k)
     result = clean_pipeline(series, config)
-    rows = ["hour_start,value_scaled"]
-    rows += [f"{format_utc(t)},{v:.6f}" for t, v in result.series]
-    _emit("\n".join(rows) + "\n", args.out)
+    _emit(format_csv_series(result.series, "hour_start,value_scaled"), args.out)
     audit = (
         f"dropped_hardware_errors={result.drops.hardware_errors}\n"
         f"dropped_outliers={result.drops.outliers}\n"
@@ -243,7 +245,7 @@ def build_parser() -> _Parser:
     clean = analyze.add_parser("clean", help="clean a raw telemetry CSV")
     clean.add_argument("--in", dest="infile", required=True)
     clean.add_argument("--column", default="pm2_5",
-                       choices=["pm1_0", "pm2_5", "pm10", "temp_c", "rh_pct", "pressure_hpa"])
+                       choices=CSV_FIELDS)
     clean.add_argument("--out", default=None)
     clean.add_argument("--threshold", type=float, default=20000.0)
     clean.add_argument("--stddev-k", dest="stddev_k", type=float, default=3.0)

@@ -3,7 +3,6 @@ relationship, including a lag scan for delayed effects."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 from typing import Sequence
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .chart import render_dual_axis_chart
 from .errors import AerotraceError, DataError, SeriesTooShort, TooFewPoints
-from .series import HOUR_S, TimeSeries, format_utc
+from .series import HOUR_S, TimeSeries, format_utc, utc_datetime
 
 
 class NoOverlap(DataError):
@@ -26,49 +25,42 @@ class OutputUnwritable(AerotraceError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JoinedSeries:
-    """Vehicles/hour and scaled PM2.5 on one consecutive hourly grid."""
+    """Vehicles/hour and scaled PM2.5 on one consecutive hourly grid of epoch seconds."""
 
-    hours: tuple[datetime, ...]
-    vehicles: tuple[float, ...]
-    pm25: tuple[float, ...]
-    dropped_vehicles: int = 0
-    dropped_pm25: int = 0
+    epoch: np.ndarray
+    vehicles: np.ndarray
+    pm25: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.hours) == len(self.vehicles) == len(self.pm25)):
+        if not (self.epoch.size == self.vehicles.size == self.pm25.size):
             raise DataError("joined series lengths differ")
-        for a, b in zip(self.hours, self.hours[1:]):
-            if (b - a).total_seconds() != HOUR_S:
-                raise DataError(f"joined hours must be consecutive: {a} then {b}")
+        gaps = np.flatnonzero(np.diff(self.epoch) != HOUR_S)
+        if gaps.size:
+            a, b = (utc_datetime(s) for s in self.epoch[gaps[0]:gaps[0] + 2].tolist())
+            raise DataError(f"joined hours must be consecutive: {a} then {b}")
 
     def __len__(self) -> int:
-        return len(self.hours)
+        return self.epoch.size
 
 
 def _check_hourly(series: TimeSeries, name: str) -> None:
-    for t in series.times:
-        if t.timestamp() % HOUR_S != 0:
-            raise DataError(f"{name} series is not hourly-bucketed: {t}")
+    off = np.flatnonzero(series.epoch % HOUR_S)
+    if off.size:
+        t = utc_datetime(series.epoch[off[0]].item())
+        raise DataError(f"{name} series is not hourly-bucketed: {t}")
 
 
 def join_hourly(vehicles: TimeSeries, pm25: TimeSeries) -> JoinedSeries:
     """Inner join on hour_start; hours missing from either side are dropped."""
     _check_hourly(vehicles, "vehicles")
     _check_hourly(pm25, "pm25")
-    v_map = dict(zip(vehicles.times, vehicles.values))
-    p_map = dict(zip(pm25.times, pm25.values))
-    common = sorted(set(v_map) & set(p_map))
-    if not common:
+    common, vi, pi = np.intersect1d(vehicles.epoch, pm25.epoch, assume_unique=True,
+                                    return_indices=True)
+    if not common.size:
         raise NoOverlap("the two series share no hours")
-    return JoinedSeries(
-        hours=tuple(common),
-        vehicles=tuple(v_map[t] for t in common),
-        pm25=tuple(p_map[t] for t in common),
-        dropped_vehicles=len(vehicles) - len(common),
-        dropped_pm25=len(pm25) - len(common),
-    )
+    return JoinedSeries(epoch=common, vehicles=vehicles.values[vi], pm25=pm25.values[pi])
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -111,9 +103,8 @@ def lagged_cross_correlation(joined: JoinedSeries, max_lag: int = 6) -> LagScanR
         raise SeriesTooShort(f"need more than {max_lag + 3} joined hours, have {n}")
     results = []
     for k in range(max_lag + 1):
-        v = joined.vehicles[:n - k] if k else joined.vehicles
-        p = joined.pm25[k:]
-        results.append(LagCorrelation(lag=k, r=pearson(v, p), n=n - k))
+        r = pearson(joined.vehicles[:n - k], joined.pm25[k:])
+        results.append(LagCorrelation(lag=k, r=r, n=n - k))
     best = max(results, key=lambda c: (c.r, -c.lag))
     return LagScanResult(correlations=tuple(results), best=best)
 
@@ -126,8 +117,10 @@ def emit_report(joined: JoinedSeries, lags: Sequence[LagCorrelation],
     try:
         out.mkdir(parents=True, exist_ok=True)
 
+        hours = [utc_datetime(s) for s in joined.epoch.tolist()]
+        vehicles, pm25 = joined.vehicles.tolist(), joined.pm25.tolist()
         svg = render_dual_axis_chart(
-            joined.hours, joined.vehicles, joined.pm25,
+            hours, vehicles, pm25,
             left_label="vehicles per hour", right_label="pm2.5 (scaled)",
             title="hourly vehicle crossings vs PM2.5")
         chart_path = out / "chart.svg"
@@ -137,7 +130,7 @@ def emit_report(joined: JoinedSeries, lags: Sequence[LagCorrelation],
         joined_path = out / "joined.csv"
         rows = ["hour_start,vehicles,pm25"]
         rows += [f"{format_utc(t)},{v:.6f},{p:.6f}"
-                 for t, v, p in zip(joined.hours, joined.vehicles, joined.pm25)]
+                 for t, v, p in zip(hours, vehicles, pm25)]
         joined_path.write_text("\n".join(rows) + "\n")
         written.append(joined_path)
 

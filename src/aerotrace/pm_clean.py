@@ -48,18 +48,19 @@ class CleanResult:
 
 def filter_hardware_errors(series: TimeSeries, threshold: float = 20000.0) -> TimeSeries:
     """Drop readings strictly larger than the sensor's hardware error threshold."""
-    return TimeSeries.from_points((t, v) for t, v in series if v <= threshold)
+    keep = series.values <= threshold
+    return TimeSeries(series.epoch[keep], series.values[keep])
 
 
 def remove_outliers_stddev(series: TimeSeries, k: float = 3.0) -> TimeSeries:
     """Single-pass sigma filter: drop points with |x - mean| > k * population stddev."""
     if len(series) < 2:
         raise TooFewPoints("outlier removal needs at least 2 points")
-    vals = series.values_array()
+    vals = series.values
     mu = float(vals.mean())
     sigma = float(vals.std())  # population stddev, not iterated
-    return TimeSeries.from_points(
-        (t, v) for t, v in series if abs(v - mu) <= k * sigma)
+    keep = np.abs(vals - mu) <= k * sigma
+    return TimeSeries(series.epoch[keep], vals[keep])
 
 
 def resample_hourly(series: TimeSeries) -> TimeSeries:
@@ -75,7 +76,7 @@ def min_max_normalize(series: TimeSeries) -> tuple[TimeSeries, NormalizationPara
     """
     if len(series) == 0:
         raise EmptyInput("cannot normalize an empty series")
-    vals = series.values_array()
+    vals = series.values
     x_min, x_max = float(vals.min()), float(vals.max())
     if x_min == x_max:
         params = NormalizationParams(x_min=x_min, x_max=x_max, constant=True)
@@ -87,7 +88,7 @@ def min_max_normalize(series: TimeSeries) -> tuple[TimeSeries, NormalizationPara
 def denormalize(series: TimeSeries, params: NormalizationParams) -> TimeSeries:
     if params.constant:
         return series.with_values(np.full(len(series), params.x_min))
-    return series.with_values(series.values_array() * (params.x_max - params.x_min) + params.x_min)
+    return series.with_values(series.values * (params.x_max - params.x_min) + params.x_min)
 
 
 def clean_pipeline(series: TimeSeries, config: CleanConfig = CleanConfig()) -> CleanResult:

@@ -12,7 +12,8 @@ Frame layout (all multi-byte fields big-endian), 32 bytes total:
 
 The CSV row format is ``timestamp,pm1_0,pm2_5,pm10,temp_c,rh_pct,pressure_hpa``
 with the timestamp in ISO-8601 UTC (``Z`` suffix, whole seconds), PM values as
-integers, and the environmental floats rendered with two decimals.
+integers, and the environmental floats rendered with two decimals. Its field
+names after the timestamp are ``CSV_FIELDS``.
 """
 from __future__ import annotations
 
@@ -20,13 +21,17 @@ import struct
 from dataclasses import dataclass, fields
 from datetime import datetime
 
+import numpy as np
+
 from .errors import DataError
-from .series import UTC, as_utc, format_utc, parse_utc
+from .series import UTC, as_utc, format_utc, parse_columns, parse_utc
 
 START_BYTE_0 = 0x42
 START_BYTE_1 = 0x4D
 FRAME_LEN = 32
 PAYLOAD_LEN = 28
+
+CSV_FIELDS = ("pm1_0", "pm2_5", "pm10", "temp_c", "rh_pct", "pressure_hpa")
 
 _FRAME_STRUCT = struct.Struct(">BBH13HH")
 
@@ -242,3 +247,17 @@ def parse_csv_row(line: str) -> SensorSample:
         # A negative PM, or else a sub-second timestamp in a zero-offset form.
         bad = next((i for i, v in zip((1, 2, 3), ints) if v < 0), 0)
         raise UnparsableField(bad, parts[bad]) from None
+
+
+def parse_csv_columns(lines: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
+    """Epoch seconds and one array per ``CSV_FIELDS`` name of non-empty telemetry
+    rows, equal to what ``parse_csv_row`` gives. None unless every row has a
+    ``...Z`` timestamp and passes every check of ``parse_csv_row``.
+    """
+    columns = parse_columns(lines, 7, {i: int if i <= 3 else float for i in range(1, 7)})
+    if columns is None:
+        return None
+    epoch, pm1_0, pm2_5, pm10, _, rh_pct, pressure_hpa = columns
+    valid = ((pm1_0 >= 0) & (pm2_5 >= 0) & (pm10 >= 0) & (rh_pct >= 0.0) & (rh_pct <= 100.0)
+             & ~(pressure_hpa <= 0))
+    return (epoch, dict(zip(CSV_FIELDS, columns[1:]))) if valid.all() else None

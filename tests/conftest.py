@@ -8,16 +8,22 @@ from aerotrace.blob_store import BackendUnavailable, FilesystemBackend
 
 UTC = timezone.utc
 T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
+E0 = int(T0.timestamp())  # T0 in epoch seconds
 
 
 def at(seconds: float, base: datetime = T0) -> datetime:
     return base + timedelta(seconds=seconds)
 
 
-def make_series(values, start: datetime = T0, step_s: float = 10.0):
+def make_series(values, start: datetime = T0, step_s: int = 10):
     from aerotrace.series import TimeSeries
-    return TimeSeries.from_points(
-        (start + timedelta(seconds=i * step_s), float(v)) for i, v in enumerate(values))
+    return TimeSeries(int(start.timestamp()) + step_s * np.arange(len(values)), values)
+
+
+def same_series(a, b) -> bool:
+    """Equal epoch and value bytes."""
+    return (a.epoch.tobytes() == b.epoch.tobytes()
+            and a.values.tobytes() == b.values.tobytes())
 
 
 class FlakyBackend:

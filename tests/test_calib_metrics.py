@@ -16,7 +16,7 @@ from aerotrace.calib_metrics import (
 from aerotrace.errors import DataError, EmptyInput, SeriesTooShort
 from aerotrace.series import TimeSeries
 
-from conftest import T0, at, make_series
+from conftest import T0, at, make_series, same_series
 
 
 def enumerate_path_costs(a, b):
@@ -200,7 +200,7 @@ class TestWarp:
 class TestMovingAverage:
     def test_constant_unchanged(self):
         s = make_series([5, 5, 5, 5], step_s=60)
-        assert moving_average(s, timedelta(minutes=10)).values == s.values
+        assert same_series(moving_average(s, timedelta(minutes=10)), s)
 
     def test_ten_minute_window(self):
         s = make_series(range(10), step_s=60)
@@ -209,8 +209,7 @@ class TestMovingAverage:
 
     def test_window_smaller_than_spacing(self):
         s = make_series([3, 9, 27], step_s=600)
-        out = moving_average(s, timedelta(seconds=1))
-        assert out.values == s.values
+        assert same_series(moving_average(s, timedelta(seconds=1)), s)
 
     def test_trailing_window_excludes_future(self):
         s = make_series([0, 100], step_s=60)
@@ -366,9 +365,10 @@ class TestAlignAndReport:
         values = [25.0 + 5.0 * (-1) ** i + 0.01 * i for i in range(180)]
         ref = make_series(values, step_s=60)
         test = ref.with_values(tuple(1.1 * v for v in ref.values))
-        pair = align_pair(ref, test)
-        _, path = dtw(pair.reference, pair.test)
-        assert path == [(i, i) for i in range(len(pair.times))]
+        ref_g, test_g = align_pair(ref, test)
+        assert ref_g.epoch.tobytes() == test_g.epoch.tobytes()
+        _, path = dtw(ref_g.values, test_g.values)
+        assert path == [(i, i) for i in range(len(ref_g))]
         report = calibration_report(ref, test)
         assert report.mape_pct == pytest.approx(10.0, abs=1e-9)
         assert report.trend_match_pct == 100.0
@@ -380,7 +380,7 @@ class TestAlignAndReport:
         assert report.window_s == 300.0
         assert report.lam == 100.0
         assert report.grid_step_s == 120
-        assert report.n_points == len(align_pair(ref, ref, 120).times)
+        assert report.n_points == len(align_pair(ref, ref, 120)[0])
         lo, hi = report.data_range
         assert lo <= min(ref.values) + 1.0 and hi >= max(ref.values) - 1.0
 

@@ -3,7 +3,7 @@ import pytest
 from aerotrace.blob_store import FilesystemBackend
 from aerotrace.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
 from aerotrace.sensor_codec import sample_to_csv_row
-from aerotrace.series import write_csv_series
+from aerotrace.series import format_csv_series
 from aerotrace.synth import synthetic_sample_source
 
 from conftest import T0, at, make_series
@@ -31,10 +31,11 @@ def write_inputs(d):
     (d / "raw.csv").write_text("".join(sample_to_csv_row(source(at(10 * i))) + "\n"
                                        for i in range(60)))
     (d / "subsecond.csv").write_text("2022-07-01T16:00:00.500+00:00,5,12,15,27.00,65.50,1008.25\n")
-    write_csv_series(d / "ref.csv", make_series([10 + i % 7 for i in range(60)]))
-    write_csv_series(d / "test.csv", make_series([11 + i % 5 for i in range(60)]))
-    write_csv_series(d / "veh.csv", make_series(range(10), step_s=3600))
-    write_csv_series(d / "pm.csv", make_series([5, 3, 8, 1, 9, 2, 7, 4, 6, 0], step_s=3600))
+    for name, series in (("ref.csv", make_series([10 + i % 7 for i in range(60)])),
+                         ("test.csv", make_series([11 + i % 5 for i in range(60)])),
+                         ("veh.csv", make_series(range(10), step_s=3600)),
+                         ("pm.csv", make_series([5, 3, 8, 1, 9, 2, 7, 4, 6, 0], step_s=3600))):
+        (d / name).write_text(format_csv_series(series, "hour_start,value"))
     for name, buffer_dir in (("node.conf", d / "buf"), ("blocked.conf", d / "raw.csv")):
         (d / name).write_text(f"node_id=node-a\nbuffer_dir={buffer_dir}\n"
                               f"store_root={d / 'store'}\n")

@@ -1,5 +1,5 @@
 import math
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -7,47 +7,63 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerotrace.errors import DataError, EmptyInput
-from aerotrace.series import TimeSeries, bucket_resample, floor_to, parse_utc, read_csv_series, write_csv_series
+from aerotrace.series import (
+    TimeSeries, bucket_resample, floor_to, format_csv_series, parse_utc, read_csv_series)
 
-from conftest import T0, at, make_series
+from conftest import E0, T0, at, make_series, same_series
 
 UTC = timezone.utc
 
 
 def bucket_resample_oracle(series, bucket_s):
-    """The per-point loop ``bucket_resample`` replaced with ``np.bincount``."""
-    idx = [math.floor(t.timestamp() / bucket_s) for t in series.times]
+    """The per-point loop over datetimes that ``bucket_resample`` replaced."""
+    points = list(series)
+    idx = [math.floor(t.timestamp() / bucket_s) for t, _ in points]
     b0, b1 = idx[0], idx[-1]
     n = b1 - b0 + 1
     sums = np.zeros(n)
     counts = np.zeros(n)
-    for i, v in zip(idx, series.values):
+    for i, (_, v) in zip(idx, points):
         sums[i - b0] += v
         counts[i - b0] += 1
     filled = np.flatnonzero(counts > 0)
     means = sums[filled] / counts[filled]
     grid = np.interp(np.arange(n), filled, means)
-    times = tuple(datetime.fromtimestamp((b0 + k) * bucket_s, tz=UTC) for k in range(n))
-    return TimeSeries(times, tuple(float(x) for x in grid))
+    times = [datetime.fromtimestamp((b0 + k) * bucket_s, tz=UTC) for k in range(n)]
+    return times, grid
 
 
 class TestTimeSeries:
     def test_strictly_increasing_enforced(self):
-        with pytest.raises(DataError):
-            TimeSeries((T0, T0), (1.0, 2.0))
-
-    def test_naive_timestamps_rejected(self):
-        with pytest.raises(DataError):
-            TimeSeries((datetime(2022, 7, 1),), (1.0,))
+        with pytest.raises(DataError, match=r"^timestamps must strictly increase: "
+                           r"2022-07-01 16:00:10\+00:00 then 2022-07-01 16:00:10\+00:00$"):
+            TimeSeries([E0, E0 + 10, E0 + 10], [1.0, 2.0, 3.0])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DataError):
-            TimeSeries((T0,), (float("nan"),))
+        with pytest.raises(DataError, match=r"^non-finite value inf$"):
+            TimeSeries([E0, E0 + 1], [1.0, float("inf")])
 
-    def test_normalizes_to_utc(self):
-        t = datetime(2022, 7, 1, 23, 0, 0, tzinfo=timezone(timedelta(hours=7)))
-        s = TimeSeries((t,), (1.0,))
-        assert s.times[0] == datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
+    @pytest.mark.parametrize("epoch, values", [
+        ([E0, E0 + 1], [1.0]),
+        ([[E0]], [[1.0]]),
+    ])
+    def test_shape_checked(self, epoch, values):
+        with pytest.raises(DataError, match="1-D arrays of equal length"):
+            TimeSeries(epoch, values)
+
+    def test_arrays_are_read_only_copies(self):
+        epoch, values = np.array([E0, E0 + 60]), np.array([1.0, 2.0])
+        s = TimeSeries(epoch, values)
+        epoch[0], values[0] = 0, 9.0
+        assert s.epoch.tolist() == [E0, E0 + 60] and s.values.tolist() == [1.0, 2.0]
+        assert (s.epoch.dtype, s.values.dtype) == (np.int64, np.float64)
+        with pytest.raises(ValueError):
+            s.values[0] = 5.0
+
+    def test_iterates_as_datetimes_and_floats(self):
+        pairs = list(TimeSeries([E0, E0 + 60], [1.5, 2.0]))
+        assert pairs == [(T0, 1.5), (at(60), 2.0)]
+        assert all(type(v) is float and t.tzinfo is UTC for t, v in pairs)
 
 
 class TestFloorTo:
@@ -67,34 +83,35 @@ class TestBucketResample:
         s = make_series([10, 20, 30], step_s=60)
         out = bucket_resample(s, 3600)
         assert len(out) == 1
-        assert out.values[0] == 20.0
-        assert out.times[0] == T0
+        assert out.values.tolist() == [20.0]
+        assert out.epoch.tolist() == [E0]
 
     def test_interior_gap_interpolated(self):
-        s = TimeSeries.from_points([(at(0), 10.0), (at(2 * 3600), 30.0)])
+        s = TimeSeries([E0, E0 + 2 * 3600], [10.0, 30.0])
         out = bucket_resample(s, 3600)
-        assert out.values == (10.0, 20.0, 30.0)
-        assert out.times == (T0, at(3600), at(7200))
+        assert out.values.tolist() == [10.0, 20.0, 30.0]
+        assert out.epoch.tolist() == [E0, E0 + 3600, E0 + 7200]
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(0, 20_000), min_size=1, max_size=200, unique=True),
            st.lists(st.floats(-1e6, 1e6), min_size=200, max_size=200),
            st.sampled_from([1, 7, 60, 900, 3600]))
     def test_matches_per_point_loop(self, offsets, values, bucket_s):
-        s = TimeSeries.from_points(
-            (at(t), v) for t, v in zip(sorted(offsets), values))
-        out, want = bucket_resample(s, bucket_s), bucket_resample_oracle(s, bucket_s)
-        assert out.times == want.times
-        assert np.array(out.values).tobytes() == np.array(want.values).tobytes()
+        s = TimeSeries(E0 + np.array(sorted(offsets)), values[:len(offsets)])
+        out = bucket_resample(s, bucket_s)
+        times, grid = bucket_resample_oracle(s, bucket_s)
+        assert [t for t, _ in out] == times
+        assert out.values.tobytes() == grid.tobytes()
 
 
 class TestCsvIo:
     def test_round_trip(self, tmp_path):
         s = make_series([1.5, 2.5, 3.5], step_s=3600)
         path = tmp_path / "series.csv"
-        write_csv_series(path, s)
-        back = read_csv_series(path)
-        assert back == s
+        path.write_text(format_csv_series(s, "hour_start,value"))
+        assert path.read_text() == ("hour_start,value\n2022-07-01T16:00:00Z,1.500000\n"
+                                    "2022-07-01T17:00:00Z,2.500000\n2022-07-01T18:00:00Z,3.500000\n")
+        assert same_series(read_csv_series(path), s)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
