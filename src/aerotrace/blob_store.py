@@ -4,8 +4,8 @@ Each monitoring node owns one container named after it; every object the node
 produces lands in that container under a ``video/`` or ``csv/`` key. One
 backend ships, ``FilesystemBackend``: ``put`` and ``get`` copy local files by
 path, ``put`` stamps an upload time, objects start in the ``cool`` tier, and
-``archive`` objects refuse reads until rehydrated. ``BlobStore`` only calls the backend's
-methods, so tests substitute fakes that wrap it.
+``archive`` objects refuse reads until rehydrated. ``BlobStore`` only calls the
+backend's methods, so tests substitute fakes that wrap it.
 """
 from __future__ import annotations
 

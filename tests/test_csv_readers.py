@@ -117,7 +117,7 @@ floats = st.floats(-1e6, 1e6).flatmap(lambda x: st.sampled_from(
 
 @st.composite
 def layouts(draw, n):
-    """Per-row forms and the blank lines before each row."""
+    """Per-row timestamp forms, surrounding whitespace and the blank lines around rows."""
     plain = draw(st.booleans())
     forms = ["z"] * n if plain else draw(
         st.lists(st.sampled_from(["z", "offset", "unpadded"]), min_size=n, max_size=n))
