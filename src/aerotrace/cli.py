@@ -85,7 +85,10 @@ def _read_sensor_series(path: Path, column: str) -> TimeSeries:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         source = sample if column in ("pm1_0", "pm2_5", "pm10") else sample.env
         epoch.append(int(sample.timestamp.timestamp()))
-        values.append(float(getattr(source, column)))
+        try:
+            values.append(float(getattr(source, column)))
+        except OverflowError:
+            raise DataError(f"{path}:{lineno}: {column} too large for a float") from None
     return TimeSeries(epoch, values)
 
 

@@ -85,12 +85,6 @@ def min_max_normalize(series: TimeSeries) -> tuple[TimeSeries, NormalizationPara
     return series.with_values((vals - x_min) / (x_max - x_min)), params
 
 
-def denormalize(series: TimeSeries, params: NormalizationParams) -> TimeSeries:
-    if params.constant:
-        return series.with_values(np.full(len(series), params.x_min))
-    return series.with_values(series.values * (params.x_max - params.x_min) + params.x_min)
-
-
 def clean_pipeline(series: TimeSeries, config: CleanConfig = CleanConfig()) -> CleanResult:
     """Run the four cleaning steps in order, reporting how much each dropped."""
     step1 = filter_hardware_errors(series, config.hw_error_threshold)

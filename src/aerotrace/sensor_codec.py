@@ -140,11 +140,6 @@ class EnvReading:
         if self.pressure_hpa <= 0:
             raise DataError(f"pressure_hpa={self.pressure_hpa} must be positive")
 
-    @property
-    def is_suspect(self) -> bool:
-        """Pressure outside the plausible ambient band (300, 1200) hPa."""
-        return not 300.0 < self.pressure_hpa < 1200.0
-
 
 @dataclass(frozen=True)
 class SensorSample:

@@ -40,7 +40,8 @@ def as_utc(ts: datetime) -> datetime:
 
 
 def format_utc(ts: datetime) -> str:
-    return as_utc(ts).strftime(TIMESTAMP_FMT)
+    """``YYYY-MM-DDTHH:MM:SSZ``, with the year zero-padded as ``parse_utc`` needs."""
+    return as_utc(ts).replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 def parse_utc(text: str) -> datetime:

@@ -60,6 +60,10 @@ class BackgroundModel:
     from a defined background by more than the threshold. A global
     illumination step therefore floods the mask until the new level has
     proven stable.
+
+    ``update`` takes uint8 frames and works in place on uint8 ``candidate``
+    and ``background`` arrays and preallocated scratch buffers; only the
+    returned mask is a new array.
     """
 
     def __init__(self, width: int, height: int,
@@ -68,27 +72,43 @@ class BackgroundModel:
         self.height = height
         self.pixel_threshold = int(pixel_threshold)
         self.min_stability = int(min_stability)
-        self.candidate = np.zeros((height, width), dtype=np.int16)
-        self.stability = np.zeros((height, width), dtype=np.int32)
-        self.background = np.zeros((height, width), dtype=np.int16)
-        self.has_background = np.zeros((height, width), dtype=bool)
+        shape = (height, width)
+        self.candidate = np.zeros(shape, dtype=np.uint8)
+        self.stability = np.zeros(shape, dtype=np.int32)
+        self.background = np.zeros(shape, dtype=np.uint8)
+        self.has_background = np.zeros(shape, dtype=bool)
+        self._diff = np.empty(shape, dtype=np.uint8)
+        self._low = np.empty(shape, dtype=np.uint8)
+        self._stable = np.empty(shape, dtype=bool)
+        self._select = np.empty(shape, dtype=bool)
         self._primed = False
+
+    def _abs_diff(self, frame: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """``|frame - other|`` without leaving uint8: max minus min."""
+        np.maximum(frame, other, out=self._diff)
+        np.minimum(frame, other, out=self._low)
+        return np.subtract(self._diff, self._low, out=self._diff)
 
     def update(self, frame: np.ndarray) -> np.ndarray:
         if frame.shape != (self.height, self.width):
             raise DimensionMismatch(
                 f"frame is {frame.shape}, model expects {(self.height, self.width)}")
-        f = frame.astype(np.int16)
+        if frame.dtype != np.uint8:
+            raise DataError(f"frames must be uint8, got {frame.dtype}")
         if not self._primed:
-            self.candidate = f.copy()
+            np.copyto(self.candidate, frame)
             self._primed = True
-        stable = np.abs(f - self.candidate) <= self.pixel_threshold
-        self.stability = np.where(stable, self.stability + 1, 0)
-        self.candidate = np.where(stable, self.candidate, f)
-        promote = self.stability >= self.min_stability
-        self.background = np.where(promote, self.candidate, self.background)
-        self.has_background |= promote
-        return self.has_background & (np.abs(f - self.background) > self.pixel_threshold)
+        stable, select = self._stable, self._select
+        np.less_equal(self._abs_diff(frame, self.candidate), self.pixel_threshold, out=stable)
+        self.stability += 1
+        np.multiply(self.stability, stable, out=self.stability)
+        np.logical_not(stable, out=select)
+        np.copyto(self.candidate, frame, where=select)
+        np.greater_equal(self.stability, self.min_stability, out=select)
+        np.copyto(self.background, self.candidate, where=select)
+        self.has_background |= select
+        np.greater(self._abs_diff(frame, self.background), self.pixel_threshold, out=select)
+        return self.has_background & select
 
 
 # ---------------------------------------------------------------------------
@@ -111,32 +131,50 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
 def extract_detections(mask: np.ndarray, min_area: int = 150) -> list[Detection]:
-    """8-connected components with at least ``min_area`` pixels, top-left order."""
-    labels, n_labels = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-    if n_labels == 0:
+    """8-connected components with at least ``min_area`` pixels, top-left order.
+
+    Labelling works in row bands: runs of consecutive rows that hold a mask
+    pixel, each cropped to its span of non-empty columns. An 8-connected
+    component cannot cross an empty row, and within a band labels follow the
+    raster order of each component's first pixel, so the bands joined in row
+    order give the labels, and the ties of the final sort, of the whole frame.
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
         return []
-    counts = np.bincount(labels.ravel())
     dets = []
-    for lab, sl in enumerate(ndimage.find_objects(labels), start=1):
-        area = int(counts[lab])
-        if area < min_area:
-            continue
-        y, x = sl[0].start, sl[1].start
-        h, w = sl[0].stop - y, sl[1].stop - x
-        dets.append(Detection(box=(x, y, w, h), area=area))
+    for band_rows in np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1):
+        y0 = int(band_rows[0])
+        band = mask[y0:int(band_rows[-1]) + 1]
+        cols = np.flatnonzero(band.any(axis=0))
+        x0 = int(cols[0])
+        labels, _ = ndimage.label(band[:, x0:cols[-1] + 1], structure=_EIGHT_CONNECTED)
+        counts = np.bincount(labels.ravel())
+        for lab, sl in enumerate(ndimage.find_objects(labels), start=1):
+            area = int(counts[lab])
+            if area < min_area:
+                continue
+            y, x = y0 + sl[0].start, x0 + sl[1].start
+            h, w = sl[0].stop - sl[0].start, sl[1].stop - sl[1].start
+            dets.append(Detection(box=(x, y, w, h), area=area))
     dets.sort(key=lambda d: (d.box[1], d.box[0], d.box[3], d.box[2]))
     return dets
 
 
-def iou(a: Sequence[float], b: Sequence[float]) -> float:
-    """Intersection over union of two (x, y, w, h) boxes; 0 when disjoint."""
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of every (x, y, w, h) row of ``a`` with every row
+    of ``b``, shape (len(a), len(b)); 0 where disjoint or the union is not
+    positive. Rounds as the scalar ``(aw*ah + bw*bh) - inter`` form does, and
+    ``fmin``/``fmax`` keep the ``a`` edge where a ``b`` edge is NaN, as Python's
+    ``min``/``max`` with ``a`` first do.
+    """
+    ax, ay, aw, ah = a.T[:, :, None]
+    bx, by, bw, bh = b.T
+    ix = np.maximum(0.0, np.fmin(ax + aw, bx + bw) - np.fmax(ax, bx))
+    iy = np.maximum(0.0, np.fmin(ay + ah, by + bh) - np.fmax(ay, by))
     inter = ix * iy
     union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +259,11 @@ class SortTracker:
         self._next_id = 1
 
     def step(self, detections: list[Detection]) -> None:
-        predicted = [t.predict() for t in self.tracks]
+        predicted = np.array([t.predict() for t in self.tracks], dtype=float)
 
         matches: list[tuple[int, int]] = []
         if detections and self.tracks:
-            iou_mat = np.array([[iou(d.box, p) for p in predicted] for d in detections])
+            iou_mat = iou_matrix(np.array([d.box for d in detections], dtype=float), predicted)
             pairs = hungarian(1.0 - iou_mat)
             matches = [(d, t) for d, t in pairs if iou_mat[d, t] >= self.params.iou_gate]
 

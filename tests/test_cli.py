@@ -31,6 +31,7 @@ def write_inputs(d):
     (d / "raw.csv").write_text("".join(sample_to_csv_row(source(at(10 * i))) + "\n"
                                        for i in range(60)))
     (d / "subsecond.csv").write_text("2022-07-01T16:00:00.500+00:00,5,12,15,27.00,65.50,1008.25\n")
+    (d / "huge.csv").write_text(f"2022-07-01T16:00:00Z,5,1{'0' * 400},15,27.00,65.50,1008.25\n")
     for name, series in (("ref.csv", make_series([10 + i % 7 for i in range(60)])),
                          ("test.csv", make_series([11 + i % 5 for i in range(60)])),
                          ("veh.csv", make_series(range(10), step_s=3600)),
@@ -45,6 +46,7 @@ def write_inputs(d):
     "analyze clean --in {d}/raw.csv --threshold -1",
     "analyze clean --in {d}/raw.csv --stddev-k 0",
     "analyze clean --in {d}/subsecond.csv",
+    "analyze clean --in {d}/huge.csv",
     "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --grid 0",
     "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --grid 0.5s",
     "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --window 0",

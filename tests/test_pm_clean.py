@@ -7,7 +7,7 @@ import pytest
 
 from aerotrace.errors import EmptyInput, TooFewPoints
 from aerotrace.pm_clean import (
-    CleanConfig, DropCounts, clean_pipeline, denormalize, filter_hardware_errors,
+    CleanConfig, DropCounts, clean_pipeline, filter_hardware_errors,
     min_max_normalize, remove_outliers_stddev, resample_hourly)
 from aerotrace.series import TimeSeries
 
@@ -107,15 +107,6 @@ class TestNormalize:
         out, params = min_max_normalize(make_series([4, 4, 4]))
         assert out.values.tolist() == [0.0, 0.0, 0.0]
         assert params.constant
-
-    def test_denormalize_round_trip(self):
-        rnd = random.Random(3)
-        values = [rnd.uniform(-100, 100) for _ in range(50)]
-        s = make_series(values)
-        out, params = min_max_normalize(s)
-        back = denormalize(out, params)
-        for a, b in zip(back.values, s.values):
-            assert abs(a - b) < 1e-12
 
     def test_bounds_attained(self):
         rnd = random.Random(9)

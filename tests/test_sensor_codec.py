@@ -145,10 +145,6 @@ class TestCsvRows:
 
 
 class TestDomainTypes:
-    def test_suspect_pressure_flag(self):
-        assert EnvReading(temp_c=20, rh_pct=50, pressure_hpa=250.0).is_suspect
-        assert not EnvReading(temp_c=20, rh_pct=50, pressure_hpa=1008.0).is_suspect
-
     def test_negative_pm_rejected(self):
         with pytest.raises(DataError):
             SensorSample(timestamp=datetime(2022, 7, 1, tzinfo=UTC),

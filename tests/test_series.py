@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from aerotrace.errors import DataError, EmptyInput
 from aerotrace.series import (
-    TimeSeries, bucket_resample, floor_to, format_csv_series, parse_utc, read_csv_series)
+    TimeSeries, bucket_resample, floor_to, format_csv_series, format_utc, parse_utc,
+    read_csv_series)
 
 from conftest import E0, T0, at, make_series, same_series
 
@@ -129,3 +130,8 @@ class TestCsvIo:
         assert parse_utc("2022-07-01T16:00:00Z") == T0
         with pytest.raises(ValueError):
             parse_utc("2022-07-01 16:00:00")
+
+    @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59),
+                        timezones=st.just(timezone.utc)).map(lambda ts: ts.replace(microsecond=0)))
+    def test_format_utc_round_trip(self, ts):
+        assert parse_utc(format_utc(ts)) == ts

@@ -1,16 +1,18 @@
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from aerotrace.errors import DataError
 from aerotrace.synth import SceneObject, SceneScript, scene_frames
 from aerotrace.traffic_count import (
     DIR_DOWN, DIR_UP, BackgroundModel, CountLine, CountParams, Detection,
     DimensionMismatch, SortTracker, count_crossings, count_frames, extract_detections,
-    iou, kf_predict, kf_update, measurement_from_box, scan_crossings, segment_crossing)
+    iou_matrix, kf_predict, kf_update, measurement_from_box, scan_crossings, segment_crossing)
 
 UTC = timezone.utc
 T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
@@ -77,6 +79,70 @@ class TestBackgroundModel:
             model.update(np.zeros((8, 9), dtype=np.uint8))
 
 
+class BackgroundModelOracle:
+    """Background oracle: the int16, four-``np.where`` update ``BackgroundModel``
+    replaced."""
+
+    def __init__(self, width, height, pixel_threshold=16, min_stability=15):
+        self.pixel_threshold = pixel_threshold
+        self.min_stability = min_stability
+        self.candidate = None
+        self.stability = np.zeros((height, width), dtype=np.int32)
+        self.background = np.zeros((height, width), dtype=np.int16)
+        self.has_background = np.zeros((height, width), dtype=bool)
+
+    def update(self, frame):
+        f = frame.astype(np.int16)
+        if self.candidate is None:
+            self.candidate = f.copy()
+        stable = np.abs(f - self.candidate) <= self.pixel_threshold
+        self.stability = np.where(stable, self.stability + 1, 0)
+        self.candidate = np.where(stable, self.candidate, f)
+        promote = self.stability >= self.min_stability
+        self.background = np.where(promote, self.candidate, self.background)
+        self.has_background |= promote
+        return self.has_background & (np.abs(f - self.background) > self.pixel_threshold)
+
+
+@st.composite
+def frame_runs(draw):
+    """A uint8 frame sequence: runs of one illumination level plus seeded noise,
+    so pixels settle, get promoted, and are flooded by a level step."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = draw(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 40), st.integers(1, 12)),
+                         min_size=1, max_size=5))
+    frames = [np.clip(level + rng.integers(-noise, noise + 1, (h, w)), 0, 255).astype(np.uint8)
+              for level, noise, length in runs for _ in range(length)]
+    return h, w, frames
+
+
+class TestBackgroundModelOracle:
+    @given(frame_runs(), st.one_of(st.just(0), st.integers(-2, 300)), st.integers(1, 8))
+    def test_matches_where_oracle(self, run, threshold, min_stability):
+        h, w, frames = run
+        model = BackgroundModel(w, h, threshold, min_stability)
+        oracle = BackgroundModelOracle(w, h, threshold, min_stability)
+        for frame in frames:
+            mask = model.update(frame)
+            expected = oracle.update(frame)
+            assert mask.dtype == bool and np.array_equal(mask, expected)
+            assert np.array_equal(model.has_background, oracle.has_background)
+            assert np.array_equal(model.stability, oracle.stability)
+            assert np.array_equal(model.candidate, oracle.candidate)
+
+    def test_mask_is_a_fresh_array(self):
+        model = BackgroundModel(4, 3, min_stability=1)
+        first = model.update(np.zeros((3, 4), dtype=np.uint8))
+        second = model.update(np.full((3, 4), 200, dtype=np.uint8))
+        assert not first.any() and second.all()
+
+    def test_non_uint8_frame_rejected(self):
+        model = BackgroundModel(8, 8)
+        with pytest.raises(DataError, match="uint8"):
+            model.update(np.zeros((8, 8), dtype=np.int16))
+
+
 class TestDetections:
     def test_empty_mask(self):
         assert extract_detections(np.zeros((10, 10), dtype=bool), 1) == []
@@ -111,15 +177,148 @@ class TestDetections:
         assert len(dets) == 1
 
 
+def extract_detections_oracle(mask, min_area):
+    """Labelling oracle: one ``ndimage.label`` over the whole frame."""
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    counts = np.bincount(labels.ravel())
+    dets = []
+    for lab, sl in enumerate(ndimage.find_objects(labels), start=1):
+        if counts[lab] >= min_area:
+            y, x = sl[0].start, sl[1].start
+            dets.append(Detection(box=(x, y, sl[1].stop - x, sl[0].stop - y),
+                                  area=int(counts[lab])))
+    dets.sort(key=lambda d: (d.box[1], d.box[0], d.box[3], d.box[2]))
+    return dets
+
+
+@st.composite
+def masks(draw):
+    """Random rectangles, diagonal pixel chains both ways, full rows and columns
+    on the frame edges, then cleared rows, which leave single-row gaps."""
+    h, w = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    mask = np.zeros((h, w), dtype=bool)
+    for y, x, bh, bw in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1),
+                                                st.integers(1, 8), st.integers(1, 8)),
+                                      max_size=6)):
+        mask[y:y + bh, x:x + bw] = True
+    for y, x, n, step in draw(st.lists(st.tuples(st.integers(0, h - 1), st.integers(0, w - 1),
+                                                 st.integers(1, 10), st.sampled_from([-1, 1])),
+                                       max_size=4)):
+        for k in range(n):
+            if 0 <= y + k < h and 0 <= x + step * k < w:
+                mask[y + k, x + step * k] = True
+    for edge in draw(st.lists(st.sampled_from(["top", "bottom", "left", "right"]), max_size=2)):
+        mask[{"top": (0, slice(None)), "bottom": (-1, slice(None)),
+              "left": (slice(None), 0), "right": (slice(None), -1)}[edge]] = True
+    mask[draw(st.lists(st.integers(0, h - 1), max_size=4))] = False
+    return mask
+
+
+class TestDetectionsOracle:
+    @given(masks(), st.integers(1, 12))
+    def test_matches_whole_frame_labelling(self, mask, min_area):
+        assert extract_detections(mask, min_area) == extract_detections_oracle(mask, min_area)
+
+    def test_scene_masks_match(self):
+        script = SceneScript(width=160, height=100, fps=10, duration_s=6, background=30,
+                             noise=12, start=T0,
+                             objects=(SceneObject("a", 24, 14, -20.0, 10.0, 60.0, 0.0, 220),
+                                      SceneObject("b", 24, 14, 170.0, 60.0, -50.0, 5.0, 90)))
+        model = BackgroundModel(160, 100, 16, 15)
+        n_dets = 0
+        for frame in scene_frames(script, seed=3):
+            mask = model.update(frame)
+            dets = extract_detections(mask, 1)
+            assert dets == extract_detections_oracle(mask, 1)
+            n_dets += len(dets)
+        assert n_dets > 0
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPerFrameMemory:
+    """At the paper's 1296x730 a frame is 0.95 MB; each call may hold the
+    returned mask and small scratch, never full-frame int16 or label copies."""
+
+    def test_background_update_works_in_place(self):
+        model = BackgroundModel(1296, 730)
+        rng = np.random.default_rng(0)
+        frames = [rng.integers(0, 256, (730, 1296), dtype=np.uint8) for _ in range(3)]
+        for frame in frames[:2]:
+            model.update(frame)
+        assert traced_peak(model.update, frames[2]) < 2 << 20
+
+    def test_detections_label_only_the_bands(self):
+        mask = np.zeros((730, 1296), dtype=bool)
+        mask[100:160, 200:320] = True
+        mask[400:470, 900:1050] = True
+        assert len(extract_detections(mask)) == 2
+        assert traced_peak(extract_detections, mask) < 2 << 20
+
+
+def iou(a, b):
+    """IOU oracle: the scalar form ``iou_matrix`` replaced."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
+    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return inter / union if union > 0 else 0.0
+
+
+def iou1(a, b):
+    return iou_matrix(np.array([a], dtype=float), np.array([b], dtype=float))[0, 0]
+
+
 class TestIou:
     def test_identical(self):
-        assert iou((3, 4, 10, 12), (3, 4, 10, 12)) == 1.0
+        assert iou1((3, 4, 10, 12), (3, 4, 10, 12)) == 1.0
 
     def test_disjoint(self):
-        assert iou((0, 0, 5, 5), (100, 100, 5, 5)) == 0.0
+        assert iou1((0, 0, 5, 5), (100, 100, 5, 5)) == 0.0
 
     def test_half_offset(self):
-        assert iou((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(1 / 3)
+        assert iou1((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(1 / 3)
+
+    def test_empty_sides(self):
+        boxes = np.array([[0.0, 0.0, 5.0, 5.0]] * 3)
+        assert iou_matrix(np.empty((0, 4)), boxes).shape == (0, 3)
+        assert iou_matrix(boxes, np.empty((0, 4))).shape == (3, 0)
+
+    def test_nan_predicted_edge_matches_scalar(self):
+        det = (2, 3, 10, 8)
+        for pred in [(np.nan, 3.0, 10.0, 8.0), (2.0, 3.0, np.nan, 8.0), (np.nan,) * 4]:
+            expected = 1.0 - np.array([[iou(det, pred)]])
+            got = 1.0 - iou_matrix(np.array([det], dtype=float), np.array([pred]))
+            assert got.tobytes() == expected.tobytes()
+
+    # Detections are integer boxes; predictions are floats, integers and half
+    # steps, so edges touch and coincide. Zero widths and heights give
+    # zero-area boxes and zero unions.
+    int_boxes = st.tuples(*[st.integers(-5, 30)] * 2, *[st.integers(0, 15)] * 2)
+    coords = st.one_of(st.integers(-10, 40), st.integers(-20, 80).map(lambda k: k / 2),
+                       st.floats(-10, 40, allow_nan=False))
+    sizes = st.one_of(st.integers(0, 15), st.integers(0, 30).map(lambda k: k / 2),
+                      st.floats(0, 20, allow_nan=False))
+    float_boxes = st.tuples(coords, coords, sizes, sizes)
+
+    # These pairs round differently under aw*ah + (bw*bh - inter).
+    @example([(6, 7, 13, 10), (24, 17, 11, 10)],
+             [(12.63, 3.467, 3.343, 4.38), (29.814, 8.475, 6.76, 14.155)])
+    @given(st.lists(int_boxes, min_size=1, max_size=8), st.lists(float_boxes, min_size=1, max_size=8))
+    def test_cost_matrix_bytes_match_scalar_oracle(self, dets, preds):
+        expected = 1.0 - np.array([[iou(d, p) for p in preds] for d in dets])
+        got = 1.0 - iou_matrix(np.array(dets, dtype=float), np.array(preds, dtype=float))
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestKalman:
