@@ -133,8 +133,11 @@ def iter_fseq_frames(path: str | Path) -> tuple[FseqInfo, Iterator[np.ndarray]]:
     def gen() -> Iterator[np.ndarray]:
         with open(path, "rb") as fh:
             fh.seek(HEADER_SIZE)
-            for _ in range(info.frame_count):
+            for index in range(info.frame_count):
                 raw = fh.read(info.frame_bytes)
+                if len(raw) != info.frame_bytes:
+                    raise CorruptContainer(
+                        f"{path}: frame {index}: read {len(raw)} of {info.frame_bytes} bytes")
                 yield np.frombuffer(raw, dtype=np.uint8).reshape(info.height, info.width)
 
     return info, gen()

@@ -21,7 +21,7 @@ from scipy import ndimage
 from .assignment import hungarian
 from .errors import AerotraceError, DataError, EmptyInput
 from .fseq import iter_fseq_frames, parse_chunk_start
-from .series import HOUR_S, UTC, floor_to
+from .series import HOUR_S, UTC, floor_to, format_utc
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +63,11 @@ class BackgroundModel:
 
     ``update`` takes uint8 frames and works in place on uint8 ``candidate``
     and ``background`` arrays and preallocated scratch buffers; only the
-    returned mask is a new array.
+    returned mask is a new array. The uint8 ``stability`` counter saturates
+    at ``min_stability`` (1 to 255), since every decision reads it only as
+    ``>= min_stability``. ``background`` is written only where a pixel is
+    newly promoted: a promoted pixel that stays stable keeps its candidate,
+    which already equals its background.
     """
 
     def __init__(self, width: int, height: int,
@@ -72,16 +76,20 @@ class BackgroundModel:
         self.height = height
         self.pixel_threshold = int(pixel_threshold)
         self.min_stability = int(min_stability)
+        if not 1 <= self.min_stability <= 255:
+            raise DataError(f"min_stability must be 1 to 255, got {min_stability}")
         shape = (height, width)
         self.candidate = np.zeros(shape, dtype=np.uint8)
-        self.stability = np.zeros(shape, dtype=np.int32)
+        self.stability = np.zeros(shape, dtype=np.uint8)
         self.background = np.zeros(shape, dtype=np.uint8)
         self.has_background = np.zeros(shape, dtype=bool)
         self._diff = np.empty(shape, dtype=np.uint8)
         self._low = np.empty(shape, dtype=np.uint8)
         self._stable = np.empty(shape, dtype=bool)
+        self._grow = np.empty(shape, dtype=bool)
         self._select = np.empty(shape, dtype=bool)
         self._primed = False
+        self._full = False  # has_background.all(), which never turns false again
 
     def _abs_diff(self, frame: np.ndarray, other: np.ndarray) -> np.ndarray:
         """``|frame - other|`` without leaving uint8: max minus min."""
@@ -98,17 +106,23 @@ class BackgroundModel:
         if not self._primed:
             np.copyto(self.candidate, frame)
             self._primed = True
-        stable, select = self._stable, self._select
+        stable, grow, select = self._stable, self._grow, self._select
         np.less_equal(self._abs_diff(frame, self.candidate), self.pixel_threshold, out=stable)
-        self.stability += 1
+        np.less(self.stability, self.min_stability, out=grow)
+        np.add(self.stability, grow, out=self.stability)
         np.multiply(self.stability, stable, out=self.stability)
         np.logical_not(stable, out=select)
         np.copyto(self.candidate, frame, where=select)
-        np.greater_equal(self.stability, self.min_stability, out=select)
+        np.equal(self.stability, self.min_stability, out=select)
+        np.logical_and(select, grow, out=select)
         np.copyto(self.background, self.candidate, where=select)
-        self.has_background |= select
-        np.greater(self._abs_diff(frame, self.background), self.pixel_threshold, out=select)
-        return self.has_background & select
+        if not self._full:
+            self.has_background |= select
+            self._full = bool(self.has_background.all())
+        mask = np.greater(self._abs_diff(frame, self.background), self.pixel_threshold)
+        if not self._full:
+            np.logical_and(mask, self.has_background, out=mask)
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +308,8 @@ class CountLine:
     p2: tuple[float, float]
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (*self.p1, *self.p2)):
+            raise DataError(f"counting line endpoints must be finite, got {self.p1}, {self.p2}")
         if self.p1 == self.p2:
             raise DataError("counting line endpoints must be distinct")
 
@@ -410,7 +426,11 @@ def count_frames(frames: Iterable[np.ndarray], line: CountLine,
     if n == 0:
         raise EmptyInput("no frames to count")
     first_hour = floor_to(start, HOUR_S)
-    last_hour = floor_to(start + timedelta(seconds=(n - 1) / fps), HOUR_S)
+    try:
+        last_hour = floor_to(start + timedelta(seconds=(n - 1) / fps), HOUR_S)
+    except OverflowError:
+        raise DataError(f"start {format_utc(start)} plus the video length of {n / fps:g} s "
+                        "is past year 9999") from None
     n_hours = int((last_hour - first_hour).total_seconds()) // HOUR_S + 1
     up = [0] * n_hours
     down = [0] * n_hours

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from aerotrace.blob_store import FilesystemBackend
 from aerotrace.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
+from aerotrace.fseq import write_fseq
 from aerotrace.sensor_codec import sample_to_csv_row
 from aerotrace.series import format_csv_series
 from aerotrace.synth import synthetic_sample_source
@@ -32,6 +34,7 @@ def write_inputs(d):
                                        for i in range(60)))
     (d / "subsecond.csv").write_text("2022-07-01T16:00:00.500+00:00,5,12,15,27.00,65.50,1008.25\n")
     (d / "huge.csv").write_text(f"2022-07-01T16:00:00Z,5,1{'0' * 400},15,27.00,65.50,1008.25\n")
+    write_fseq(d / "minute.fseq", np.zeros((60, 6, 8), dtype=np.uint8), fps=1)
     for name, series in (("ref.csv", make_series([10 + i % 7 for i in range(60)])),
                          ("test.csv", make_series([11 + i % 5 for i in range(60)])),
                          ("veh.csv", make_series(range(10), step_s=3600)),
@@ -52,6 +55,9 @@ def write_inputs(d):
     "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --window 0",
     "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --lambda nan",
     "correlate --vehicles {d}/veh.csv --pm25 {d}/pm.csv --max-lag -1 --out-dir {d}/corr",
+    "count --in {d}/minute.fseq --line nan,0,nan,182",
+    "count --in {d}/minute.fseq --line 0,inf,8,6",
+    "count --in {d}/minute.fseq --line 0,0,8,6 --start 9999-12-31T23:59:30Z",
     "node run --config {d}/node.conf --duration 1s --accel 0",
     "node run --config {d}/node.conf --duration 1s --accel inf",
     "node run --config {d}/node.conf --duration 1s --accel 1e308",

@@ -1,3 +1,4 @@
+import os
 import struct
 from datetime import datetime, timezone
 
@@ -94,6 +95,15 @@ class TestContainer:
         path.write_bytes(raw[:-5])
         with pytest.raises(CorruptContainer):
             read_fseq_info(path)
+
+    def test_file_shrinking_mid_iteration(self, tmp_path, rng):
+        path = tmp_path / "s.fseq"
+        write_fseq(path, random_frames(rng, 3, 200, 200), fps=1)
+        _, frames = iter_fseq_frames(path)
+        next(frames)
+        os.truncate(path, HEADER_SIZE + 200 * 200 + 1000)
+        with pytest.raises(CorruptContainer, match=r"s\.fseq: frame 1: read 1000 of 40000 bytes"):
+            next(frames)
 
     def test_writer_validates_shape(self, tmp_path):
         writer = FseqWriter(tmp_path / "h.fseq", width=4, height=4, fps=1)

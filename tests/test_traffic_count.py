@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -117,19 +119,51 @@ def frame_runs(draw):
     return h, w, frames
 
 
+def assert_matches_oracle(model, oracle, frames):
+    """Equal masks and state on every frame. The model's counter saturates at
+    ``min_stability``; the oracle's only ever matters as ``>= min_stability``."""
+    for frame in frames:
+        mask = model.update(frame)
+        expected = oracle.update(frame)
+        assert mask.dtype == bool and np.array_equal(mask, expected)
+        assert np.array_equal(model.has_background, oracle.has_background)
+        assert np.array_equal(model.stability,
+                              np.minimum(oracle.stability, oracle.min_stability))
+        assert np.array_equal(model.candidate, oracle.candidate)
+        assert np.array_equal(model.background, oracle.background)
+
+
 class TestBackgroundModelOracle:
     @given(frame_runs(), st.one_of(st.just(0), st.integers(-2, 300)), st.integers(1, 8))
     def test_matches_where_oracle(self, run, threshold, min_stability):
         h, w, frames = run
-        model = BackgroundModel(w, h, threshold, min_stability)
-        oracle = BackgroundModelOracle(w, h, threshold, min_stability)
-        for frame in frames:
-            mask = model.update(frame)
-            expected = oracle.update(frame)
-            assert mask.dtype == bool and np.array_equal(mask, expected)
-            assert np.array_equal(model.has_background, oracle.has_background)
-            assert np.array_equal(model.stability, oracle.stability)
-            assert np.array_equal(model.candidate, oracle.candidate)
+        assert_matches_oracle(BackgroundModel(w, h, threshold, min_stability),
+                              BackgroundModelOracle(w, h, threshold, min_stability), frames)
+
+    def test_counter_saturates_without_wrapping(self):
+        """Past 256 constant frames a wrapping uint8 counter would restart; the
+        level step is then flooded for exactly 255 frames, as the oracle's is."""
+        dark = np.full((2, 3), 40, dtype=np.uint8)
+        bright = np.full((2, 3), 100, dtype=np.uint8)
+        model = BackgroundModel(3, 2, min_stability=255)
+        assert_matches_oracle(model, BackgroundModelOracle(3, 2, min_stability=255),
+                              [dark] * 300 + [bright] * 300)
+        assert (model.stability == 255).all() and (model.background == 100).all()
+
+    @pytest.mark.parametrize("min_stability", [0, 256])
+    def test_min_stability_out_of_range(self, min_stability):
+        with pytest.raises(DataError, match="min_stability"):
+            BackgroundModel(4, 3, min_stability=min_stability)
+
+    # Noise of 8 keeps every pixel within the threshold of its candidate, so the
+    # model fills at frame 14 and then re-promotes what the vehicles uncover;
+    # noise of 12 restarts candidates at random and the model does not fill in 9 s.
+    @pytest.mark.parametrize("noise, fills", [(8, True), (12, False)])
+    def test_synthetic_scene_matches(self, noise, fills):
+        script = replace(scene([ltr(30), rtl(120)], duration=9), noise=noise)
+        model = BackgroundModel(324, 182)
+        assert_matches_oracle(model, BackgroundModelOracle(324, 182), scene_frames(script, seed=5))
+        assert model.has_background.all() == fills
 
     def test_mask_is_a_fresh_array(self):
         model = BackgroundModel(4, 3, min_stability=1)
@@ -442,6 +476,13 @@ class TestCrossings:
     def test_touch_does_not_count(self):
         assert segment_crossing(self.line, (8.5, 5.0), (10.0, 5.0)) is None
 
+    @pytest.mark.parametrize("p1, p2", [((math.nan, 0.0), (math.nan, 182.0)),
+                                        ((0.0, math.inf), (8.0, 6.0)),
+                                        ((0.0, 0.0), (-math.inf, 6.0))])
+    def test_non_finite_endpoint_rejected(self, p1, p2):
+        with pytest.raises(DataError, match="finite"):
+            CountLine(p1=p1, p2=p2)
+
 
 # Small integer grids around the line hit proper crossings, touches and
 # passes beyond the endpoints alike.
@@ -503,6 +544,12 @@ class TestSceneCounting:
         slow = run_scene(scene(objs, duration=9, fps=10))
         fast = run_scene(scene(objs, duration=9, fps=20))
         assert slow.up == fast.up and slow.down == fast.down
+
+    def test_start_too_late_for_the_video(self):
+        frames = [np.zeros((6, 8), dtype=np.uint8)] * 60
+        start = datetime(9999, 12, 31, 23, 59, 30, tzinfo=UTC)
+        with pytest.raises(DataError, match=r"9999-12-31T23:59:30Z.* 60 s"):
+            count_frames(frames, LINE_324, start=start, fps=1)
 
     def test_hour_bucketing(self):
         start = datetime(2022, 7, 1, 15, 59, 0, tzinfo=UTC)
