@@ -99,8 +99,10 @@ def hungarian(cost: Sequence[Sequence[float]] | np.ndarray) -> list[tuple[int, i
     u, v, row_of = _jv(square.tolist())
     col = np.argsort(row_of).tolist()
     tol = 1e-11 * max(1.0, abs(float(square[row_of, range(size)].sum())))
-    reduced = np.abs(square - np.add.outer(u, v))
-    tight = [np.flatnonzero(row <= tol).tolist() for row in reduced]
+    rows, cols = np.nonzero(np.abs(square - np.add.outer(u, v)) <= tol)
+    tight: list[list[int]] = [[] for _ in range(size)]
+    for r, c in zip(rows.tolist(), cols.tolist()):  # row-major: each row's columns ascend
+        tight[r].append(c)
     for i in range(n):  # rows before i stay fixed; padding columns (>= m) rank last
         for c in tight[i]:
             if c >= min(col[i], m):

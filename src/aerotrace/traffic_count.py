@@ -5,11 +5,14 @@ foreground mask; 8-connected components become detections (tight box +
 center); a constant-velocity Kalman tracker with IOU-gated Hungarian
 association follows each object; a track is counted when its center path
 properly crosses the virtual counting line, at most once per direction.
+
+The tracker stacks the Kalman states of its live tracks, one row per track
+in track order, so each frame costs one predict over every track and one
+update, with one linear solve, over the matched tracks.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -205,100 +208,126 @@ Q_MAT = np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4])
 
 def kf_predict(x: np.ndarray, P: np.ndarray,
                F: np.ndarray = F_MAT, Q: np.ndarray = Q_MAT) -> tuple[np.ndarray, np.ndarray]:
-    x2 = F @ x
+    """Predict one state, or a stack of states along the leading axis."""
+    x2 = x @ F.T
     P2 = F @ P @ F.T + Q
-    return x2, (P2 + P2.T) / 2.0
+    return x2, (P2 + P2.swapaxes(-1, -2)) / 2.0
 
 
 def kf_update(x: np.ndarray, P: np.ndarray, z: np.ndarray,
               H: np.ndarray = H_MAT, R: np.ndarray = R_MAT) -> tuple[np.ndarray, np.ndarray]:
-    y = z - H @ x
-    S = H @ P @ H.T + R
-    K = np.linalg.solve(S, H @ P).T  # P H' S^-1, using symmetry of P and S
-    x2 = x + K @ y
-    ikh = np.eye(x.size) - K @ H
-    P2 = ikh @ P @ ikh.T + K @ R @ K.T  # Joseph form keeps P symmetric PSD
-    return x2, (P2 + P2.T) / 2.0
+    """Update one state, or a stack of states along the leading axis, with one solve."""
+    y = z - x @ H.T
+    HP = H @ P
+    K = np.linalg.solve(HP @ H.T + R, HP).swapaxes(-1, -2)  # P H' S^-1, as P and S are symmetric
+    x2 = x + (K @ y[..., None])[..., 0]
+    ikh = np.eye(x.shape[-1]) - K @ H
+    P2 = ikh @ P @ ikh.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)  # Joseph form keeps P PSD
+    return x2, (P2 + P2.swapaxes(-1, -2)) / 2.0
 
 
-def measurement_from_box(box: Sequence[float]) -> np.ndarray:
-    x, y, w, h = box
-    return np.array([x + (w - 1) / 2.0, y + (h - 1) / 2.0, float(w) * h, w / float(h)])
+def states_from_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Zero-velocity state rows (cx, cy, s, r, 0, 0, 0) from (x, y, w, h) rows."""
+    w, h = boxes[:, 2], boxes[:, 3]
+    states = np.zeros((len(boxes), 7))
+    states[:, :2] = boxes[:, :2] + (boxes[:, 2:] - 1) / 2.0
+    states[:, 2], states[:, 3] = w * h, w / h
+    return states
 
 
-def box_from_state(x: np.ndarray) -> tuple[float, float, float, float]:
-    s, r = max(float(x[2]), 1e-6), max(float(x[3]), 1e-6)
-    w = math.sqrt(s * r)
-    h = s / w
-    return (float(x[0]) - (w - 1) / 2.0, float(x[1]) - (h - 1) / 2.0, w, h)
+def boxes_from_states(x: np.ndarray) -> np.ndarray:
+    """(x, y, w, h) rows from state rows, with area and aspect floored at 1e-6."""
+    s = np.maximum(x[:, 2], 1e-6)
+    box = np.empty((len(x), 4))
+    box[:, 2] = w = np.sqrt(s * np.maximum(x[:, 3], 1e-6))
+    box[:, 3] = s / w
+    box[:, :2] = x[:, :2] - (box[:, 2:] - 1) / 2.0
+    return box
 
 
 class Track:
-    """One tracked object: Kalman state, lifecycle counters, center history."""
+    """One tracked object: lifecycle counters and center history. Its Kalman
+    state is a row of ``SortTracker.x`` and ``SortTracker.P``."""
 
     def __init__(self, track_id: int, detection: Detection):
         self.id = track_id
-        self.x = np.zeros(7)
-        self.x[:4] = measurement_from_box(detection.box)
-        self.P = P0_MAT.copy()
         self.hits = 1
         self.misses = 0
         self.history: list[tuple[float, float]] = [detection.center]
         self.counted: set[int] = set()  # directions already crossed
         self.pending: list[tuple[int, int]] = []  # (frame index, direction)
 
-    def predict(self) -> tuple[float, float, float, float]:
-        if self.x[2] + self.x[6] <= 0:
-            self.x[6] = 0.0  # do not let area velocity drive the scale negative
-        self.x, self.P = kf_predict(self.x, self.P)
-        if not np.isfinite(self.x).all():
-            raise NonFiniteState(f"track {self.id} diverged")
-        return box_from_state(self.x)
-
-    def update(self, detection: Detection) -> None:
-        self.x, self.P = kf_update(self.x, self.P, measurement_from_box(detection.box))
-        if not np.isfinite(self.x).all():
-            raise NonFiniteState(f"track {self.id} diverged")
-        self.hits += 1
-        self.misses = 0
-        self.history.append(detection.center)
-
 
 class SortTracker:
-    """Tracking-by-detection: predict, associate by IOU, update, age out."""
+    """Tracking-by-detection: predict, associate by IOU, update, age out.
+
+    The Kalman states of all live tracks are stacked: row i of ``x`` (n, 7)
+    and ``P`` (n, 7, 7) belongs to ``tracks[i]``, and rows are dropped and
+    appended together with the track list. Each step predicts every row at
+    once and updates the matched rows at once.
+    """
 
     def __init__(self, params: CountParams = CountParams()):
         self.params = params
         self.tracks: list[Track] = []
+        self.x = np.empty((0, 7))
+        self.P = np.empty((0, 7, 7))
         self._next_id = 1
 
-    def step(self, detections: list[Detection]) -> None:
-        predicted = np.array([t.predict() for t in self.tracks], dtype=float)
+    def _check_finite(self, x: np.ndarray, rows: Sequence[int]) -> None:
+        """Raise NonFiniteState naming the track of the first non-finite row of
+        ``x``, whose row k belongs to ``tracks[rows[k]]``."""
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise NonFiniteState(f"track {self.tracks[rows[int(finite.argmin())]].id} diverged")
 
+    def step(self, detections: list[Detection]) -> None:
+        x = self.x
+        x[x[:, 2] + x[:, 6] <= 0, 6] = 0.0  # do not let area velocity drive the scale negative
+        x, P = kf_predict(x, self.P)
+        self._check_finite(x, range(len(self.tracks)))
+
+        boxes = np.array([d.box for d in detections], dtype=float).reshape(-1, 4)
         matches: list[tuple[int, int]] = []
         if detections and self.tracks:
-            iou_mat = iou_matrix(np.array([d.box for d in detections], dtype=float), predicted)
+            iou_mat = iou_matrix(boxes, boxes_from_states(x))
             pairs = hungarian(1.0 - iou_mat)
             matches = [(d, t) for d, t in pairs if iou_mat[d, t] >= self.params.iou_gate]
 
-        matched_d = {d for d, _ in matches}
-        matched_t = {t for _, t in matches}
-        for d, t in matches:
-            self.tracks[t].update(detections[d])
+        states = states_from_boxes(boxes)
+        d_rows, t_rows = [d for d, _ in matches], [t for _, t in matches]
+        if matches:
+            xm, P[t_rows] = kf_update(x[t_rows], P[t_rows], states[d_rows, :4])
+            self._check_finite(xm, t_rows)  # in match order
+            x[t_rows] = xm
+            for d, t in matches:
+                self.tracks[t].hits += 1
+                self.tracks[t].history.append(detections[d].center)
 
+        matched_t = set(t_rows)
         for i, track in enumerate(self.tracks):
-            if i not in matched_t:
-                track.misses += 1
-        self.tracks = [t for t in self.tracks if t.misses <= self.params.max_age]
-
-        for d, det in enumerate(detections):
-            if d not in matched_d:
-                self.tracks.append(Track(self._next_id, det))
-                self._next_id += 1
+            track.misses = 0 if i in matched_t else track.misses + 1
+        keep = [i for i, t in enumerate(self.tracks) if t.misses <= self.params.max_age]
+        if len(keep) < len(self.tracks):
+            self.tracks = [self.tracks[i] for i in keep]
+            x, P = x[keep], P[keep]
+        matched_d = set(d_rows)
+        born = [d for d in range(len(detections)) if d not in matched_d]
+        if born:
+            self.tracks += [Track(self._next_id + k, detections[d]) for k, d in enumerate(born)]
+            self._next_id += len(born)
+            x = np.concatenate([x, states[born]])
+            P = np.concatenate([P, P0_MAT[None].repeat(len(born), axis=0)])
+        self.x, self.P = x, P
 
 
 # ---------------------------------------------------------------------------
 # Line crossings
+
+# Endpoint coordinates within +-1e150 keep the direction below 2e150 and, for any
+# point in the u16 frame range, |side()| below 4.1e300, so both stay finite.
+MAX_LINE_COORD = 1e150
+
 
 @dataclass(frozen=True)
 class CountLine:
@@ -308,8 +337,9 @@ class CountLine:
     p2: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (*self.p1, *self.p2)):
-            raise DataError(f"counting line endpoints must be finite, got {self.p1}, {self.p2}")
+        if not all(abs(v) <= MAX_LINE_COORD for v in (*self.p1, *self.p2)):
+            raise DataError(f"counting line endpoints must be finite and within "
+                            f"+-{MAX_LINE_COORD:g}, got {self.p1}, {self.p2}")
         if self.p1 == self.p2:
             raise DataError("counting line endpoints must be distinct")
 
@@ -414,6 +444,15 @@ class VehicleCounter:
                 track.pending.clear()
 
 
+def last_frame_hour(start: datetime, n_frames: int, fps: float) -> datetime:
+    """UTC hour of the last of ``n_frames`` frames; DataError past year 9999."""
+    try:
+        return floor_to(start + timedelta(seconds=(n_frames - 1) / fps), HOUR_S)
+    except OverflowError:
+        raise DataError(f"start {format_utc(start)} plus the video length of "
+                        f"{n_frames / fps:g} s is past year 9999") from None
+
+
 def count_frames(frames: Iterable[np.ndarray], line: CountLine,
                  start: datetime, fps: float,
                  params: CountParams = CountParams()) -> HourlyCounts:
@@ -426,11 +465,7 @@ def count_frames(frames: Iterable[np.ndarray], line: CountLine,
     if n == 0:
         raise EmptyInput("no frames to count")
     first_hour = floor_to(start, HOUR_S)
-    try:
-        last_hour = floor_to(start + timedelta(seconds=(n - 1) / fps), HOUR_S)
-    except OverflowError:
-        raise DataError(f"start {format_utc(start)} plus the video length of {n / fps:g} s "
-                        "is past year 9999") from None
+    last_hour = last_frame_hour(start, n, fps)
     n_hours = int((last_hour - first_hour).total_seconds()) // HOUR_S + 1
     up = [0] * n_hours
     down = [0] * n_hours
@@ -459,4 +494,6 @@ def count_video(path: str | Path, line: CountLine,
         if start is None:
             start = datetime.fromtimestamp(0, tz=UTC)
             log.warning("%s: no timestamp in file name, counting from epoch", path)
+    if info.frame_count:
+        last_frame_hour(start, info.frame_count, info.fps)  # fail before reading a frame
     return count_frames(frames, line, start, info.fps, params)

@@ -57,6 +57,7 @@ def write_inputs(d):
     "correlate --vehicles {d}/veh.csv --pm25 {d}/pm.csv --max-lag -1 --out-dir {d}/corr",
     "count --in {d}/minute.fseq --line nan,0,nan,182",
     "count --in {d}/minute.fseq --line 0,inf,8,6",
+    "count --in {d}/minute.fseq --line 1e308,0,-1e308,182",
     "count --in {d}/minute.fseq --line 0,0,8,6 --start 9999-12-31T23:59:30Z",
     "node run --config {d}/node.conf --duration 1s --accel 0",
     "node run --config {d}/node.conf --duration 1s --accel inf",

@@ -5,16 +5,20 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from aerotrace import traffic_count
+from aerotrace.assignment import hungarian
 from aerotrace.errors import DataError
+from aerotrace.fseq import iter_fseq_frames, write_fseq
 from aerotrace.synth import SceneObject, SceneScript, scene_frames
 from aerotrace.traffic_count import (
-    DIR_DOWN, DIR_UP, BackgroundModel, CountLine, CountParams, Detection,
-    DimensionMismatch, SortTracker, count_crossings, count_frames, extract_detections,
-    iou_matrix, kf_predict, kf_update, measurement_from_box, scan_crossings, segment_crossing)
+    DIR_DOWN, DIR_UP, F_MAT, H_MAT, MAX_LINE_COORD, P0_MAT, Q_MAT, R_MAT, BackgroundModel,
+    CountLine, CountParams, Detection, DimensionMismatch, NonFiniteState, SortTracker,
+    boxes_from_states, count_crossings, count_frames, count_video, extract_detections,
+    iou_matrix, kf_predict, kf_update, scan_crossings, segment_crossing)
 
 UTC = timezone.utc
 T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
@@ -397,6 +401,109 @@ class TestKalman:
             assert np.linalg.eigvalsh(P).min() >= -1e-9
 
 
+def measurement_from_box(box):
+    x, y, w, h = box
+    return np.array([x + (w - 1) / 2.0, y + (h - 1) / 2.0, float(w) * h, w / float(h)])
+
+
+def box_from_state(x):
+    s, r = max(float(x[2]), 1e-6), max(float(x[3]), 1e-6)
+    w = math.sqrt(s * r)
+    h = s / w
+    return (float(x[0]) - (w - 1) / 2.0, float(x[1]) - (h - 1) / 2.0, w, h)
+
+
+def kf_predict_one(x, P, F=F_MAT, Q=Q_MAT):
+    x2 = F @ x
+    P2 = F @ P @ F.T + Q
+    return x2, (P2 + P2.T) / 2.0
+
+
+def kf_update_one(x, P, z, H=H_MAT, R=R_MAT):
+    y = z - H @ x
+    S = H @ P @ H.T + R
+    K = np.linalg.solve(S, H @ P).T
+    x2 = x + K @ y
+    ikh = np.eye(x.size) - K @ H
+    P2 = ikh @ P @ ikh.T + K @ R @ K.T
+    return x2, (P2 + P2.T) / 2.0
+
+
+class TrackOracle:
+    """Per-track oracle: the ``Track`` that held its own Kalman state and
+    predicted and updated itself, as ``SortTracker`` did before it stacked them."""
+
+    def __init__(self, track_id, detection):
+        self.id = track_id
+        self.x = np.zeros(7)
+        self.x[:4] = measurement_from_box(detection.box)
+        self.P = P0_MAT.copy()
+        self.hits = 1
+        self.misses = 0
+        self.history = [detection.center]
+
+    def predict(self):
+        if self.x[2] + self.x[6] <= 0:
+            self.x[6] = 0.0
+        self.x, self.P = kf_predict_one(self.x, self.P)
+        if not np.isfinite(self.x).all():
+            raise NonFiniteState(f"track {self.id} diverged")
+        return box_from_state(self.x)
+
+    def update(self, detection):
+        self.x, self.P = kf_update_one(self.x, self.P, measurement_from_box(detection.box))
+        if not np.isfinite(self.x).all():
+            raise NonFiniteState(f"track {self.id} diverged")
+        self.hits += 1
+        self.misses = 0
+        self.history.append(detection.center)
+
+
+class SortTrackerOracle:
+    """Tracker oracle: one predict and one update per track."""
+
+    def __init__(self, params=CountParams()):
+        self.params = params
+        self.tracks = []
+        self._next_id = 1
+
+    def step(self, detections):
+        predicted = np.array([t.predict() for t in self.tracks], dtype=float)
+        matches = []
+        if detections and self.tracks:
+            iou_mat = iou_matrix(np.array([d.box for d in detections], dtype=float), predicted)
+            pairs = hungarian(1.0 - iou_mat)
+            matches = [(d, t) for d, t in pairs if iou_mat[d, t] >= self.params.iou_gate]
+        matched_d = {d for d, _ in matches}
+        matched_t = {t for _, t in matches}
+        for d, t in matches:
+            self.tracks[t].update(detections[d])
+        for i, track in enumerate(self.tracks):
+            if i not in matched_t:
+                track.misses += 1
+        self.tracks = [t for t in self.tracks if t.misses <= self.params.max_age]
+        for d, det in enumerate(detections):
+            if d not in matched_d:
+                self.tracks.append(TrackOracle(self._next_id, det))
+                self._next_id += 1
+
+
+def assert_trackers_equal(tracker, oracle):
+    """Equal lifecycles and histories, and state bytes row by row."""
+    assert [t.id for t in tracker.tracks] == [t.id for t in oracle.tracks]
+    assert [t.hits for t in tracker.tracks] == [t.hits for t in oracle.tracks]
+    assert [t.misses for t in tracker.tracks] == [t.misses for t in oracle.tracks]
+    assert [t.history for t in tracker.tracks] == [t.history for t in oracle.tracks]
+    n = len(oracle.tracks)
+    assert tracker.x.shape == (n, 7) and tracker.P.shape == (n, 7, 7)
+    assert tracker.x.dtype == tracker.P.dtype == np.float64
+    for i, track in enumerate(oracle.tracks):
+        assert tracker.x[i].tobytes() == track.x.tobytes()
+        assert tracker.P[i].tobytes() == track.P.tobytes()
+        assert boxes_from_states(tracker.x[i:i + 1]).tobytes() == \
+            np.array([box_from_state(track.x)]).tobytes()
+
+
 class TestTracker:
     def det(self, x, y, w=20, h=10):
         return Detection(box=(int(x), int(y), w, h), area=w * h)
@@ -447,6 +554,99 @@ class TestTracker:
             tracker.step([])  # removed
         assert seen == [1, 2, 3, 4]
 
+    def test_one_solve_per_step(self, monkeypatch):
+        dets = [self.det(10, 10), self.det(60, 40), self.det(110, 70)]
+        tracker = SortTracker()
+        tracker.step(dets)
+        solve, calls = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+        tracker.step(dets)
+        assert [t.hits for t in tracker.tracks] == [2, 2, 2]
+        assert len(calls) == 1
+
+    def test_non_finite_predict_names_first_track(self):
+        tracker = SortTracker()
+        tracker.step([self.det(10, 10), Detection(box=(math.nan, 40, 20, 10), area=200),
+                      Detection(box=(110, math.nan, 20, 10), area=200), self.det(150, 100)])
+        with pytest.raises(NonFiniteState, match="^track 2 diverged$"):
+            tracker.step([])
+
+    def test_non_finite_update_names_first_track_in_match_order(self):
+        """A NaN x edge still overlaps (``iou_matrix`` keeps the predicted edge),
+        so both NaN detections match; track 3's is matched before track 1's."""
+        a, b, c = self.det(10, 10), self.det(60, 40), self.det(110, 70)
+        tracker = SortTracker()
+        tracker.step([a, b, c])
+        nan_a, nan_c = (Detection(box=(math.nan, *d.box[1:]), area=d.area) for d in (a, c))
+        with pytest.raises(NonFiniteState, match="^track 3 diverged$"):
+            tracker.step([nan_c, b, nan_a])
+
+
+@st.composite
+def detection_runs(draw):
+    """Detections of boxes moving and growing or shrinking at constant rates,
+    each alive from a birth frame for some frames. A box jitters, goes missing
+    now and then, and jumps out of the IOU gate now and then; each frame lists
+    its boxes in a random order, and frames may be empty."""
+    n_frames = draw(st.integers(1, 20))
+    boxes = draw(st.lists(st.tuples(
+        st.integers(0, 150), st.integers(0, 150), st.integers(-8, 8), st.integers(-8, 8),
+        st.integers(1, 30), st.integers(1, 30), st.integers(-3, 3), st.integers(0, n_frames - 1),
+        st.integers(1, n_frames)), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for k in range(n_frames):
+        dets = []
+        for x0, y0, vx, vy, w, h, grow, birth, life in boxes:
+            roll = rng.random()
+            if not birth <= k < birth + life or roll < 0.1:
+                continue
+            t = k - birth
+            jx, jy, jw, jh = rng.integers(-2, 3, 4).tolist()
+            jump = 300 if roll > 0.9 else 0
+            w, h = max(1, w + grow * t + jw), max(1, h + grow * t + jh)
+            dets.append(Detection(box=(x0 + vx * t + jx + jump, y0 + vy * t + jy, w, h),
+                                  area=w * h))
+        frames.append([dets[i] for i in rng.permutation(len(dets))])
+    return frames
+
+
+class TestTrackerOracle:
+    @given(detection_runs(), st.integers(0, 5))
+    def test_matches_per_track_oracle(self, frames, max_age):
+        params = CountParams(max_age=max_age)
+        tracker, oracle = SortTracker(params), SortTrackerOracle(params)
+        for dets in frames:
+            tracker.step(dets)
+            oracle.step(dets)
+            assert_trackers_equal(tracker, oracle)
+
+    def test_shrinking_box_clamps_area_velocity(self):
+        """Twice the area velocity outruns the area, and predict zeroes it."""
+        tracker, oracle = SortTracker(), SortTrackerOracle()
+        clamped = 0
+        for w in [40, 30, 20, 12, 6, 2, None, None, None]:
+            clamped += int((tracker.x[:, 2] + tracker.x[:, 6] <= 0).sum())
+            dets = [] if w is None else [Detection(box=(50 - w // 2,) * 2 + (w, w), area=w * w)]
+            tracker.step(dets)
+            oracle.step(dets)
+            assert_trackers_equal(tracker, oracle)
+        assert clamped == 2
+
+    @pytest.mark.parametrize("noise", [8, 12])
+    def test_synthetic_scene_matches(self, noise):
+        script = replace(scene([ltr(30), rtl(120)], duration=9), noise=noise)
+        model = BackgroundModel(324, 182)
+        tracker, oracle = SortTracker(), SortTrackerOracle()
+        matched = 0
+        for frame in scene_frames(script, seed=5):
+            dets = extract_detections(model.update(frame))
+            tracker.step(dets)
+            oracle.step(dets)
+            assert_trackers_equal(tracker, oracle)
+            matched += sum(t.misses == 0 and t.hits > 1 for t in tracker.tracks)
+        assert matched > 0
+
 
 class TestCrossings:
     line = CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0))
@@ -478,10 +678,24 @@ class TestCrossings:
 
     @pytest.mark.parametrize("p1, p2", [((math.nan, 0.0), (math.nan, 182.0)),
                                         ((0.0, math.inf), (8.0, 6.0)),
-                                        ((0.0, 0.0), (-math.inf, 6.0))])
+                                        ((0.0, 0.0), (-math.inf, 6.0)),
+                                        ((1e308, 0.0), (-1e308, 182.0)),
+                                        ((0.0, 0.0), (1e308, 1e308))])
     def test_non_finite_endpoint_rejected(self, p1, p2):
         with pytest.raises(DataError, match="finite"):
             CountLine(p1=p1, p2=p2)
+
+    coord = st.floats(-MAX_LINE_COORD, MAX_LINE_COORD)
+    pixel = st.floats(0, 65535)
+
+    # The largest |side()|: a direction of 2e150 along one axis, and the point
+    # at the far edge of the frame range on the other.
+    @example((-MAX_LINE_COORD, -MAX_LINE_COORD, MAX_LINE_COORD, -MAX_LINE_COORD), (0, 65535))
+    @example((MAX_LINE_COORD, MAX_LINE_COORD, MAX_LINE_COORD, -MAX_LINE_COORD), (0, 0))
+    @given(st.tuples(coord, coord, coord, coord), st.tuples(pixel, pixel))
+    def test_side_finite_within_bound(self, ends, p):
+        assume(ends[:2] != ends[2:])
+        assert math.isfinite(CountLine(p1=ends[:2], p2=ends[2:]).side(p))
 
 
 # Small integer grids around the line hit proper crossings, touches and
@@ -550,6 +764,21 @@ class TestSceneCounting:
         start = datetime(9999, 12, 31, 23, 59, 30, tzinfo=UTC)
         with pytest.raises(DataError, match=r"9999-12-31T23:59:30Z.* 60 s"):
             count_frames(frames, LINE_324, start=start, fps=1)
+
+    def test_video_start_too_late_fails_before_reading(self, tmp_path, monkeypatch):
+        path = tmp_path / "minute.fseq"
+        write_fseq(path, np.zeros((60, 6, 8), dtype=np.uint8), fps=1)
+        drawn = []
+
+        def spy(p):
+            info, frames = iter_fseq_frames(p)
+            return info, (drawn.append(k) or frame for k, frame in enumerate(frames))
+
+        monkeypatch.setattr(traffic_count, "iter_fseq_frames", spy)
+        start = datetime(9999, 12, 31, 23, 59, 30, tzinfo=UTC)
+        with pytest.raises(DataError, match=r"9999-12-31T23:59:30Z.* 60 s"):
+            count_video(path, LINE_324, start=start)
+        assert drawn == []
 
     def test_hour_bucketing(self):
         start = datetime(2022, 7, 1, 15, 59, 0, tzinfo=UTC)
