@@ -62,6 +62,14 @@ def _read_input(path: str) -> Path:
     return p
 
 
+def _utc_option(flag: str, text: str) -> datetime:
+    try:
+        return parse_utc(text)
+    except ValueError:
+        raise DataError(f"{flag} must be a UTC time like 2022-07-01T16:00:00Z "
+                        f"(got {text!r})") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -133,7 +141,7 @@ def cmd_store_get(args: argparse.Namespace) -> int:
 
 def cmd_store_tier_sweep(args: argparse.Namespace) -> int:
     store = BlobStore(FilesystemBackend(_store_root(args.root)))
-    now = parse_utc(args.now) if args.now else datetime.now(tz=UTC)
+    now = _utc_option("--now", args.now) if args.now else datetime.now(tz=UTC)
     archive_after = timedelta(seconds=parse_duration(args.archive_after))
     moved = store.apply_tier_policy(args.node, archive_after=archive_after, now=now)
     lines = [ref.key for ref in moved]
@@ -180,7 +188,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         raise DataError(f"--line must be x1,y1,x2,y2 (got {args.line!r})") from None
     line = CountLine(p1=(x1, y1), p2=(x2, y2))
     params = CountParams(min_area=args.min_area)
-    start = parse_utc(args.start) if args.start else None
+    start = _utc_option("--start", args.start) if args.start else None
     counts = count_video(_read_input(args.infile), line, params=params, start=start)
     rows = ["hour_start,count_up,count_down,count_total"]
     rows += [f"{format_utc(h)},{u},{d},{u + d}"

@@ -141,6 +141,15 @@ def daily_csv_name(node_id: str, day: date) -> str:
     return f"{node_id}_{day.isoformat()}.csv"
 
 
+def _parse_csv_name(name: str) -> tuple[str, date] | None:
+    """The node id and day of a daily CSV file name, or None for any other name."""
+    m = _CSV_NAME_RE.match(name)
+    try:
+        return (m.group("node"), date.fromisoformat(m.group("day"))) if m else None
+    except ValueError:  # a well-formed name with an impossible date, such as 2022-13-45
+        return None
+
+
 def marker_path(path: Path) -> Path:
     return path.with_name(path.name + MARKER_SUFFIX)
 
@@ -150,12 +159,20 @@ def write_marker(path: Path, confirmed_at: datetime) -> None:
 
 
 def read_marker(path: Path) -> datetime | None:
+    """The confirmation time, or None when the marker is missing or unreadable.
+
+    A marker cut short mid-write counts as missing, so the file is uploaded
+    again and gets a fresh marker.
+    """
     mp = marker_path(path)
     if not mp.is_file():
         return None
-    for line in mp.read_text().splitlines():
-        if line.startswith("confirmed_at="):
-            return parse_utc(line.split("=", 1)[1].strip())
+    try:
+        for line in mp.read_text().splitlines():
+            if line.startswith("confirmed_at="):
+                return parse_utc(line.split("=", 1)[1].strip())
+    except ValueError as exc:
+        log.warning("ignoring unreadable upload marker %s: %s", mp, exc)
     return None
 
 
@@ -164,8 +181,9 @@ def retention_sweep(buffer_dir: str | Path, now: datetime,
     """Delete confirmed files older than the retention window.
 
     Files without a confirmation marker are never touched, whatever their
-    age: local storage is the upload buffer. Per-file delete failures are
-    logged and left for the next sweep.
+    age: local storage is the upload buffer. A daily CSV is also kept until
+    ``now`` is past its UTC day, since a restart that day appends to it.
+    Per-file delete failures are logged and left for the next sweep.
     """
     now = as_utc(now)
     deleted: list[Path] = []
@@ -176,7 +194,8 @@ def retention_sweep(buffer_dir: str | Path, now: datetime,
         if path.is_dir() or path.name.endswith(MARKER_SUFFIX) or path.name.endswith(PART_SUFFIX):
             continue
         confirmed_at = read_marker(path)
-        if confirmed_at is None:
+        csv = _parse_csv_name(path.name)
+        if confirmed_at is None or (csv is not None and csv[1] >= now.date()):
             continue
         if (now - confirmed_at).total_seconds() > retention_s:
             try:
@@ -202,8 +221,8 @@ def scan_unconfirmed(buffer_dir: Path, node_id: str, today: date) -> list[tuple[
         if path.suffix == ".fseq":
             found.append((path, "video"))
         else:
-            m = _CSV_NAME_RE.match(path.name)
-            if m and m.group("node") == node_id and date.fromisoformat(m.group("day")) < today:
+            csv = _parse_csv_name(path.name)
+            if csv is not None and csv[0] == node_id and csv[1] < today:
                 found.append((path, "csv"))
     return found
 
@@ -287,7 +306,11 @@ class SessionSummary:
 
 
 class _CsvSink:
-    """Appends rows to the current UTC day's CSV, rotating at midnight."""
+    """Appends rows to the current UTC day's CSV, rotating at midnight.
+
+    Opening a day's file removes its upload marker: the rows appended after a
+    same-day restart are not in the store yet.
+    """
 
     def __init__(self, node_id: str, buffer_dir: Path):
         self.node_id = node_id
@@ -305,6 +328,7 @@ class _CsvSink:
             self.day = day
             self.path = self.buffer_dir / daily_csv_name(self.node_id, day)
             self._fh = open(self.path, "a")
+            marker_path(self.path).unlink(missing_ok=True)
         self._fh.write(sample_to_csv_row(sample) + "\n")
         return sealed
 

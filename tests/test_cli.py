@@ -59,6 +59,8 @@ def write_inputs(d):
     "count --in {d}/minute.fseq --line 0,inf,8,6",
     "count --in {d}/minute.fseq --line 1e308,0,-1e308,182",
     "count --in {d}/minute.fseq --line 0,0,8,6 --start 9999-12-31T23:59:30Z",
+    "count --in {d}/minute.fseq --line 0,0,8,6 --start nope",
+    "store tier-sweep --root {d}/store --node node-a --archive-after 1d --now nope",
     "node run --config {d}/node.conf --duration 1s --accel 0",
     "node run --config {d}/node.conf --duration 1s --accel inf",
     "node run --config {d}/node.conf --duration 1s --accel 1e308",

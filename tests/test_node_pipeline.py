@@ -3,6 +3,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aerotrace import node_pipeline
 from aerotrace.blob_store import BlobRef, BlobStore, FilesystemBackend
@@ -90,6 +92,23 @@ class BackwardsWindowClock:
         self.inner.sleep_until(when)
 
 
+class ScheduleClock:
+    """Never waits: ``now()`` is the latest time slept until, so a session's
+    clock stays within the day it was scheduled in."""
+
+    def __init__(self, start):
+        self.t = start
+
+    def now(self):
+        return self.t
+
+    def sleep(self, seconds):
+        pass
+
+    def sleep_until(self, when):
+        self.t = max(self.t, when)
+
+
 class TestDurations:
     def test_units(self):
         assert parse_duration("10s") == 10.0
@@ -162,6 +181,46 @@ class TestRetentionSweep:
     def test_empty_dir(self, tmp_path):
         assert retention_sweep(tmp_path, T0, retention_s=10) == []
 
+    def test_daily_csv_kept_until_its_day_ends(self, tmp_path):
+        f = tmp_path / daily_csv_name("node-a", T0.date())
+        f.write_text("row\n")
+        write_marker(f, T0)
+        last_second = datetime(2022, 7, 1, 23, 59, 59, tzinfo=UTC)
+        assert retention_sweep(tmp_path, last_second, retention_s=0) == []
+        assert retention_sweep(tmp_path, last_second + timedelta(seconds=1), retention_s=0) == [f]
+
+
+class TestMarkers:
+    def test_truncated_marker_is_uploaded_again(self, tmp_path, caplog):
+        config = make_config(tmp_path)
+        config.buffer_dir.mkdir()
+        chunk = config.buffer_dir / "node-a_20220701_150000.fseq"
+        chunk.write_bytes(b"v")
+        marker_path(chunk).write_text("confirmed_at=2022-07-0")
+        clock = ScheduleClock(T0)
+        summary = run(config, clock, make_store(clock, tmp_path), 0)
+        assert summary.uploads_confirmed == 1
+        assert read_marker(chunk) == T0
+        assert "unreadable upload marker" in caplog.text
+
+    def test_reopened_daily_csv_loses_its_marker(self, tmp_path):
+        f = tmp_path / daily_csv_name("node-a", T0.date())
+        f.write_text("row\n")
+        write_marker(f, T0)
+        sink = node_pipeline._CsvSink("node-a", tmp_path)
+        sink.write(synthetic_sample_source(0)(T0))
+        assert sink.seal() == f
+        assert read_marker(f) is None and len(f.read_text().splitlines()) == 2
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.text(), st.text().map("confirmed_at=".__add__),
+                     st.integers(0, 34).map(lambda n: "confirmed_at=2022-07-01T16:00:00Z\n"[:n])))
+    def test_read_marker_never_raises(self, tmp_path, text):
+        f = tmp_path / "x.fseq"
+        marker_path(f).write_bytes(text.encode("utf-8", "surrogatepass"))
+        confirmed_at = read_marker(f)
+        assert confirmed_at is None or confirmed_at.tzinfo is not None
+
 
 class TestRestartScan:
     def test_sealed_unconfirmed_found(self, tmp_path):
@@ -178,6 +237,10 @@ class TestRestartScan:
         write_marker(confirmed, T0)
         found = scan_unconfirmed(tmp_path, "node-a", today=T0.date())
         assert sorted(found) == sorted([(video, "video"), (old_csv, "csv")])
+
+    def test_impossible_csv_date_ignored(self, tmp_path):
+        (tmp_path / "node-a_2022-13-45.csv").write_text("row\n")
+        assert scan_unconfirmed(tmp_path, "node-a", today=T0.date()) == []
 
 
 class TestRunNode:
@@ -268,6 +331,21 @@ class TestRunNode:
         deleted = retention_sweep(config.buffer_dir, T0 + timedelta(days=3650),
                                   retention_s=config.retention_s)
         assert deleted == []
+
+    def test_same_day_restart_keeps_both_sessions_rows(self, tmp_path):
+        """The second session appends to the first one's CSV; sweeps every 10 s
+        must leave it on disk, and its upload must hold both sessions' rows."""
+        for hour in (10, 11):
+            start = datetime(2022, 7, 1, hour, tzinfo=UTC)
+            clock = ScheduleClock(start)
+            store = make_store(clock, tmp_path)
+            config = make_config(tmp_path, start_time=start, retention_s=0.0,
+                                 video_chunk_len_s=10)
+            assert run(config, clock, store, 60).uploads_failed == 0
+        got = tmp_path / "got.csv"
+        store.download(BlobRef("node-a", "csv/node-a_2022-07-01.csv"), got)
+        hours = [parse_csv_row(row).timestamp.hour for row in got.read_text().splitlines()]
+        assert hours == [10] * 6 + [11] * 6
 
     def test_restart_rescans_and_dedupes(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)

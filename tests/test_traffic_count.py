@@ -144,6 +144,19 @@ class TestBackgroundModelOracle:
         assert_matches_oracle(BackgroundModel(w, h, threshold, min_stability),
                               BackgroundModelOracle(w, h, threshold, min_stability), frames)
 
+    # 6 bytes on a 3-wide frame make strips of 2, 2 and 1 rows; 1 byte makes
+    # one row per strip.
+    @given(frame_runs(), st.integers(1, 40), st.integers(0, 60), st.integers(1, 8))
+    @example((5, 3, [np.full((5, 3), 40, np.uint8)] * 3 + [np.full((5, 3), 90, np.uint8)] * 3),
+             6, 16, 2)
+    @example((4, 2, [np.arange(8, dtype=np.uint8).reshape(4, 2) * 30] * 3), 1, 0, 2)
+    def test_strips_match_where_oracle(self, run, strip_bytes, threshold, min_stability):
+        h, w, frames = run
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traffic_count, "_STRIP_BYTES", strip_bytes)
+            model = BackgroundModel(w, h, threshold, min_stability)
+        assert_matches_oracle(model, BackgroundModelOracle(w, h, threshold, min_stability), frames)
+
     def test_counter_saturates_without_wrapping(self):
         """Past 256 constant frames a wrapping uint8 counter would restart; the
         level step is then flooded for exactly 255 frames, as the oracle's is."""
@@ -292,6 +305,10 @@ class TestPerFrameMemory:
         for frame in frames[:2]:
             model.update(frame)
         assert traced_peak(model.update, frames[2]) < 2 << 20
+
+    def test_background_scratch_holds_one_strip(self):
+        """The model's four state planes plus strip-sized scratch, not full-frame scratch."""
+        assert traced_peak(BackgroundModel, 1296, 730) < 4 * 1296 * 730 + (1 << 20)
 
     def test_detections_label_only_the_bands(self):
         mask = np.zeros((730, 1296), dtype=bool)
