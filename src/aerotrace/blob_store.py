@@ -1,4 +1,4 @@
-"""Per-node blob storage: addressing, retried file upload, tiering, cost model.
+"""Per-node blob storage: addressing, retried file upload, tiering.
 
 Each monitoring node owns one container named after it; every object the node
 produces lands in that container under a ``video/`` or ``csv/`` key. One
@@ -27,9 +27,6 @@ TIER_COOL = "cool"
 TIER_ARCHIVE = "archive"
 
 NODE_ID_RE = re.compile(r"^[a-z0-9-]{1,63}$")
-
-GB = 10 ** 9
-DAYS_PER_MONTH = 30
 
 MAX_ATTEMPTS = 5
 BACKOFF_BASE_S = 5.0
@@ -249,10 +246,6 @@ class BlobStore:
             raise ArchivedObject(f"{ref.container}/{ref.key} is archived; rehydrate first")
         self.backend.get(ref.container, ref.key, dst)
 
-    def rehydrate(self, ref: BlobRef) -> None:
-        """Test hook: flip an archived object back to the cool tier."""
-        self.backend.set_tier(ref.container, ref.key, TIER_COOL)
-
     def list_node_objects(self, node_id: str) -> list[ObjectInfo]:
         validate_node_id(node_id)
         return self.backend.list_objects(node_id)
@@ -270,15 +263,3 @@ class BlobStore:
                 moved.append(BlobRef(container=node_id, key=obj.key, tier=TIER_ARCHIVE))
         return moved
 
-
-def estimate_storage_cost(daily_bytes: float, days: int, rate_per_gb_month: float) -> float:
-    """Cumulative storage cost of data accumulating at a constant daily rate.
-
-    Day d stores d*daily_bytes, so the daily fee grows linearly and the
-    cumulative cost quadratically: rate * daily_gb * days*(days+1)/2 / 30,
-    with decimal GB and 30-day months.
-    """
-    if daily_bytes < 0 or days < 0 or rate_per_gb_month < 0:
-        raise DataError("cost inputs must be non-negative")
-    gb_days = (daily_bytes / GB) * days * (days + 1) / 2
-    return rate_per_gb_month * gb_days / DAYS_PER_MONTH

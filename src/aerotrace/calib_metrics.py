@@ -3,13 +3,14 @@ moving average, MAPE, RMSE, trend/cycle decomposition, and the combined report
 used to judge a low-cost sensor against a reference instrument."""
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from datetime import timedelta
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .errors import DataError, EmptyInput, SeriesTooShort
 from .series import TimeSeries, bucket_resample
@@ -91,16 +92,6 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
         path.append((i, j))
     path.reverse()
     return float(D[n - 1, m - 1]), path
-
-
-def validate_warp_path(path: WarpPath, n: int, m: int) -> None:
-    """Check boundary, monotonicity, and single-step continuity; raises DataError."""
-    if not path or path[0] != (0, 0) or path[-1] != (n - 1, m - 1):
-        raise DataError(f"path must run (0,0) -> ({n - 1},{m - 1})")
-    for (i0, j0), (i1, j1) in zip(path, path[1:]):
-        di, dj = i1 - i0, j1 - j0
-        if (di, dj) not in ((1, 0), (0, 1), (1, 1)):
-            raise DataError(f"illegal step ({i0},{j0}) -> ({i1},{j1})")
 
 
 def warp_onto_reference(test: Sequence[float], path: WarpPath, n_ref: int) -> np.ndarray:
@@ -190,7 +181,14 @@ def hp_filter(values: Sequence[float], lam: float = 1600.0) -> tuple[np.ndarray,
     eye = sparse.eye(n, format="csc")
     data = np.repeat([[1.0], [-2.0], [1.0]], n, axis=1)
     D = sparse.dia_matrix((data, [0, 1, 2]), shape=(n - 2, n)).tocsc()
-    trend = spsolve(eye + lam * (D.T @ D), y)
+    with warnings.catch_warnings():
+        # A lambda too large for float64 overflows lam * D'D or rounds the
+        # system to a singular one; the check below reports it instead.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore", MatrixRankWarning)
+        trend = spsolve(eye + lam * (D.T @ D), y)
+    if not np.isfinite(trend).all():
+        raise NonPositiveLambda(f"lambda={lam:g} is too large: no finite trend for {n} points")
     return trend, y - trend
 
 

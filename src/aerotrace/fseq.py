@@ -143,13 +143,6 @@ def iter_fseq_frames(path: str | Path) -> tuple[FseqInfo, Iterator[np.ndarray]]:
     return info, gen()
 
 
-def read_fseq(path: str | Path) -> tuple[FseqInfo, np.ndarray]:
-    info, frames = iter_fseq_frames(path)
-    stack = np.stack(list(frames)) if info.frame_count else np.zeros(
-        (0, info.height, info.width), dtype=np.uint8)
-    return info, stack
-
-
 def chunk_filename(node_id: str, start: datetime) -> str:
     return f"{node_id}_{start.strftime('%Y%m%d_%H%M%S')}.fseq"
 

@@ -52,7 +52,11 @@ def parse_duration(text: str) -> float:
     m = _DURATION_RE.match(text)
     if not m:
         raise DataError(f"cannot parse duration {text!r}")
-    return float(m.group(1)) * _DURATION_UNITS[m.group(2)]
+    seconds = float(m.group(1)) * _DURATION_UNITS[m.group(2)]
+    # The float nearest timedelta.max already overflows timedelta().
+    if not seconds < timedelta.max.total_seconds():
+        raise DataError(f"duration {text!r} is longer than {timedelta.max.days} days")
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ class NodeConfig:
             raise DataError("sample_interval must be a whole number of seconds")
         if self.video_chunk_len_s < 1 or self.video_chunk_len_s != int(self.video_chunk_len_s):
             raise DataError("video_chunk_len must be a positive whole number of seconds")
+        object.__setattr__(self, "video_chunk_len_s", int(self.video_chunk_len_s))
         if not 1 <= self.video_fps <= 255:
             raise DataError("video_fps must be in [1, 255]")
         if self.frame_width < 1 or self.frame_height < 1:
@@ -129,8 +134,6 @@ def parse_node_config(path: str | Path) -> NodeConfig:
         except (ValueError, DataError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
         values[_KEY_TO_FIELD.get(key, key)] = value
-    if "video_chunk_len_s" in values:
-        values["video_chunk_len_s"] = int(values["video_chunk_len_s"])
     try:
         return NodeConfig(**values)
     except TypeError as exc:
@@ -401,7 +404,16 @@ def run_node(config: NodeConfig,
     # Lagging deadlines are simply caught up, so a start slightly behind the
     # clock is harmless and keeps sample timestamps on whole seconds.
     start = config.start_time or as_utc(clock.now()).replace(microsecond=0)
-    end = start + duration
+    sample_dt = timedelta(seconds=config.sample_interval_s)
+    frame_dt = timedelta(microseconds=round(1e6 / config.video_fps))
+    sweep_dt = timedelta(seconds=config.video_chunk_len_s)
+    try:
+        end = start + duration
+        # Each cadence can step once past the end before the loop stops.
+        end + max(sample_dt, frame_dt, sweep_dt)
+    except OverflowError:
+        raise DataError(f"a {duration} session from {format_utc(start)} and its next "
+                        "sample, frame and sweep run past year 9999") from None
     worker = UploadWorker(store, config.node_id, capacity=queue_capacity)
 
     def enqueue(path: Path | None, kind: str) -> None:
@@ -418,12 +430,9 @@ def run_node(config: NodeConfig,
 
     csv_sink = _CsvSink(config.node_id, buffer_dir)
     chunk_sink = _ChunkSink(config)
-    sample_dt = timedelta(seconds=config.sample_interval_s)
-    frame_dt = timedelta(microseconds=round(1e6 / config.video_fps))
     next_sample = start
     next_frame = start
     prev_wall: datetime | None = None
-    sweep_dt = timedelta(seconds=config.video_chunk_len_s)
     next_sweep = start + sweep_dt
 
     try:

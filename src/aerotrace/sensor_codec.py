@@ -1,14 +1,6 @@
-"""Codec for the particulate sensor's 32-byte binary frame and the node CSV row format.
+"""Sensor readings and the node CSV row format.
 
-Frame layout (all multi-byte fields big-endian), 32 bytes total:
-
-    offset  size  field
-    ------  ----  -----
-    0       1     start byte 0x42
-    1       1     start byte 0x4D
-    2       2     payload length, always 28 (13 data words + 2 checksum bytes)
-    4       26    13 unsigned 16-bit data words (see Pms7003Frame field order)
-    30      2     checksum: unsigned sum of bytes 0..29, mod 65536
+The PM sensor's serial frame is specified in the Plantower PMS7003 datasheet.
 
 The CSV row format is ``timestamp,pm1_0,pm2_5,pm10,temp_c,rh_pct,pressure_hpa``
 with the timestamp in ISO-8601 UTC (``Z`` suffix, whole seconds), PM values as
@@ -17,8 +9,7 @@ names after the timestamp are ``CSV_FIELDS``.
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -26,50 +17,7 @@ import numpy as np
 from .errors import DataError
 from .series import UTC, as_utc, format_utc, parse_columns, parse_utc
 
-START_BYTE_0 = 0x42
-START_BYTE_1 = 0x4D
-FRAME_LEN = 32
-PAYLOAD_LEN = 28
-
 CSV_FIELDS = ("pm1_0", "pm2_5", "pm10", "temp_c", "rh_pct", "pressure_hpa")
-
-_FRAME_STRUCT = struct.Struct(">BBH13HH")
-
-# Word order inside the frame payload.
-_WORD_FIELDS = (
-    "pm1_0_std", "pm2_5_std", "pm10_std",
-    "pm1_0_atm", "pm2_5_atm", "pm10_atm",
-    "count_0_3um", "count_0_5um", "count_1_0um",
-    "count_2_5um", "count_5_0um", "count_10um",
-    "reserved",
-)
-
-
-class FrameError(DataError):
-    """A binary frame failed to decode."""
-
-
-class BadStartBytes(FrameError):
-    def __init__(self, offset: int, value: int):
-        self.offset = offset
-        self.value = value
-        super().__init__(f"bad start byte at offset {offset}: 0x{value:02X}")
-
-
-class BadLength(FrameError):
-    def __init__(self, value: int):
-        self.value = value
-        super().__init__(f"declared payload length {value}, expected {PAYLOAD_LEN}")
-
-
-class ChecksumMismatch(FrameError):
-    def __init__(self, expected: int, actual: int):
-        self.expected = expected
-        self.actual = actual
-        super().__init__(
-            f"checksum mismatch at offset 30: frame says 0x{actual:04X}, "
-            f"computed 0x{expected:04X}"
-        )
 
 
 class CsvRowError(DataError):
@@ -91,39 +39,6 @@ class UnparsableField(CsvRowError):
 class NonUtcTimestamp(CsvRowError):
     def __init__(self, text: str):
         super().__init__(f"timestamp is not UTC: {text!r}")
-
-
-@dataclass(frozen=True)
-class Pms7003Frame:
-    """One decoded particulate frame; all values are unsigned 16-bit.
-
-    ``*_std`` are standard-particle concentrations, ``*_atm`` the atmospheric
-    ones (used downstream), both in ug/m3; the ``count_*`` fields are particle
-    counts per 0.1 L of air.
-    """
-
-    pm1_0_std: int
-    pm2_5_std: int
-    pm10_std: int
-    pm1_0_atm: int
-    pm2_5_atm: int
-    pm10_atm: int
-    count_0_3um: int
-    count_0_5um: int
-    count_1_0um: int
-    count_2_5um: int
-    count_5_0um: int
-    count_10um: int
-    reserved: int = 0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, int) or not 0 <= v <= 0xFFFF:
-                raise DataError(f"{f.name}={v!r} outside unsigned 16-bit range")
-
-    def words(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in _WORD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -160,33 +75,6 @@ class SensorSample:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise DataError(f"{name}={v!r} must be a non-negative integer")
-
-
-def decode_pms7003_frame(data: bytes) -> Pms7003Frame:
-    """Decode a 32-byte frame, verifying start bytes, length word, and checksum."""
-    if len(data) != FRAME_LEN:
-        raise DataError(f"frame must be {FRAME_LEN} bytes, got {len(data)}")
-    if data[0] != START_BYTE_0:
-        raise BadStartBytes(0, data[0])
-    if data[1] != START_BYTE_1:
-        raise BadStartBytes(1, data[1])
-    unpacked = _FRAME_STRUCT.unpack(data)
-    length = unpacked[2]
-    if length != PAYLOAD_LEN:
-        raise BadLength(length)
-    claimed = unpacked[-1]
-    computed = sum(data[:30]) & 0xFFFF
-    if claimed != computed:
-        raise ChecksumMismatch(expected=computed, actual=claimed)
-    words = unpacked[3:16]
-    return Pms7003Frame(**dict(zip(_WORD_FIELDS, words)))
-
-
-def encode_pms7003_frame(frame: Pms7003Frame) -> bytes:
-    """Encode a frame to its 32-byte wire form, computing the checksum."""
-    body = _FRAME_STRUCT.pack(START_BYTE_0, START_BYTE_1, PAYLOAD_LEN, *frame.words(), 0)
-    checksum = sum(body[:30]) & 0xFFFF
-    return body[:30] + struct.pack(">H", checksum)
 
 
 def sample_to_csv_row(sample: SensorSample) -> str:

@@ -62,6 +62,13 @@ class SceneScript:
         return int(round(self.duration_s * self.fps))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DataError(f"{text!r:.24} is not a finite number")
+    return value
+
+
 def parse_scene_script(text: str) -> SceneScript:
     params: dict[str, object] = {}
     objects: list[SceneObject] = []
@@ -69,31 +76,31 @@ def parse_scene_script(text: str) -> SceneScript:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("object "):
-            m = _OBJECT_RE.match(line)
-            if not m:
-                raise DataError(f"scene script line {lineno}: bad object row: {raw!r}")
-            objects.append(SceneObject(
-                name=m.group("name"),
-                width=int(m.group("w")), height=int(m.group("h")),
-                x0=float(m.group("x")), y0=float(m.group("y")),
-                vx=float(m.group("vx")), vy=float(m.group("vy")),
-                intensity=int(m.group("i")),
-            ))
-            continue
-        if "=" not in line:
-            raise DataError(f"scene script line {lineno}: expected key=value: {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
         try:
+            if line.startswith("object "):
+                m = _OBJECT_RE.match(line)
+                if not m:
+                    raise DataError(f"bad object row: {raw!r}")
+                objects.append(SceneObject(
+                    name=m.group("name"),
+                    width=int(m.group("w")), height=int(m.group("h")),
+                    x0=_finite(m.group("x")), y0=_finite(m.group("y")),
+                    vx=_finite(m.group("vx")), vy=_finite(m.group("vy")),
+                    intensity=int(m.group("i")),
+                ))
+                continue
+            if "=" not in line:
+                raise DataError(f"expected key=value: {raw!r}")
+            key, value = (s.strip() for s in line.split("=", 1))
             if key in ("width", "height", "fps", "background", "noise"):
                 params[key] = int(value)
             elif key == "duration":
-                params["duration_s"] = float(value)
+                params["duration_s"] = _finite(value)
             elif key == "start":
                 params["start"] = parse_utc(value)
             else:
-                raise DataError(f"scene script line {lineno}: unknown key {key!r}")
-        except ValueError as exc:
+                raise DataError(f"unknown key {key!r}")
+        except (ValueError, DataError) as exc:
             raise DataError(f"scene script line {lineno}: {exc}") from exc
     return SceneScript(objects=tuple(objects), **params)
 

@@ -406,16 +406,6 @@ def scan_crossings(history: Sequence[tuple[float, float]], line: CountLine,
     return events
 
 
-def count_crossings(history: Sequence[tuple[float, float]],
-                    line: CountLine) -> list[tuple[int, int]]:
-    """Crossing events along a center path as (step index, direction) pairs.
-
-    Each path yields at most one event per direction, so a center dithering
-    across the line cannot inflate the count.
-    """
-    return scan_crossings(history, line, 1, set())
-
-
 # ---------------------------------------------------------------------------
 # Whole-video counting
 
@@ -424,10 +414,6 @@ class HourlyCounts:
     hours: tuple[datetime, ...]
     up: tuple[int, ...]
     down: tuple[int, ...]
-
-    @property
-    def total(self) -> tuple[int, ...]:
-        return tuple(u + d for u, d in zip(self.up, self.down))
 
 
 class VehicleCounter:

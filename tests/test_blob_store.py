@@ -6,8 +6,7 @@ import pytest
 from aerotrace.blob_store import (
     TIER_ARCHIVE, TIER_COOL, ArchivedObject, BackendUnavailable, BlobRef, BlobStore,
     FilesystemBackend, InvalidBlobKey, InvalidNodeId, LocalFileMissing, UploadFailed,
-    UploadJob, estimate_storage_cost)
-from aerotrace.errors import DataError
+    UploadJob)
 
 from conftest import T0, FakeSleeper, FlakyBackend, at
 
@@ -96,7 +95,7 @@ class TestUploadDownload:
         with pytest.raises(BackendUnavailable):
             store.download(BlobRef("node-a", "csv/nope.csv"), tmp_path / "out.csv")
         with pytest.raises(BackendUnavailable):
-            store.rehydrate(BlobRef("node-a", "csv/nope.csv"))
+            store.backend.set_tier("node-a", "csv/nope.csv", TIER_COOL)
 
     def test_container_isolation(self, backend_cls, tmp_path):
         store, _ = make_store(tmp_path, backend_cls(tmp_path / "store"))
@@ -195,27 +194,9 @@ class TestTierPolicy:
         with pytest.raises(ArchivedObject):
             store.download(ref, out)
         assert not out.exists()
-        store.rehydrate(ref)
+        store.backend.set_tier(ref.container, ref.key, TIER_COOL)
         store.download(ref, out)
         assert out.read_bytes() == b"x" * 10
-
-
-class TestCostModel:
-    def test_zero_days(self):
-        assert estimate_storage_cost(30e9, 0, 0.01) == 0.0
-
-    def test_closed_form_30_days(self):
-        r = 0.0152
-        assert estimate_storage_cost(30e9, 30, r) == pytest.approx(465.0 * r, rel=1e-12)
-
-    def test_linearity_in_daily_bytes(self):
-        one = estimate_storage_cost(10e9, 17, 0.02)
-        two = estimate_storage_cost(20e9, 17, 0.02)
-        assert two == pytest.approx(2 * one, rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataError):
-            estimate_storage_cost(-1, 3, 0.1)
 
 
 class TestFilesystemSidecars:

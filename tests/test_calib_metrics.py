@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -12,11 +13,18 @@ from aerotrace import calib_metrics
 from aerotrace.calib_metrics import (
     AllReferenceZero, NonPositiveLambda, NoTemporalOverlap, align_pair,
     calibration_report, dtw, format_report, hp_filter, mape, moving_average, rmse,
-    trend_match_score, validate_warp_path, warp_onto_reference)
+    trend_match_score, warp_onto_reference)
 from aerotrace.errors import DataError, EmptyInput, SeriesTooShort
 from aerotrace.series import TimeSeries
 
 from conftest import T0, at, make_series, same_series
+
+
+def validate_warp_path(path, n, m):
+    """Check boundary, monotonicity, and single-step continuity."""
+    assert path and path[0] == (0, 0) and path[-1] == (n - 1, m - 1)
+    for (i0, j0), (i1, j1) in zip(path, path[1:]):
+        assert (i1 - i0, j1 - j0) in ((1, 0), (0, 1), (1, 1))
 
 
 def enumerate_path_costs(a, b):
@@ -314,6 +322,14 @@ class TestHpFilter:
     def test_non_positive_lambda(self):
         with pytest.raises(NonPositiveLambda):
             hp_filter([1.0, 2.0, 3.0, 4.0], 0.0)
+
+    @pytest.mark.parametrize("n, lam", [(4, 1e16), (4, 1e308), (60, 3e307), (1440, 1e308)])
+    def test_lambda_without_finite_trend_rejected(self, rng, n, lam):
+        # lam * D'D overflows, or I + lam * D'D rounds to a singular matrix.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveLambda, match="no finite trend"):
+                hp_filter(rng.normal(10, 3, size=n), lam)
 
 
 class TestTrendMatch:

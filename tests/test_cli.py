@@ -43,6 +43,20 @@ def write_inputs(d):
     for name, buffer_dir in (("node.conf", d / "buf"), ("blocked.conf", d / "raw.csv")):
         (d / name).write_text(f"node_id=node-a\nbuffer_dir={buffer_dir}\n"
                               f"store_root={d / 'store'}\n")
+    for name, line in (("slow.conf", "sample_interval=3000000d"),
+                       ("long-chunk.conf", "video_chunk_len=3000000d"),
+                       ("late.conf", "start_time=9999-12-31T23:59:00Z")):
+        (d / name).write_text((d / "node.conf").read_text() + line + "\n")
+    for name, line in (("nan.scene", "duration=nan"), ("inf.scene", "duration=inf"),
+                       ("far.scene", f"object car size=4x4 start=1{'0' * 400},5 "
+                                     "velocity=1,0 intensity=200"),
+                       ("fast.scene", f"object car size=4x4 start=0,5 "
+                                      f"velocity=0,1{'0' * 400} intensity=200")):
+        (d / name).write_text(line + "\n")
+
+
+# A duration longer than ``timedelta.max``: 10**30 days.
+HUGE = "1" + "0" * 30 + "d"
 
 
 @pytest.mark.parametrize("argv", [
@@ -64,6 +78,19 @@ def write_inputs(d):
     "node run --config {d}/node.conf --duration 1s --accel 0",
     "node run --config {d}/node.conf --duration 1s --accel inf",
     "node run --config {d}/node.conf --duration 1s --accel 1e308",
+    f"node run --config {{d}}/node.conf --duration {HUGE}",
+    f"store tier-sweep --root {{d}}/store --node node-a --archive-after {HUGE}",
+    f"analyze calibrate --ref {{d}}/ref.csv --test {{d}}/test.csv --window {HUGE}",
+    f"analyze calibrate --ref {{d}}/ref.csv --test {{d}}/test.csv --grid {HUGE}",
+    "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --lambda 1e308",
+    "node run --config {d}/node.conf --duration 3000000d",
+    "node run --config {d}/slow.conf --duration 1s",
+    "node run --config {d}/long-chunk.conf --duration 1s",
+    "node run --config {d}/late.conf --duration 20s",
+    "synth --script {d}/nan.scene --out {d}/nan.fseq",
+    "synth --script {d}/inf.scene --out {d}/inf.fseq",
+    "synth --script {d}/far.scene --out {d}/far.fseq",
+    "synth --script {d}/fast.scene --out {d}/fast.fseq",
 ])
 def test_out_of_range_value_exits_data_error(tmp_path, capsys, argv):
     write_inputs(tmp_path)

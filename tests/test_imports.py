@@ -1,12 +1,14 @@
 """Import hygiene: every module-level import in ``src/aerotrace`` is used by its
-module, importing the CLI leaves ``scipy.optimize`` unloaded, and every name the
-benchmark's tracer wraps still exists."""
+module, every name ``src/aerotrace`` defines is used outside tests, importing the
+CLI leaves ``scipy.optimize`` unloaded, and every name the benchmark's tracer
+wraps still exists."""
 import ast
 import importlib
 import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -46,6 +48,74 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _loaded_names(node: ast.AST):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function, class and
+    constant, and of each non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreferenced_definitions(modules: dict[str, str], users: list[str],
+                             extra_refs: list[str]) -> list[str]:
+    """``module:name`` of each definition in ``modules`` whose name is loaded
+    nowhere outside its own definition: not in ``modules``, not in the
+    ``users`` sources, and not in ``extra_refs``."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    refs = Counter(extra_refs)
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        refs.update(_loaded_names(tree))
+    unused = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            name = qualname.rpartition(".")[2]
+            if name != "__version__" and refs[name] == Counter(_loaded_names(node))[name]:
+                unused.append(f"{module}:{qualname}")
+    return unused
+
+
+def test_unreferenced_detector_flags_only_dead_names():
+    lib = ("__version__ = '1'\nLIMIT = 3\nDEAD = 4\nSELF = SELF_BASE = 1\n"
+           "def used():\n    return LIMIT\n"
+           "def recursive(n):\n    return recursive(n - 1)\n"
+           "class Box:\n    def __len__(self):\n        return 0\n"
+           "    def kept(self):\n        return self.helper()\n"
+           "    def helper(self):\n        return Box\n"
+           "    def traced(self):\n        pass\n"
+           "    def dead(self):\n        self.dead = 1\n")
+    user = ("from lib import Box, used\nused()\nBox().kept()\nSELF_BASE\n"
+            "DEAD = 5\nBox().dead = 2\n")
+    assert unreferenced_definitions({"lib": lib}, [user], ["Box", "traced"]) == [
+        "lib:DEAD", "lib:SELF", "lib:recursive", "lib:Box.dead"]
+
+
+def test_no_test_only_definitions():
+    # A name only tests use is dead weight in the package; move it into the
+    # tests or delete it. The tracer's ``module:attr`` targets count as uses.
+    extra = [part for target, _, _ in _load_tracer().LAYERS
+             for part in target.partition(":")[2].split(".")]
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    users = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced_definitions(modules, users, extra) == []
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # scipy.optimize adds 12-18% to the peak RSS of a `count` run.
     code = "import sys, aerotrace.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
@@ -56,12 +126,17 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert done.stdout.strip() == "[]"
 
 
-def test_tracer_targets_resolve():
-    # perfbench/tracer.py wraps each ``module:attr`` of its LAYERS table; a
-    # refactor that deletes or moves one of them breaks the traced benchmark.
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps each ``module:attr`` of its LAYERS table; a
+    # refactor that deletes or moves one of them breaks the traced benchmark.
+    tracer = _load_tracer()
     missing = []
     for target, _, _ in tracer.LAYERS:
         module_name, _, path = target.partition(":")

@@ -117,10 +117,18 @@ class TestDurations:
         assert parse_duration("2d") == 172800.0
         assert parse_duration("250ms") == 0.25
         assert parse_duration("90") == 90.0
+        assert timedelta(seconds=parse_duration("999999999d")) == timedelta(days=999999999)
 
     def test_garbage_rejected(self):
         with pytest.raises(DataError):
             parse_duration("soon")
+
+    @pytest.mark.parametrize("text", ["999999999999999999999999999999d", "1000000000d",
+                                      "86400000000000",
+                                      pytest.param(f"1{'0' * 400}s", id="400-digit-s")])
+    def test_longer_than_timedelta_rejected(self, text):
+        with pytest.raises(DataError, match="longer than"):
+            parse_duration(text)
 
 
 class TestConfigFile:
@@ -141,9 +149,16 @@ class TestConfigFile:
         config = parse_node_config(path)
         assert config.node_id == "node-a"
         assert config.sample_interval_s == 10.0
-        assert config.video_chunk_len_s == 300
+        assert config.video_chunk_len_s == 300 and type(config.video_chunk_len_s) is int
         assert config.start_time == T0
         assert config.seed == 7
+
+    @pytest.mark.parametrize("value", ["1.5s", "300.9"])
+    def test_fractional_chunk_length_rejected(self, tmp_path, value):
+        path = tmp_path / "node.conf"
+        path.write_text(f"node_id=node-a\nbuffer_dir={tmp_path}\nvideo_chunk_len={value}\n")
+        with pytest.raises(DataError, match="whole number of seconds"):
+            parse_node_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "node.conf"
@@ -274,6 +289,20 @@ class TestRunNode:
             got = tmp_path / "got.bin"
             store.download(BlobRef("node-a", obj.key), got)
             assert got.read_bytes() == local.read_bytes()
+
+    @pytest.mark.parametrize("chunk_s", [3598, 3599])
+    def test_schedule_past_year_9999_rejected_before_the_loop(self, tmp_path, chunk_s):
+        # The schedule runs to the end plus the longest step, here the sweep's:
+        # 23:00:01 + 3598 s fits in year 9999, + 3599 s does not.
+        late = datetime(9999, 12, 31, 23, 0, 0, tzinfo=UTC)
+        config = make_config(tmp_path, start_time=late, video_chunk_len_s=chunk_s)
+        clock = ScheduleClock(late)
+        if chunk_s < 3599:
+            assert run(config, clock, make_store(clock, tmp_path), 1).samples_written == 1
+            return
+        with pytest.raises(DataError, match="past year 9999"):
+            run(config, clock, make_store(clock, tmp_path), 1)
+        assert list(config.buffer_dir.iterdir()) == []
 
     def test_zero_duration(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=1000.0)

@@ -17,7 +17,7 @@ from aerotrace.synth import SceneObject, SceneScript, scene_frames
 from aerotrace.traffic_count import (
     DIR_DOWN, DIR_UP, F_MAT, H_MAT, MAX_LINE_COORD, P0_MAT, Q_MAT, R_MAT, BackgroundModel,
     CountLine, CountParams, Detection, DimensionMismatch, NonFiniteState, SortTracker,
-    boxes_from_states, count_crossings, count_frames, count_video, extract_detections,
+    boxes_from_states, count_frames, count_video, extract_detections,
     iou_matrix, kf_predict, kf_update, scan_crossings, segment_crossing)
 
 UTC = timezone.utc
@@ -665,6 +665,10 @@ class TestTrackerOracle:
         assert matched > 0
 
 
+def count_crossings(path, line):
+    return scan_crossings(path, line, 1, set())
+
+
 class TestCrossings:
     line = CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0))
 
@@ -808,4 +812,4 @@ class TestSceneCounting:
         line = CountLine(p1=(80.0, 0.0), p2=(80.0, 99.0))
         counts = count_frames(scene_frames(script), line, start=start, fps=10)
         assert [h.hour for h in counts.hours] == [15, 16]
-        assert counts.total == (7, 3)
+        assert [u + d for u, d in zip(counts.up, counts.down)] == [7, 3]
