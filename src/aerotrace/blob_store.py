@@ -4,7 +4,7 @@ Each monitoring node owns one container named after it; every object the node
 produces lands in that container under a ``video/`` or ``csv/`` key. One
 backend ships, ``FilesystemBackend``: ``put`` and ``get`` copy local files by
 path, ``put`` stamps an upload time, objects start in the ``cool`` tier, and
-``archive`` objects refuse reads until rehydrated. ``BlobStore`` only calls the
+``archive`` objects cannot be downloaded. ``BlobStore`` only calls the
 backend's methods, so tests substitute fakes that wrap it.
 """
 from __future__ import annotations
@@ -38,7 +38,7 @@ class BackendUnavailable(BackendError):
 
 
 class ArchivedObject(BackendError):
-    """Reads of archive-tier objects are refused until the object is rehydrated."""
+    """Archive-tier objects cannot be downloaded."""
 
 
 class UploadFailed(BackendError):
@@ -243,7 +243,8 @@ class BlobStore:
         """Copy an object to the file ``dst``; archive-tier objects are refused."""
         tier = self.backend.get_tier(ref.container, ref.key)
         if tier == TIER_ARCHIVE:
-            raise ArchivedObject(f"{ref.container}/{ref.key} is archived; rehydrate first")
+            raise ArchivedObject(f"{ref.container}/{ref.key} is archived and cannot be "
+                                 "downloaded")
         self.backend.get(ref.container, ref.key, dst)
 
     def list_node_objects(self, node_id: str) -> list[ObjectInfo]:

@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import spsolve
 
 from .errors import DataError, EmptyInput, SeriesTooShort
 from .series import TimeSeries, bucket_resample
@@ -164,31 +164,40 @@ def rmse(reference: Sequence[float], test: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((b - a) ** 2)))
 
 
+# 1 + 16 * lam bounds the condition number of I + lam * D'D, since 16 bounds
+# the largest eigenvalue of D'D. Past this lam (about 2.8e10) the solve can
+# keep fewer than four significant digits of the trend.
+MAX_LAMBDA = (1e-4 / np.finfo(float).eps - 1) / 16
+
+
 def hp_filter(values: Sequence[float], lam: float = 1600.0) -> tuple[np.ndarray, np.ndarray]:
     """Split a series into a smooth trend and the residual cycle.
 
     The trend minimizes sum((y - tau)^2) + lam * sum(second differences of
     tau squared), solved exactly via the sparse normal equations
-    (I + lam * D'D) tau = y with D the second-difference operator.
-    Returns (trend, cycle) with cycle = y - trend.
+    (I + lam * D'D) tau = y with D the second-difference operator, for
+    0 < lam <= MAX_LAMBDA. Returns (trend, cycle) with cycle = y - trend.
     """
     y = np.asarray(values, dtype=float)
     if y.size < 4:
         raise SeriesTooShort(f"trend filter needs >= 4 points, got {y.size}")
     if not 0 < lam < np.inf:
         raise NonPositiveLambda(f"lambda must be positive and finite, got {lam}")
+    if lam > MAX_LAMBDA:
+        raise NonPositiveLambda(f"lambda={lam:g} is too large: above {MAX_LAMBDA:.3g} "
+                                "the trend is lost to rounding")
     n = y.size
     eye = sparse.eye(n, format="csc")
     data = np.repeat([[1.0], [-2.0], [1.0]], n, axis=1)
     D = sparse.dia_matrix((data, [0, 1, 2]), shape=(n - 2, n)).tocsc()
     with warnings.catch_warnings():
-        # A lambda too large for float64 overflows lam * D'D or rounds the
-        # system to a singular one; the check below reports it instead.
+        # Values near the float64 limit overflow the solve; the check below
+        # reports it instead.
         warnings.simplefilter("ignore", RuntimeWarning)
-        warnings.simplefilter("ignore", MatrixRankWarning)
         trend = spsolve(eye + lam * (D.T @ D), y)
     if not np.isfinite(trend).all():
-        raise NonPositiveLambda(f"lambda={lam:g} is too large: no finite trend for {n} points")
+        raise NonPositiveLambda(f"no finite trend for {n} points at lambda={lam:g}: "
+                                "values too large for float64")
     return trend, y - trend
 
 

@@ -21,6 +21,7 @@ from .series import UTC
 MAGIC = b"FSEQ1"
 _HEADER = struct.Struct("<5sHHBI")
 HEADER_SIZE = _HEADER.size
+MAX_FRAME_COUNT = 0xFFFFFFFF  # the header's u32 frame_count
 
 _CHUNK_NAME_RE = re.compile(r"^(?P<node>[a-z0-9-]{1,63})_(?P<stamp>\d{8}_\d{6})\.fseq$")
 
@@ -76,6 +77,9 @@ class FseqWriter:
 
     def add(self, frame: np.ndarray) -> None:
         arr = _check_frame(frame, self.width, self.height)
+        if self.count >= MAX_FRAME_COUNT:
+            raise DataError(f"{self.path}: the header cannot count more than "
+                            f"{MAX_FRAME_COUNT} frames")
         self._fh.write(np.ascontiguousarray(arr))
         self.count += 1
 

@@ -2,8 +2,8 @@
 
 One logical loop samples the sensor every ``sample_interval`` and appends
 rows to a daily CSV; a second logical loop pulls camera frames and streams
-them into five-minute FSEQ chunks aligned to the hour. Sealed files go to a
-bounded upload queue serviced by a single worker thread, so slow uploads
+them into five-minute FSEQ chunks aligned to the hour. Sealed files go to an
+unbounded upload queue serviced by a single worker thread, so slow uploads
 never stall sampling. A sealed file is deleted only after its upload was
 confirmed and it has outlived the retention window; everything else stays on
 disk and is re-enqueued by the restart scan of the next run.
@@ -18,7 +18,6 @@ import logging
 import queue
 import re
 import threading
-import time
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 
 from .blob_store import BlobRef, BlobStore, UploadJob, validate_node_id
 from .errors import AerotraceError, DataError
-from .fseq import FseqWriter, chunk_filename
+from .fseq import MAX_FRAME_COUNT, FseqWriter, chunk_filename
 from .sensor_codec import SensorSample, sample_to_csv_row
 from .series import as_utc, floor_to, format_utc, parse_utc
 
@@ -86,6 +85,9 @@ class NodeConfig:
         object.__setattr__(self, "video_chunk_len_s", int(self.video_chunk_len_s))
         if not 1 <= self.video_fps <= 255:
             raise DataError("video_fps must be in [1, 255]")
+        if self.video_chunk_len_s * self.video_fps > MAX_FRAME_COUNT:
+            raise DataError(f"a {self.video_chunk_len_s} s chunk at {self.video_fps} fps "
+                            f"needs more than {MAX_FRAME_COUNT} frames")
         if self.frame_width < 1 or self.frame_height < 1:
             raise DataError("frame dimensions must be positive")
 
@@ -233,17 +235,16 @@ def scan_unconfirmed(buffer_dir: Path, node_id: str, today: date) -> list[tuple[
 class UploadWorker:
     """Single consumer thread pushing sealed files into the blob store.
 
-    ``enqueue`` never blocks: a full queue drops the attempt (the file stays
-    on disk for the next restart scan) and duplicate names are ignored. A failed
-    upload, a local ``OSError`` included, is counted and leaves the file unmarked.
+    ``enqueue`` never blocks and ignores duplicate names. The queue is unbounded:
+    it holds paths, whose sealed files on disk bound its length. A failed upload,
+    a local ``OSError`` included, is counted and leaves the file unmarked.
     """
 
-    def __init__(self, store: BlobStore, node_id: str, capacity: int = 64):
+    def __init__(self, store: BlobStore, node_id: str):
         self.store = store
         self.node_id = node_id
-        self.queue: queue.Queue = queue.Queue(maxsize=capacity)
+        self.queue: queue.Queue = queue.Queue()
         self.enqueued = 0
-        self.dropped = 0
         self.confirmed = 0
         self.failed = 0
         self._names: set[str] = set()
@@ -253,12 +254,7 @@ class UploadWorker:
     def enqueue(self, path: Path, kind: str) -> bool:
         if path.name in self._names:
             return False
-        try:
-            self.queue.put_nowait((path, kind))
-        except queue.Full:
-            self.dropped += 1
-            log.error("upload queue full, dropping %s (kept on disk)", path)
-            return False
+        self.queue.put((path, kind))
         self._names.add(path.name)
         self.enqueued += 1
         return True
@@ -283,14 +279,8 @@ class UploadWorker:
 
     def drain(self, timeout_s: float = 600.0) -> None:
         """Finish queued uploads or raise after ``timeout_s``; a dead thread returns at once."""
-        deadline = time.monotonic() + timeout_s
-        while self._thread.is_alive() and time.monotonic() < deadline:
-            try:
-                self.queue.put(None, timeout=0.05)
-                break
-            except queue.Full:
-                continue
-        self._thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        self.queue.put(None)
+        self._thread.join(timeout=timeout_s)
         if self._thread.is_alive():
             raise AerotraceError("upload worker did not drain in time")
 
@@ -302,7 +292,6 @@ class SessionSummary:
     chunks_sealed: int = 0
     csvs_sealed: int = 0
     uploads_enqueued: int = 0
-    uploads_dropped: int = 0
     uploads_confirmed: int = 0
     uploads_failed: int = 0
     files_deleted: int = 0
@@ -345,7 +334,11 @@ class _CsvSink:
 
 
 class _ChunkSink:
-    """Streams frames into hour-aligned fixed-length FSEQ chunks."""
+    """Streams frames into hour-aligned fixed-length FSEQ chunks.
+
+    A chunk whose window's name an earlier session already used in the buffer
+    is named by its first frame's second, so a restart never overwrites one.
+    """
 
     def __init__(self, config: NodeConfig):
         self.config = config
@@ -360,14 +353,22 @@ class _ChunkSink:
         if self.writer is not None and key != self.chunk_start:
             sealed = self.seal()
         if self.writer is None:
-            name = chunk_filename(self.config.node_id, key)
-            self.part_path = self.config.buffer_dir / (name + PART_SUFFIX)
+            self.part_path = self._free_part_path(key, ts)
             self.writer = FseqWriter(self.part_path, width=self.config.frame_width,
                                      height=self.config.frame_height,
                                      fps=self.config.video_fps)
             self.chunk_start = key
         self.writer.add(frame)
         return sealed
+
+    def _free_part_path(self, key: datetime, ts: datetime) -> Path:
+        for start in (key, ts.replace(microsecond=0)):
+            final = self.config.buffer_dir / chunk_filename(self.config.node_id, start)
+            part = final.with_name(final.name + PART_SUFFIX)
+            if not any(p.exists() for p in (final, part, marker_path(final))):
+                return part
+        raise DataError(f"chunk {final.name} is already in the buffer; a replay of an "
+                        "earlier schedule would overwrite it")
 
     def seal(self) -> Path | None:
         if self.writer is None:
@@ -386,8 +387,7 @@ def run_node(config: NodeConfig,
              frame_source: Callable[[datetime], np.ndarray],
              store: BlobStore,
              clock,
-             duration: timedelta,
-             queue_capacity: int = 64) -> SessionSummary:
+             duration: timedelta) -> SessionSummary:
     """Run one node session: sample, chunk, upload, sweep. Returns counters."""
     buffer_dir = Path(config.buffer_dir)
     try:
@@ -414,7 +414,7 @@ def run_node(config: NodeConfig,
     except OverflowError:
         raise DataError(f"a {duration} session from {format_utc(start)} and its next "
                         "sample, frame and sweep run past year 9999") from None
-    worker = UploadWorker(store, config.node_id, capacity=queue_capacity)
+    worker = UploadWorker(store, config.node_id)
 
     def enqueue(path: Path | None, kind: str) -> None:
         if path is None:
@@ -474,7 +474,6 @@ def run_node(config: NodeConfig,
         # Also on a loop error: the worker finishes its queue and its thread ends.
         worker.drain()
     summary.uploads_enqueued = worker.enqueued
-    summary.uploads_dropped = worker.dropped
     summary.uploads_confirmed = worker.confirmed
     summary.uploads_failed = worker.failed
     summary.files_deleted += len(

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError
-from .fseq import FseqInfo, write_fseq
+from .fseq import MAX_FRAME_COUNT, FseqInfo, write_fseq
 from .sensor_codec import EnvReading, SensorSample
 from .series import UTC, parse_utc
 
@@ -56,6 +56,11 @@ class SceneScript:
     noise: int = 0
     start: datetime = datetime.fromtimestamp(0, tz=UTC)
     objects: tuple[SceneObject, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        if not self.duration_s * self.fps <= MAX_FRAME_COUNT:
+            raise DataError(f"a {self.duration_s:g} s scene at {self.fps} fps needs more "
+                            f"than {MAX_FRAME_COUNT} frames")
 
     @property
     def frame_count(self) -> int:

@@ -323,13 +323,20 @@ class TestHpFilter:
         with pytest.raises(NonPositiveLambda):
             hp_filter([1.0, 2.0, 3.0, 4.0], 0.0)
 
-    @pytest.mark.parametrize("n, lam", [(4, 1e16), (4, 1e308), (60, 3e307), (1440, 1e308)])
+    @pytest.mark.parametrize("n, lam", [(4, 1e16), (4, 1e308), (60, 3e307), (1440, 1e308),
+                                        (60, 1e12), (60, 1e15), (60, 1e50)])
     def test_lambda_without_finite_trend_rejected(self, rng, n, lam):
-        # lam * D'D overflows, or I + lam * D'D rounds to a singular matrix.
+        # Past about 2.8e10 the solve keeps too few digits of the trend.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonPositiveLambda, match="no finite trend"):
+            with pytest.raises(NonPositiveLambda, match="is too large"):
                 hp_filter(rng.normal(10, 3, size=n), lam)
+
+    def test_values_without_finite_trend_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveLambda, match="at lambda=1: values too large"):
+                hp_filter([1.7e308, -1.7e308] * 30, 1.0)
 
 
 class TestTrendMatch:

@@ -45,9 +45,12 @@ def write_inputs(d):
                               f"store_root={d / 'store'}\n")
     for name, line in (("slow.conf", "sample_interval=3000000d"),
                        ("long-chunk.conf", "video_chunk_len=3000000d"),
-                       ("late.conf", "start_time=9999-12-31T23:59:00Z")):
+                       ("late.conf", "start_time=9999-12-31T23:59:00Z"),
+                       ("many-frames.conf", "video_chunk_len=20000000\nvideo_fps=255\n"
+                                            "frame_width=8\nframe_height=8")):
         (d / name).write_text((d / "node.conf").read_text() + line + "\n")
     for name, line in (("nan.scene", "duration=nan"), ("inf.scene", "duration=inf"),
+                       ("long.scene", "duration=1e308"),
                        ("far.scene", f"object car size=4x4 start=1{'0' * 400},5 "
                                      "velocity=1,0 intensity=200"),
                        ("fast.scene", f"object car size=4x4 start=0,5 "
@@ -83,12 +86,16 @@ HUGE = "1" + "0" * 30 + "d"
     f"analyze calibrate --ref {{d}}/ref.csv --test {{d}}/test.csv --window {HUGE}",
     f"analyze calibrate --ref {{d}}/ref.csv --test {{d}}/test.csv --grid {HUGE}",
     "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --lambda 1e308",
+    "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --lambda 1e12",
+    "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --lambda 1e50",
     "node run --config {d}/node.conf --duration 3000000d",
     "node run --config {d}/slow.conf --duration 1s",
     "node run --config {d}/long-chunk.conf --duration 1s",
     "node run --config {d}/late.conf --duration 20s",
+    "node run --config {d}/many-frames.conf --duration 1s",
     "synth --script {d}/nan.scene --out {d}/nan.fseq",
     "synth --script {d}/inf.scene --out {d}/inf.fseq",
+    "synth --script {d}/long.scene --out {d}/long.fseq",
     "synth --script {d}/far.scene --out {d}/far.fseq",
     "synth --script {d}/fast.scene --out {d}/fast.fseq",
 ])

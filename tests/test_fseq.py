@@ -9,6 +9,7 @@ from aerotrace.errors import DataError
 from aerotrace.fseq import (
     HEADER_SIZE, CorruptContainer, FseqWriter, chunk_filename, iter_fseq_frames,
     parse_chunk_start, read_fseq_info, write_fseq)
+from aerotrace.synth import SceneScript
 
 UTC = timezone.utc
 
@@ -120,6 +121,24 @@ class TestContainer:
         writer = FseqWriter(tmp_path / "i.fseq", width=4, height=4, fps=1)
         with pytest.raises(DataError):
             writer.add(np.zeros((4, 4), dtype=np.float32))
+
+
+class TestFrameCountLimit:
+    """The header stores the frame count as a u32."""
+
+    def test_writer_refuses_a_frame_past_the_count(self, tmp_path):
+        writer = FseqWriter(tmp_path / "full.fseq", width=4, height=4, fps=1)
+        writer.count = 0xFFFFFFFF  # as if that many frames were written
+        with pytest.raises(DataError, match="frames"):
+            writer.add(np.zeros((4, 4), dtype=np.uint8))
+        writer.count = 0
+        assert writer.close() == 0  # close checks that no frame bytes were written
+
+    def test_scene_past_the_count_rejected(self):
+        assert SceneScript(fps=1, duration_s=0xFFFFFFFF).frame_count == 0xFFFFFFFF
+        for fps, duration in ((1, 0xFFFFFFFF + 1), (10, 5e9), (10, 1e308)):
+            with pytest.raises(DataError, match="frames"):
+                SceneScript(fps=fps, duration_s=duration)
 
 
 class TestChunkNames:

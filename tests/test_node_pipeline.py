@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 from datetime import datetime, timedelta, timezone
 
@@ -10,6 +11,7 @@ from aerotrace import node_pipeline
 from aerotrace.blob_store import BlobRef, BlobStore, FilesystemBackend
 from aerotrace.clocks import AcceleratedClock
 from aerotrace.errors import DataError
+from aerotrace.fseq import chunk_filename, iter_fseq_frames, write_fseq
 from aerotrace.node_pipeline import (
     BufferDirUnwritable, NodeConfig, SessionSummary, UploadWorker, daily_csv_name,
     marker_path, parse_duration, parse_node_config, read_marker, retention_sweep,
@@ -47,10 +49,10 @@ def make_store(clock, tmp_path, backend=None):
     return BlobStore(backend, sleep=clock.sleep, now=clock.now)
 
 
-def run(config, clock, store, duration_s, **kwargs):
+def run(config, clock, store, duration_s):
     return run_node(config, synthetic_sample_source(config.seed),
                     fast_frame_source(config.frame_width, config.frame_height),
-                    store, clock, timedelta(seconds=duration_s), **kwargs)
+                    store, clock, timedelta(seconds=duration_s))
 
 
 class SlowBackend:
@@ -63,6 +65,21 @@ class SlowBackend:
 
     def put(self, container, key, src, uploaded_at):
         self.clock.sleep(self.latency_s)
+        return self.inner.put(container, key, src, uploaded_at)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class GatedBackend:
+    """FilesystemBackend wrapper whose puts wait until ``gate`` is set."""
+
+    def __init__(self, root, gate):
+        self.inner = FilesystemBackend(root)
+        self.gate = gate
+
+    def put(self, container, key, src, uploaded_at):
+        self.gate.wait(timeout=30.0)
         return self.inner.put(container, key, src, uploaded_at)
 
     def __getattr__(self, name):
@@ -160,6 +177,14 @@ class TestConfigFile:
         with pytest.raises(DataError, match="whole number of seconds"):
             parse_node_config(path)
 
+    def test_chunk_frame_count_beyond_u32_rejected(self, tmp_path):
+        # 255 fps for 16843009 s is exactly 0xFFFFFFFF frames, the FSEQ header's limit.
+        NodeConfig(node_id="node-a", buffer_dir=tmp_path, video_chunk_len_s=16843009,
+                   video_fps=255)
+        with pytest.raises(DataError, match="frames"):
+            NodeConfig(node_id="node-a", buffer_dir=tmp_path, video_chunk_len_s=16843010,
+                       video_fps=255)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "node.conf"
         path.write_text("node_id=node-a\nbuffer_dir=/tmp/x\ncolor=blue\n")
@@ -256,6 +281,20 @@ class TestRestartScan:
     def test_impossible_csv_date_ignored(self, tmp_path):
         (tmp_path / "node-a_2022-13-45.csv").write_text("row\n")
         assert scan_unconfirmed(tmp_path, "node-a", today=T0.date()) == []
+
+
+class TestChunkSink:
+    @pytest.mark.parametrize("suffix", ["", ".part", ".uploaded"])
+    def test_taken_window_name_falls_back_to_the_first_frame_second(self, tmp_path, suffix):
+        config = make_config(tmp_path)
+        config.buffer_dir.mkdir()
+        earlier = config.buffer_dir / ("node-a_20220701_160000.fseq" + suffix)
+        earlier.write_bytes(b"earlier session")
+        sink = node_pipeline._ChunkSink(config)
+        ts = T0 + timedelta(minutes=2, microseconds=100000)
+        sink.add(ts, fast_frame_source(config.frame_width, config.frame_height)(ts))
+        assert sink.seal().name == "node-a_20220701_160200.fseq"
+        assert earlier.read_bytes() == b"earlier session"
 
 
 class TestRunNode:
@@ -395,24 +434,70 @@ class TestRunNode:
         summary3 = run(config3, clock3, make_store(clock3, tmp_path), 0)
         assert summary3.uploads_enqueued == 0
 
-    def test_bounded_queue_drops_and_recovers(self, tmp_path):
+    def test_slow_store_confirms_every_file_in_the_same_session(self, tmp_path):
+        # Each put takes 20 chunk lengths, so the session's files wait in the queue.
         clock = AcceleratedClock(start=T0, accel=36000.0)
         config = make_config(tmp_path)
         backend = SlowBackend(tmp_path / "store", clock, latency_s=6000.0)
         store = make_store(clock, tmp_path, backend)
-        summary = run(config, clock, store, 1800, queue_capacity=1)
-        total_jobs = summary.chunks_sealed + summary.csvs_sealed
-        assert total_jobs == 7
-        assert summary.uploads_dropped >= 3
-        assert summary.uploads_enqueued + summary.uploads_dropped == total_jobs
-        assert summary.uploads_confirmed == summary.uploads_enqueued
+        summary = run(config, clock, store, 1800)
+        assert dataclasses.asdict(summary) == dict(
+            samples_written=180, samples_dropped=0, chunks_sealed=6, csvs_sealed=1,
+            uploads_enqueued=7, uploads_confirmed=7, uploads_failed=0, files_deleted=0)
+        assert len(store.list_node_objects("node-a")) == 7
+        sealed = [p for p in config.buffer_dir.iterdir() if not p.name.endswith(".uploaded")]
+        assert len(sealed) == 7 and all(read_marker(p) is not None for p in sealed)
 
-        day2 = datetime(2022, 7, 2, 9, 0, 0, tzinfo=UTC)
-        config2 = make_config(tmp_path, start_time=day2)
-        clock2 = AcceleratedClock(start=day2, accel=40000.0)
-        summary2 = run(config2, clock2, make_store(clock2, tmp_path), 0)
-        assert summary2.uploads_enqueued == summary.uploads_dropped
-        assert summary2.uploads_confirmed == summary.uploads_dropped
+    def test_restart_backlog_larger_than_64_confirms_in_the_first_session(self, tmp_path):
+        """100 sealed chunks of an earlier day are all queued at start, while
+        the store still holds its first put, and all upload in that session."""
+        config = make_config(tmp_path)
+        config.buffer_dir.mkdir()
+        frame = np.zeros((config.frame_height, config.frame_width), dtype=np.uint8)
+        day1 = T0 - timedelta(days=1)
+        backlog = [config.buffer_dir / chunk_filename("node-a", day1 + timedelta(seconds=5 * i))
+                   for i in range(100)]
+        for path in backlog:
+            write_fseq(path, [frame], fps=config.video_fps)
+        gate = threading.Event()
+        frames = fast_frame_source(config.frame_width, config.frame_height)
+
+        def frame_source(ts):
+            gate.set()  # the restart scan has enqueued the whole backlog by now
+            return frames(ts)
+
+        clock = ScheduleClock(T0)
+        store = make_store(clock, tmp_path, GatedBackend(tmp_path / "store", gate))
+        summary = run_node(config, synthetic_sample_source(0), frame_source, store, clock,
+                           timedelta(seconds=10))
+        assert summary.uploads_enqueued == summary.uploads_confirmed == 102
+        assert all(read_marker(path) is not None for path in backlog)
+        assert len(store.list_node_objects("node-a")) == 102
+
+    def test_restart_in_the_same_chunk_window_keeps_both_sessions_frames(self, tmp_path):
+        starts = [T0, T0 + timedelta(minutes=2)]
+        for start in starts:
+            clock = ScheduleClock(start)
+            store = make_store(clock, tmp_path)
+            config = make_config(tmp_path, start_time=start, frame_width=32, frame_height=16)
+            assert run(config, clock, store, 60).uploads_confirmed == 2
+        names = ["node-a_20220701_160000.fseq", "node-a_20220701_160200.fseq"]
+        assert sorted(o.key for o in store.list_node_objects("node-a")
+                      if o.key.startswith("video/")) == [f"video/{n}" for n in names]
+        for name, start in zip(names, starts):
+            got = tmp_path / "got.fseq"
+            store.download(BlobRef("node-a", f"video/{name}"), got)
+            assert got.read_bytes() == (config.buffer_dir / name).read_bytes()
+            info, frames = iter_fseq_frames(got)
+            assert info.frame_count == 600
+            assert next(frames)[0, 0] == int(start.timestamp()) % 256
+
+        # A replay of the second session finds both names taken.
+        before = sorted(config.buffer_dir.iterdir())
+        clock = ScheduleClock(starts[1])
+        with pytest.raises(DataError, match="already in the buffer"):
+            run(config, clock, make_store(clock, tmp_path), 60)
+        assert sorted(config.buffer_dir.iterdir()) == before
 
     def test_clock_regression_drops_sample(self, tmp_path):
         # modest acceleration so the wall-clock window brackets exactly one
@@ -478,14 +563,14 @@ def drain_within(worker, seconds):
 
 
 class TestUploadWorker:
-    def start(self, tmp_path, backend, **kwargs):
+    def start(self, tmp_path, backend):
         clock = AcceleratedClock(start=T0, accel=1000.0)
         store = make_store(clock, tmp_path, backend)
         store.ensure_node_container("node-a")
         paths = [tmp_path / name for name in ("a.fseq", "b.fseq")]
         for path in paths:
             path.write_bytes(b"frames")
-        return UploadWorker(store, "node-a", **kwargs), paths
+        return UploadWorker(store, "node-a"), paths
 
     def test_local_os_error_counts_as_failure_and_keeps_serving(self, tmp_path):
         # an OSError such as a full disk, raised below the retry layer
@@ -501,9 +586,9 @@ class TestUploadWorker:
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_drain_returns_when_thread_is_gone(self, tmp_path):
         backend = FlakyBackend(tmp_path / "store", fail_times=None, error=RuntimeError)
-        worker, (first, second) = self.start(tmp_path, backend, capacity=1)
+        worker, (first, second) = self.start(tmp_path, backend)
         worker.enqueue(first, "video")
         worker._thread.join(timeout=5.0)
         assert not worker._thread.is_alive()
-        assert worker.enqueue(second, "video")  # the queue is now full
+        assert worker.enqueue(second, "video")  # no thread will take it
         assert drain_within(worker, 0.5)
