@@ -37,52 +37,27 @@ class BackendUnavailable(BackendError):
     """The backend did not accept the request; the caller may retry."""
 
 
-class ArchivedObject(BackendError):
-    """Archive-tier objects cannot be downloaded."""
-
-
-class UploadFailed(BackendError):
-    def __init__(self, job: "UploadJob"):
-        self.job = job
-        super().__init__(f"upload of {job.local_path} failed after {job.attempts} attempts")
-
-
-class LocalFileMissing(DataError):
-    pass
-
-
-class InvalidNodeId(DataError):
-    pass
-
-
-class InvalidBlobKey(DataError):
-    pass
-
-
 def validate_node_id(node_id: str) -> str:
     if not NODE_ID_RE.match(node_id):
-        raise InvalidNodeId(f"node id {node_id!r} must match [a-z0-9-]{{1,63}}")
+        raise DataError(f"node id {node_id!r} must match [a-z0-9-]{{1,63}}")
     return node_id
 
 
 @dataclass(frozen=True)
 class BlobRef:
-    """Address of one stored object: container (= node id), key, and tier."""
+    """Address of one stored object: container (= node id) and key."""
 
     container: str
     key: str
-    tier: str = TIER_COOL
 
     def __post_init__(self) -> None:
         validate_node_id(self.container)
         # Keys map onto paths below the container directory, so none may
         # leave it or collide with a backend's ``.meta``/``.tmp`` sidecars.
         if {"", ".", ".."} & set(self.key.split("/")):
-            raise InvalidBlobKey(f"key {self.key!r} has an empty, '.' or '..' segment")
+            raise DataError(f"key {self.key!r} has an empty, '.' or '..' segment")
         if "\\" in self.key or self.key.endswith((".meta", ".tmp")):
-            raise InvalidBlobKey(f"key {self.key!r} has a backslash or a sidecar suffix")
-        if self.tier not in (TIER_COOL, TIER_ARCHIVE):
-            raise DataError(f"unknown tier {self.tier!r}")
+            raise DataError(f"key {self.key!r} has a backslash or a sidecar suffix")
 
 
 @dataclass
@@ -215,12 +190,12 @@ class BlobStore:
         The backend copies the file by path, so its contents are never held in
         memory; the size it stored must then equal the file's size. Backoff
         between attempts is ``BACKOFF_BASE_S * BACKOFF_FACTOR**(attempt-1)``.
-        After ``MAX_ATTEMPTS`` failures UploadFailed is raised; on success the
+        After ``MAX_ATTEMPTS`` failures a BackendError is raised; on success the
         job gets its ``confirmed_at`` stamp.
         """
         path = Path(job.local_path)
         if not path.is_file():
-            raise LocalFileMissing(f"{path} does not exist")
+            raise DataError(f"{path} does not exist")
         delay = BACKOFF_BASE_S
         while True:
             job.attempts += 1
@@ -230,12 +205,14 @@ class BlobStore:
                 log.warning("upload attempt %d for %s failed: %s",
                             job.attempts, job.blob.key, exc)
                 if job.attempts >= MAX_ATTEMPTS:
-                    raise UploadFailed(job) from exc
+                    raise BackendError(f"upload of {job.local_path} failed after "
+                                       f"{job.attempts} attempts") from exc
                 self.sleep(delay)
                 delay *= BACKOFF_FACTOR
                 continue
             if stored != path.stat().st_size:
-                raise UploadFailed(job)
+                raise BackendError(f"upload of {job.local_path} failed after "
+                                   f"{job.attempts} attempts")
             job.confirmed_at = self.now()
             return job
 
@@ -243,8 +220,7 @@ class BlobStore:
         """Copy an object to the file ``dst``; archive-tier objects are refused."""
         tier = self.backend.get_tier(ref.container, ref.key)
         if tier == TIER_ARCHIVE:
-            raise ArchivedObject(f"{ref.container}/{ref.key} is archived and cannot be "
-                                 "downloaded")
+            raise BackendError(f"{ref.container}/{ref.key} is archived and cannot be downloaded")
         self.backend.get(ref.container, ref.key, dst)
 
     def list_node_objects(self, node_id: str) -> list[ObjectInfo]:
@@ -261,6 +237,6 @@ class BlobStore:
                 continue
             if now - obj.uploaded_at > archive_after:
                 self.backend.set_tier(node_id, obj.key, TIER_ARCHIVE)
-                moved.append(BlobRef(container=node_id, key=obj.key, tier=TIER_ARCHIVE))
+                moved.append(BlobRef(container=node_id, key=obj.key))
         return moved
 

@@ -12,22 +12,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .errors import DataError, EmptyInput, SeriesTooShort
+from .errors import DataError
 from .series import TimeSeries, bucket_resample
 
 WarpPath = list[tuple[int, int]]
-
-
-class NonPositiveLambda(DataError):
-    pass
-
-
-class AllReferenceZero(DataError):
-    pass
-
-
-class NoTemporalOverlap(DataError):
-    pass
 
 
 def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpPath]:
@@ -52,7 +40,7 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
     a = np.asarray(reference, dtype=float)
     b = np.asarray(test, dtype=float)
     if a.size == 0 or b.size == 0:
-        raise EmptyInput("dtw needs two non-empty sequences")
+        raise DataError("dtw needs two non-empty sequences")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("dtw needs finite values")
     n, m = a.size, b.size
@@ -112,7 +100,7 @@ def warp_onto_reference(test: Sequence[float], path: WarpPath, n_ref: int) -> np
 def moving_average(series: TimeSeries, window: timedelta = timedelta(minutes=10)) -> TimeSeries:
     """Trailing time-based mean: value at t = mean of points in (t - window, t]."""
     if len(series) == 0:
-        raise EmptyInput("moving_average needs a non-empty series")
+        raise DataError("moving_average needs a non-empty series")
     w = window.total_seconds()
     if w <= 0:
         raise DataError(f"moving-average window must be positive, got {w} s")
@@ -145,11 +133,11 @@ def mape(reference: Sequence[float], test: Sequence[float]) -> MapeResult:
     if a.size != b.size:
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
-        raise EmptyInput("mape needs at least one point")
+        raise DataError("mape needs at least one point")
     usable = a != 0
     skipped = int((~usable).sum())
     if not usable.any():
-        raise AllReferenceZero("every reference value is zero")
+        raise DataError("every reference value is zero")
     pct = float(np.mean(np.abs(b[usable] - a[usable]) / np.abs(a[usable]))) * 100.0
     return MapeResult(pct=pct, skipped=skipped)
 
@@ -160,7 +148,7 @@ def rmse(reference: Sequence[float], test: Sequence[float]) -> float:
     if a.size != b.size:
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
-        raise EmptyInput("rmse needs at least one point")
+        raise DataError("rmse needs at least one point")
     return float(np.sqrt(np.mean((b - a) ** 2)))
 
 
@@ -180,12 +168,12 @@ def hp_filter(values: Sequence[float], lam: float = 1600.0) -> tuple[np.ndarray,
     """
     y = np.asarray(values, dtype=float)
     if y.size < 4:
-        raise SeriesTooShort(f"trend filter needs >= 4 points, got {y.size}")
+        raise DataError(f"trend filter needs >= 4 points, got {y.size}")
     if not 0 < lam < np.inf:
-        raise NonPositiveLambda(f"lambda must be positive and finite, got {lam}")
+        raise DataError(f"lambda must be positive and finite, got {lam}")
     if lam > MAX_LAMBDA:
-        raise NonPositiveLambda(f"lambda={lam:g} is too large: above {MAX_LAMBDA:.3g} "
-                                "the trend is lost to rounding")
+        raise DataError(f"lambda={lam:g} is too large: above {MAX_LAMBDA:.3g} "
+                        "the trend is lost to rounding")
     n = y.size
     eye = sparse.eye(n, format="csc")
     data = np.repeat([[1.0], [-2.0], [1.0]], n, axis=1)
@@ -196,8 +184,8 @@ def hp_filter(values: Sequence[float], lam: float = 1600.0) -> tuple[np.ndarray,
         warnings.simplefilter("ignore", RuntimeWarning)
         trend = spsolve(eye + lam * (D.T @ D), y)
     if not np.isfinite(trend).all():
-        raise NonPositiveLambda(f"no finite trend for {n} points at lambda={lam:g}: "
-                                "values too large for float64")
+        raise DataError(f"no finite trend for {n} points at lambda={lam:g}: "
+                        "values too large for float64")
     return trend, y - trend
 
 
@@ -212,7 +200,7 @@ def trend_match_score(cycle_ref: Sequence[float], cycle_test: Sequence[float]) -
     if a.size != b.size:
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
-        raise EmptyInput("trend_match_score needs at least one point")
+        raise DataError("trend_match_score needs at least one point")
     agree = np.sign(a) * np.sign(b) >= 0
     return float(agree.sum()) / a.size * 100.0
 
@@ -221,13 +209,13 @@ def align_pair(reference: TimeSeries, test: TimeSeries,
                grid_step_s: int = 60) -> tuple[TimeSeries, TimeSeries]:
     """Resample both series onto a shared regular grid restricted to their overlap."""
     if len(reference) < 2 or len(test) < 2:
-        raise SeriesTooShort("alignment needs >= 2 points per series")
+        raise DataError("alignment needs >= 2 points per series")
     ref_g = bucket_resample(reference, grid_step_s)
     test_g = bucket_resample(test, grid_step_s)
     common, ri, ti = np.intersect1d(ref_g.epoch, test_g.epoch, assume_unique=True,
                                     return_indices=True)
     if common.size < 2:
-        raise NoTemporalOverlap("series do not share at least 2 grid buckets")
+        raise DataError("series do not share at least 2 grid buckets")
     return TimeSeries(common, ref_g.values[ri]), TimeSeries(common, test_g.values[ti])
 
 

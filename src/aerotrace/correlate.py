@@ -9,20 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .chart import render_dual_axis_chart
-from .errors import AerotraceError, DataError, SeriesTooShort, TooFewPoints
+from .errors import AerotraceError, DataError
 from .series import HOUR_S, TimeSeries, format_utc, utc_datetime
-
-
-class NoOverlap(DataError):
-    pass
-
-
-class ConstantInput(DataError):
-    pass
-
-
-class OutputUnwritable(AerotraceError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +47,7 @@ def join_hourly(vehicles: TimeSeries, pm25: TimeSeries) -> JoinedSeries:
     common, vi, pi = np.intersect1d(vehicles.epoch, pm25.epoch, assume_unique=True,
                                     return_indices=True)
     if not common.size:
-        raise NoOverlap("the two series share no hours")
+        raise DataError("the two series share no hours")
     return JoinedSeries(epoch=common, vehicles=vehicles.values[vi], pm25=pm25.values[pi])
 
 
@@ -69,9 +57,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if a.size != b.size:
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 3:
-        raise TooFewPoints("pearson needs at least 3 points")
+        raise DataError("pearson needs at least 3 points")
     if a.std() == 0 or b.std() == 0:
-        raise ConstantInput("pearson is undefined for a constant input")
+        raise DataError("pearson is undefined for a constant input")
     return float(np.corrcoef(a, b)[0, 1])
 
 
@@ -100,7 +88,7 @@ def lagged_cross_correlation(joined: JoinedSeries, max_lag: int = 6) -> LagScanR
     if max_lag < 0:
         raise DataError(f"max_lag must be non-negative, got {max_lag}")
     if n <= max_lag + 3:
-        raise SeriesTooShort(f"need more than {max_lag + 3} joined hours, have {n}")
+        raise DataError(f"need more than {max_lag + 3} joined hours, have {n}")
     results = []
     for k in range(max_lag + 1):
         r = pearson(joined.vehicles[:n - k], joined.pm25[k:])
@@ -141,5 +129,5 @@ def emit_report(joined: JoinedSeries, lags: Sequence[LagCorrelation],
             lag_path.write_text("\n".join(rows) + "\n")
             written.append(lag_path)
     except OSError as exc:
-        raise OutputUnwritable(f"cannot write report under {out}: {exc}") from exc
+        raise AerotraceError(f"cannot write report under {out}: {exc}") from exc
     return written

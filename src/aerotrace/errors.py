@@ -2,6 +2,11 @@
 
 The CLI maps these to exit codes: usage problems exit 1, ``BackendError``
 exits 3, and ``DataError`` or any other package error exits 2.
+
+There is one class per CLI outcome. A subclass exists only where ``src/``
+catches it by name: ``blob_store.BackendUnavailable``, which the upload retry
+tells apart from other backend errors. Every other error raises one of these
+three classes, and its message says what went wrong.
 """
 
 
@@ -15,15 +20,3 @@ class DataError(AerotraceError):
 
 class BackendError(AerotraceError):
     """A storage backend is unreachable or refused the operation."""
-
-
-class EmptyInput(DataError):
-    """An operation that needs at least one point received none."""
-
-
-class TooFewPoints(DataError):
-    """An operation received fewer points than its minimum."""
-
-
-class SeriesTooShort(DataError):
-    """A series is shorter than the operation requires."""

@@ -26,14 +26,6 @@ MAX_FRAME_COUNT = 0xFFFFFFFF  # the header's u32 frame_count
 _CHUNK_NAME_RE = re.compile(r"^(?P<node>[a-z0-9-]{1,63})_(?P<stamp>\d{8}_\d{6})\.fseq$")
 
 
-class CorruptContainer(DataError):
-    """The container failed structural validation."""
-
-
-class ShortWrite(AerotraceError):
-    """Fewer bytes reached disk than the container requires."""
-
-
 @dataclass(frozen=True)
 class FseqInfo:
     width: int
@@ -91,7 +83,7 @@ class FseqWriter:
         expected = HEADER_SIZE + self.count * self.width * self.height
         actual = self.path.stat().st_size
         if actual != expected:
-            raise ShortWrite(f"{self.path}: wrote {actual} bytes, expected {expected}")
+            raise AerotraceError(f"{self.path}: wrote {actual} bytes, expected {expected}")
         return self.count
 
 
@@ -115,16 +107,16 @@ def read_fseq_info(path: str | Path) -> FseqInfo:
     path = Path(path)
     size = path.stat().st_size
     if size < HEADER_SIZE:
-        raise CorruptContainer(f"{path}: {size} bytes is smaller than the header")
+        raise DataError(f"{path}: {size} bytes is smaller than the header")
     with open(path, "rb") as fh:
         magic, width, height, fps, count = _HEADER.unpack(fh.read(HEADER_SIZE))
     if magic != MAGIC:
-        raise CorruptContainer(f"{path}: bad magic {magic!r}")
+        raise DataError(f"{path}: bad magic {magic!r}")
     if width < 1 or height < 1 or fps < 1:
-        raise CorruptContainer(f"{path}: invalid dimensions {width}x{height}@{fps}")
+        raise DataError(f"{path}: invalid dimensions {width}x{height}@{fps}")
     info = FseqInfo(width=width, height=height, fps=fps, frame_count=count)
     if size != HEADER_SIZE + info.payload_bytes:
-        raise CorruptContainer(
+        raise DataError(
             f"{path}: payload is {size - HEADER_SIZE} bytes, header implies {info.payload_bytes}"
         )
     return info
@@ -140,7 +132,7 @@ def iter_fseq_frames(path: str | Path) -> tuple[FseqInfo, Iterator[np.ndarray]]:
             for index in range(info.frame_count):
                 raw = fh.read(info.frame_bytes)
                 if len(raw) != info.frame_bytes:
-                    raise CorruptContainer(
+                    raise DataError(
                         f"{path}: frame {index}: read {len(raw)} of {info.frame_bytes} bytes")
                 yield np.frombuffer(raw, dtype=np.uint8).reshape(info.height, info.width)
 

@@ -9,8 +9,8 @@ confirmed and it has outlived the retention window; everything else stays on
 disk and is re-enqueued by the restart scan of the next run.
 
 Timestamps are scheduled, not measured: the k-th sample is stamped
-start + k * interval regardless of scheduling jitter, which keeps cadence
-exact under any clock acceleration.
+start + k * interval regardless of scheduling jitter or a wall clock that
+steps back, which keeps cadence exact under any clock acceleration.
 """
 from __future__ import annotations
 
@@ -40,10 +40,6 @@ _DURATION_RE = re.compile(r"^\s*([0-9]+(?:\.[0-9]+)?)\s*(ms|s|m|h|d)?\s*$")
 _DURATION_UNITS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, None: 1.0}
 
 _CSV_NAME_RE = re.compile(r"^(?P<node>[a-z0-9-]{1,63})_(?P<day>\d{4}-\d{2}-\d{2})\.csv$")
-
-
-class BufferDirUnwritable(AerotraceError):
-    pass
 
 
 def parse_duration(text: str) -> float:
@@ -212,23 +208,20 @@ def retention_sweep(buffer_dir: str | Path, now: datetime,
     return deleted
 
 
-def scan_unconfirmed(buffer_dir: Path, node_id: str, today: date) -> list[tuple[Path, str]]:
+def scan_unconfirmed(buffer_dir: Path, node_id: str, today: date) -> list[Path]:
     """Sealed-but-unconfirmed files to re-enqueue after a restart.
 
     Any ``.fseq`` without a marker is sealed. A daily CSV without a marker is
     sealed once its date is in the past; the current day's file may still be
     growing.
     """
-    found: list[tuple[Path, str]] = []
+    found: list[Path] = []
     for path in sorted(buffer_dir.iterdir()):
         if path.is_dir() or read_marker(path) is not None:
             continue
-        if path.suffix == ".fseq":
-            found.append((path, "video"))
-        else:
-            csv = _parse_csv_name(path.name)
-            if csv is not None and csv[0] == node_id and csv[1] < today:
-                found.append((path, "csv"))
+        csv = _parse_csv_name(path.name)
+        if path.suffix == ".fseq" or (csv is not None and csv[0] == node_id and csv[1] < today):
+            found.append(path)
     return found
 
 
@@ -236,8 +229,9 @@ class UploadWorker:
     """Single consumer thread pushing sealed files into the blob store.
 
     ``enqueue`` never blocks and ignores duplicate names. The queue is unbounded:
-    it holds paths, whose sealed files on disk bound its length. A failed upload,
-    a local ``OSError`` included, is counted and leaves the file unmarked.
+    it holds paths, whose sealed files on disk bound its length. An ``.fseq``
+    file is stored under ``video/``, any other file under ``csv/``. A failed
+    upload, a local ``OSError`` included, is counted and leaves the file unmarked.
     """
 
     def __init__(self, store: BlobStore, node_id: str):
@@ -251,20 +245,20 @@ class UploadWorker:
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
-    def enqueue(self, path: Path, kind: str) -> bool:
+    def enqueue(self, path: Path) -> bool:
         if path.name in self._names:
             return False
-        self.queue.put((path, kind))
+        self.queue.put(path)
         self._names.add(path.name)
         self.enqueued += 1
         return True
 
     def _run(self) -> None:
         while True:
-            item = self.queue.get()
-            if item is None:
+            path = self.queue.get()
+            if path is None:
                 return
-            path, kind = item
+            kind = "video" if path.suffix == ".fseq" else "csv"
             job = UploadJob(
                 blob=BlobRef(container=self.node_id, key=f"{kind}/{path.name}"),
                 local_path=path)
@@ -288,7 +282,6 @@ class UploadWorker:
 @dataclass
 class SessionSummary:
     samples_written: int = 0
-    samples_dropped: int = 0
     chunks_sealed: int = 0
     csvs_sealed: int = 0
     uploads_enqueued: int = 0
@@ -396,7 +389,7 @@ def run_node(config: NodeConfig,
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        raise BufferDirUnwritable(f"{buffer_dir}: {exc}") from exc
+        raise AerotraceError(f"{buffer_dir}: {exc}") from exc
 
     store.ensure_node_container(config.node_id)
     summary = SessionSummary()
@@ -416,23 +409,20 @@ def run_node(config: NodeConfig,
                         "sample, frame and sweep run past year 9999") from None
     worker = UploadWorker(store, config.node_id)
 
-    def enqueue(path: Path | None, kind: str) -> None:
-        if path is None:
-            return
-        if kind == "csv":
-            summary.csvs_sealed += 1
-        else:
-            summary.chunks_sealed += 1
-        worker.enqueue(path, kind)
+    def enqueue(sealed: Path | None) -> int:
+        """Queue a file a sink sealed; returns the number queued, 0 or 1."""
+        if sealed is None:
+            return 0
+        worker.enqueue(sealed)
+        return 1
 
-    for path, kind in scan_unconfirmed(buffer_dir, config.node_id, today=start.date()):
-        worker.enqueue(path, kind)
+    for path in scan_unconfirmed(buffer_dir, config.node_id, today=start.date()):
+        worker.enqueue(path)
 
     csv_sink = _CsvSink(config.node_id, buffer_dir)
     chunk_sink = _ChunkSink(config)
     next_sample = start
     next_frame = start
-    prev_wall: datetime | None = None
     next_sweep = start + sweep_dt
 
     try:
@@ -448,28 +438,20 @@ def run_node(config: NodeConfig,
                     raise DataError(
                         f"frame source produced {frame.shape}, config says "
                         f"{(config.frame_height, config.frame_width)}")
-                enqueue(chunk_sink.add(ts, frame), "video")
+                summary.chunks_sealed += enqueue(chunk_sink.add(ts, frame))
                 next_frame += frame_dt
             else:
                 ts = next_sample
                 next_sample += sample_dt
-                wall = as_utc(clock.now())
-                if prev_wall is not None and wall < prev_wall:
-                    summary.samples_dropped += 1
-                    log.warning("clock went backwards (%s < %s), dropping sample",
-                                wall, prev_wall)
-                    continue
-                prev_wall = wall
-                sample = sample_source(ts)
-                enqueue(csv_sink.write(sample), "csv")
+                summary.csvs_sealed += enqueue(csv_sink.write(sample_source(ts)))
                 summary.samples_written += 1
             if t >= next_sweep:
                 summary.files_deleted += len(
                     retention_sweep(buffer_dir, clock.now(), config.retention_s))
                 next_sweep += sweep_dt
 
-        enqueue(chunk_sink.seal(), "video")
-        enqueue(csv_sink.seal(), "csv")
+        summary.chunks_sealed += enqueue(chunk_sink.seal())
+        summary.csvs_sealed += enqueue(csv_sink.seal())
     finally:
         # Also on a loop error: the worker finishes its queue and its thread ends.
         worker.drain()

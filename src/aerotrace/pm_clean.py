@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyInput, TooFewPoints
+from .errors import DataError
 from .series import HOUR_S, TimeSeries, bucket_resample
 
 
@@ -55,7 +55,7 @@ def filter_hardware_errors(series: TimeSeries, threshold: float = 20000.0) -> Ti
 def remove_outliers_stddev(series: TimeSeries, k: float = 3.0) -> TimeSeries:
     """Single-pass sigma filter: drop points with |x - mean| > k * population stddev."""
     if len(series) < 2:
-        raise TooFewPoints("outlier removal needs at least 2 points")
+        raise DataError("outlier removal needs at least 2 points")
     vals = series.values
     mu = float(vals.mean())
     sigma = float(vals.std())  # population stddev, not iterated
@@ -75,7 +75,7 @@ def min_max_normalize(series: TimeSeries) -> tuple[TimeSeries, NormalizationPara
     ``constant`` flag set so downstream consumers can see the degeneracy.
     """
     if len(series) == 0:
-        raise EmptyInput("cannot normalize an empty series")
+        raise DataError("cannot normalize an empty series")
     vals = series.values
     x_min, x_max = float(vals.min()), float(vals.max())
     if x_min == x_max:

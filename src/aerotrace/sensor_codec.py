@@ -20,25 +20,8 @@ from .series import UTC, as_utc, format_utc, parse_columns, parse_utc
 CSV_FIELDS = ("pm1_0", "pm2_5", "pm10", "temp_c", "rh_pct", "pressure_hpa")
 
 
-class CsvRowError(DataError):
-    """A CSV telemetry row failed to parse."""
-
-
-class FieldCountMismatch(CsvRowError):
-    def __init__(self, count: int):
-        self.count = count
-        super().__init__(f"expected 7 fields, got {count}")
-
-
-class UnparsableField(CsvRowError):
-    def __init__(self, index: int, text: str):
-        self.index = index
-        super().__init__(f"field {index} unparsable: {text!r}")
-
-
-class NonUtcTimestamp(CsvRowError):
-    def __init__(self, text: str):
-        super().__init__(f"timestamp is not UTC: {text!r}")
+def _unparsable(parts: list[str], index: int) -> str:
+    return f"field {index} unparsable: {parts[index]!r}"
 
 
 @dataclass(frozen=True)
@@ -89,7 +72,7 @@ def parse_csv_row(line: str) -> SensorSample:
     """Parse one CSV telemetry row; exact inverse of sample_to_csv_row on its output."""
     parts = line.strip().split(",")
     if len(parts) != 7:
-        raise FieldCountMismatch(len(parts))
+        raise DataError(f"expected 7 fields, got {len(parts)}")
 
     ts_text = parts[0]
     try:
@@ -100,36 +83,36 @@ def parse_csv_row(line: str) -> SensorSample:
         try:
             parsed = datetime.fromisoformat(ts_text)
         except ValueError:
-            raise UnparsableField(0, ts_text) from None
+            raise DataError(_unparsable(parts, 0)) from None
         if parsed.tzinfo is not None and parsed.utcoffset().total_seconds() == 0:
             ts = parsed.astimezone(UTC)
         else:
-            raise NonUtcTimestamp(ts_text) from None
+            raise DataError(f"timestamp is not UTC: {ts_text!r}") from None
 
     ints = []
     for i in (1, 2, 3):
         try:
             ints.append(int(parts[i]))
         except ValueError:
-            raise UnparsableField(i, parts[i]) from None
+            raise DataError(_unparsable(parts, i)) from None
     floats = []
     for i in (4, 5, 6):
         try:
             floats.append(float(parts[i]))
         except ValueError:
-            raise UnparsableField(i, parts[i]) from None
+            raise DataError(_unparsable(parts, i)) from None
 
     try:
         env = EnvReading(temp_c=floats[0], rh_pct=floats[1], pressure_hpa=floats[2])
     except DataError:
         bad = 5 if not 0.0 <= floats[1] <= 100.0 else 6
-        raise UnparsableField(bad, parts[bad]) from None
+        raise DataError(_unparsable(parts, bad)) from None
     try:
         return SensorSample(timestamp=ts, pm1_0=ints[0], pm2_5=ints[1], pm10=ints[2], env=env)
     except DataError:
         # A negative PM, or else a sub-second timestamp in a zero-offset form.
         bad = next((i for i, v in zip((1, 2, 3), ints) if v < 0), 0)
-        raise UnparsableField(bad, parts[bad]) from None
+        raise DataError(_unparsable(parts, bad)) from None
 
 
 def parse_csv_columns(lines: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyInput
+from .errors import DataError
 
 UTC = timezone.utc
 HOUR_S = 3600
@@ -104,7 +104,7 @@ def bucket_resample(series: TimeSeries, bucket_s: int) -> TimeSeries:
     first/last non-empty bucket, so nothing is extrapolated.
     """
     if len(series) == 0:
-        raise EmptyInput("cannot resample an empty series")
+        raise DataError("cannot resample an empty series")
     if bucket_s < 1:
         raise DataError(f"bucket length must be at least 1 s, got {bucket_s}")
     idx = series.epoch // bucket_s

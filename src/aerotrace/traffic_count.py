@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .assignment import hungarian
-from .errors import AerotraceError, DataError, EmptyInput
+from .errors import AerotraceError, DataError
 from .fseq import iter_fseq_frames, parse_chunk_start
 from .series import HOUR_S, UTC, floor_to, format_utc
 
@@ -30,14 +30,6 @@ log = logging.getLogger(__name__)
 
 DIR_UP = 1
 DIR_DOWN = -1
-
-
-class DimensionMismatch(DataError):
-    pass
-
-
-class NonFiniteState(AerotraceError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -112,7 +104,7 @@ class BackgroundModel:
 
     def update(self, frame: np.ndarray) -> np.ndarray:
         if frame.shape != (self.height, self.width):
-            raise DimensionMismatch(
+            raise DataError(
                 f"frame is {frame.shape}, model expects {(self.height, self.width)}")
         if frame.dtype != np.uint8:
             raise DataError(f"frames must be uint8, got {frame.dtype}")
@@ -297,11 +289,11 @@ class SortTracker:
         self._next_id = 1
 
     def _check_finite(self, x: np.ndarray, rows: Sequence[int]) -> None:
-        """Raise NonFiniteState naming the track of the first non-finite row of
+        """Raise an AerotraceError naming the track of the first non-finite row of
         ``x``, whose row k belongs to ``tracks[rows[k]]``."""
         finite = np.isfinite(x).all(axis=1)
         if not finite.all():
-            raise NonFiniteState(f"track {self.tracks[rows[int(finite.argmin())]].id} diverged")
+            raise AerotraceError(f"track {self.tracks[rows[int(finite.argmin())]].id} diverged")
 
     def step(self, detections: list[Detection]) -> None:
         x = self.x
@@ -471,7 +463,7 @@ def count_frames(frames: Iterable[np.ndarray], line: CountLine,
         counter.process(frame, idx)
         n = idx + 1
     if n == 0:
-        raise EmptyInput("no frames to count")
+        raise DataError("no frames to count")
     first_hour = floor_to(start, HOUR_S)
     last_hour = last_frame_hour(start, n, fps)
     n_hours = int((last_hour - first_hour).total_seconds()) // HOUR_S + 1

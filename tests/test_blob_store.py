@@ -1,16 +1,23 @@
+import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from aerotrace.blob_store import (
-    TIER_ARCHIVE, TIER_COOL, ArchivedObject, BackendUnavailable, BlobRef, BlobStore,
-    FilesystemBackend, InvalidBlobKey, InvalidNodeId, LocalFileMissing, UploadFailed,
+    TIER_ARCHIVE, TIER_COOL, BackendUnavailable, BlobRef, BlobStore, FilesystemBackend,
     UploadJob)
+from aerotrace.errors import BackendError, DataError
 
 from conftest import T0, FakeSleeper, FlakyBackend, at
 
 UTC = timezone.utc
+
+
+def bad_key_message(key: str) -> str:
+    """A pattern for the message ``BlobRef`` gives an unsafe ``key``."""
+    return (f"^key {re.escape(repr(key))} has (an empty, '\\.' or '\\.\\.' segment"
+            "|a backslash or a sidecar suffix)$")
 
 
 def make_store(tmp_path, backend=None, now=None):
@@ -40,22 +47,22 @@ class TestAddressing:
 
     def test_bad_node_id(self, tmp_path):
         store, _ = make_store(tmp_path)
-        with pytest.raises(InvalidNodeId):
+        with pytest.raises(DataError, match=r"^node id 'NODE!' must match \[a-z0-9-\]\{1,63\}$"):
             store.ensure_node_container("NODE!")
 
     def test_key_traversal_rejected(self):
-        with pytest.raises(InvalidBlobKey):
+        with pytest.raises(DataError, match=bad_key_message("video/../../etc/passwd")):
             BlobRef(container="node-a", key="video/../../etc/passwd")
 
     def test_empty_key_rejected(self):
-        with pytest.raises(InvalidBlobKey):
+        with pytest.raises(DataError, match=bad_key_message("")):
             BlobRef(container="node-a", key="")
 
     @pytest.mark.parametrize("key", [
         "/abs/path", "/etc/passwd", "video//x.fseq", "video/", ".", "video/./x",
         "video\\..\\x", "csv/day.csv.meta", "video/x.fseq.tmp"])
     def test_unsafe_key_rejected(self, key):
-        with pytest.raises(InvalidBlobKey):
+        with pytest.raises(DataError, match=bad_key_message(key)):
             BlobRef(container="node-a", key=key)
 
     @pytest.mark.parametrize("key", [
@@ -68,7 +75,7 @@ class TestAddressing:
         store.ensure_node_container("node-a")
         outside = tmp_path / "outside.bin"
         path = write_file(tmp_path, "x.bin", b"abc")
-        with pytest.raises(InvalidBlobKey):
+        with pytest.raises(DataError, match=bad_key_message(str(outside))):
             store.upload(UploadJob(blob=BlobRef("node-a", str(outside)), local_path=path))
         assert not outside.exists()
 
@@ -124,7 +131,8 @@ class TestRetries:
         store.ensure_node_container("node-a")
         path = write_file(tmp_path, "x.bin", b"abc")
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"), local_path=path)
-        with pytest.raises(UploadFailed):
+        with pytest.raises(BackendError, match=f"^upload of {re.escape(str(path))} failed "
+                                               "after 5 attempts$"):
             store.upload(job)
         assert job.confirmed_at is None
         assert job.attempts == 5
@@ -137,16 +145,17 @@ class TestRetries:
         monkeypatch.setattr(FilesystemBackend, "put", lambda *a: put(*a) - 1)
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
                         local_path=write_file(tmp_path, "x.bin", b"abc"))
-        with pytest.raises(UploadFailed):
+        with pytest.raises(BackendError, match=f"^upload of {re.escape(str(job.local_path))} "
+                                               "failed after 1 attempts$"):
             store.upload(job)
         assert job.confirmed_at is None
 
     def test_missing_local_file(self, tmp_path):
         store, _ = make_store(tmp_path)
         store.ensure_node_container("node-a")
-        job = UploadJob(blob=BlobRef("node-a", "video/gone.bin"),
-                        local_path=tmp_path / "gone.bin")
-        with pytest.raises(LocalFileMissing):
+        gone = tmp_path / "gone.bin"
+        job = UploadJob(blob=BlobRef("node-a", "video/gone.bin"), local_path=gone)
+        with pytest.raises(DataError, match=f"^{re.escape(str(gone))} does not exist$"):
             store.upload(job)
 
 
@@ -191,7 +200,8 @@ class TestTierPolicy:
         store.apply_tier_policy("node-a", timedelta(days=30), now=T0)
         ref = BlobRef("node-a", "video/old.bin")
         out = tmp_path / "out.bin"
-        with pytest.raises(ArchivedObject):
+        with pytest.raises(BackendError,
+                           match=r"^node-a/video/old\.bin is archived and cannot be downloaded$"):
             store.download(ref, out)
         assert not out.exists()
         store.backend.set_tier(ref.container, ref.key, TIER_COOL)

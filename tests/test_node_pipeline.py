@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import threading
 from datetime import datetime, timedelta, timezone
 
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from aerotrace import node_pipeline
 from aerotrace.blob_store import BlobRef, BlobStore, FilesystemBackend
 from aerotrace.clocks import AcceleratedClock
-from aerotrace.errors import DataError
+from aerotrace.errors import AerotraceError, DataError
 from aerotrace.fseq import chunk_filename, iter_fseq_frames, write_fseq
 from aerotrace.node_pipeline import (
-    BufferDirUnwritable, NodeConfig, SessionSummary, UploadWorker, daily_csv_name,
+    NodeConfig, SessionSummary, UploadWorker, daily_csv_name,
     marker_path, parse_duration, parse_node_config, read_marker, retention_sweep,
     run_node, scan_unconfirmed, write_marker)
 from aerotrace.sensor_codec import parse_csv_row
@@ -276,7 +277,7 @@ class TestRestartScan:
         confirmed.write_bytes(b"v")
         write_marker(confirmed, T0)
         found = scan_unconfirmed(tmp_path, "node-a", today=T0.date())
-        assert sorted(found) == sorted([(video, "video"), (old_csv, "csv")])
+        assert sorted(found) == sorted([video, old_csv])
 
     def test_impossible_csv_date_ignored(self, tmp_path):
         (tmp_path / "node-a_2022-13-45.csv").write_text("row\n")
@@ -442,7 +443,7 @@ class TestRunNode:
         store = make_store(clock, tmp_path, backend)
         summary = run(config, clock, store, 1800)
         assert dataclasses.asdict(summary) == dict(
-            samples_written=180, samples_dropped=0, chunks_sealed=6, csvs_sealed=1,
+            samples_written=180, chunks_sealed=6, csvs_sealed=1,
             uploads_enqueued=7, uploads_confirmed=7, uploads_failed=0, files_deleted=0)
         assert len(store.list_node_objects("node-a")) == 7
         sealed = [p for p in config.buffer_dir.iterdir() if not p.name.endswith(".uploaded")]
@@ -499,25 +500,28 @@ class TestRunNode:
             run(config, clock, make_store(clock, tmp_path), 60)
         assert sorted(config.buffer_dir.iterdir()) == before
 
-    def test_clock_regression_drops_sample(self, tmp_path):
-        # modest acceleration so the wall-clock window brackets exactly one
-        # sample even when the loop lags a little behind schedule
+    def test_clock_regression_keeps_every_sample(self, tmp_path):
+        # The wall clock steps back 5 minutes around the sample at 30 s. Sample
+        # timestamps are scheduled, so every sample is written in order.
         inner = AcceleratedClock(start=T0, accel=200.0)
         clock = BackwardsWindowClock(inner, 27.0, 38.0)
         config = make_config(tmp_path)
         summary = run_node(config, synthetic_sample_source(0),
                            fast_frame_source(64, 36),
                            make_store(inner, tmp_path), clock, timedelta(seconds=60))
-        assert summary.samples_dropped == 1
-        assert summary.samples_written == 5
+        assert summary.samples_written == 6
+        rows = (config.buffer_dir / daily_csv_name("node-a", T0.date())).read_text().splitlines()
+        assert [parse_csv_row(row).timestamp for row in rows] == [
+            T0 + timedelta(seconds=10 * k) for k in range(6)]
 
     def test_unwritable_buffer_dir(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("this is a file, not a directory")
         clock = AcceleratedClock(start=T0, accel=1000.0)
         config = make_config(tmp_path, buffer_dir=target)
-        with pytest.raises(BufferDirUnwritable):
+        with pytest.raises(AerotraceError, match=f"^{re.escape(str(target))}: ") as exc:
             run(config, clock, make_store(clock, tmp_path), 10)
+        assert type(exc.value) is AerotraceError
 
     def test_frame_shape_enforced(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=1000.0)
@@ -576,8 +580,8 @@ class TestUploadWorker:
         # an OSError such as a full disk, raised below the retry layer
         worker, (first, second) = self.start(
             tmp_path, FlakyBackend(tmp_path / "store", fail_times=1, error=OSError))
-        worker.enqueue(first, "video")
-        worker.enqueue(second, "video")
+        worker.enqueue(first)
+        worker.enqueue(second)
         assert drain_within(worker, 5.0)
         assert (worker.failed, worker.confirmed) == (1, 1)
         assert read_marker(first) is None and first.exists()
@@ -587,8 +591,8 @@ class TestUploadWorker:
     def test_drain_returns_when_thread_is_gone(self, tmp_path):
         backend = FlakyBackend(tmp_path / "store", fail_times=None, error=RuntimeError)
         worker, (first, second) = self.start(tmp_path, backend)
-        worker.enqueue(first, "video")
+        worker.enqueue(first)
         worker._thread.join(timeout=5.0)
         assert not worker._thread.is_alive()
-        assert worker.enqueue(second, "video")  # no thread will take it
+        assert worker.enqueue(second)  # no thread will take it
         assert drain_within(worker, 0.5)

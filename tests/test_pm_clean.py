@@ -5,7 +5,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from aerotrace.errors import EmptyInput, TooFewPoints
+from aerotrace.errors import DataError
 from aerotrace.pm_clean import (
     CleanConfig, DropCounts, clean_pipeline, filter_hardware_errors,
     min_max_normalize, remove_outliers_stddev, resample_hourly)
@@ -44,7 +44,7 @@ class TestOutlierRemoval:
         assert same_series(remove_outliers_stddev(s, 3.0), s)
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
+        with pytest.raises(DataError, match="^outlier removal needs at least 2 points$"):
             remove_outliers_stddev(make_series([1]), 3.0)
 
     def test_matches_brute_force_oracle(self):
@@ -87,7 +87,7 @@ class TestResampleHourly:
         assert same_series(resample_hourly(s), s)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^cannot resample an empty series$"):
             resample_hourly(TimeSeries((), ()))
 
     def test_output_consecutive_hours(self):

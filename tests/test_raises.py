@@ -1,4 +1,6 @@
-"""Every exception ``src/aerotrace`` raises by name is an ``AerotraceError``."""
+"""Every exception ``src/aerotrace`` raises by name is an ``AerotraceError``, and
+its only ``AerotraceError`` subclasses are the CLI's outcomes and the ones some
+``except`` clause tells apart."""
 import ast
 import builtins
 import importlib
@@ -37,3 +39,54 @@ def test_raised_errors_are_package_errors(path):
     module = importlib.import_module("aerotrace" if path.stem == "__init__"
                                      else f"aerotrace.{path.stem}")
     assert foreign_raises(path.read_text(), vars(module)) == []
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def uncaught_error_classes(modules: dict[str, str]) -> list[str]:
+    """``module:Class`` of each ``AerotraceError`` subclass defined in ``modules``
+    that is neither ``DataError`` nor ``BackendError`` and that no ``except``
+    clause in ``modules`` names."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    bases: dict[str, set[str]] = {}
+    caught: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = set().union(*map(_names, node.bases))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _names(node.type)
+
+    def is_error(name: str) -> bool:
+        return name == "AerotraceError" or any(map(is_error, bases.get(name, ())))
+
+    return [f"{module}:{node.name}" for module, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and is_error(node.name)
+            and node.name not in {"AerotraceError", "DataError", "BackendError", *caught}]
+
+
+def test_uncaught_detector_flags_only_dead_subclasses():
+    lib = ("class AerotraceError(Exception):\n    pass\n"
+           "class DataError(AerotraceError):\n    pass\n"
+           "class BackendError(AerotraceError):\n    pass\n"
+           "class Retry(errors.BackendError):\n    pass\n"
+           "class Dead(DataError):\n    pass\n"
+           "class Deeper(Dead):\n    pass\n"
+           "class Dotted(errors.DataError):\n    pass\n"
+           "class Local(AerotraceError):\n    pass\n"
+           "class Unrelated(ValueError):\n    pass\n"
+           "try:\n    pass\nexcept Local:\n    pass\n")
+    user = ("try:\n    g()\nexcept (lib.Retry, OSError):\n    pass\n"
+            "except Unrelated:\n    raise Dead('x')\n")
+    assert uncaught_error_classes({"lib": lib, "user": user}) == [
+        "lib:Dead", "lib:Deeper", "lib:Dotted"]
+
+
+def test_error_subclasses_are_caught_by_name():
+    # One class per CLI outcome; a subclass only where src/ tells it apart.
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert uncaught_error_classes(modules) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aerotrace.errors import DataError, EmptyInput
+from aerotrace.errors import DataError
 from aerotrace.series import (
     TimeSeries, bucket_resample, floor_to, format_csv_series, format_utc, parse_utc,
     read_csv_series)
@@ -77,7 +77,7 @@ class TestFloorTo:
 
 class TestBucketResample:
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^cannot resample an empty series$"):
             bucket_resample(TimeSeries((), ()), 3600)
 
     def test_single_bucket_mean(self):

@@ -11,12 +11,12 @@ from scipy import ndimage
 
 from aerotrace import traffic_count
 from aerotrace.assignment import hungarian
-from aerotrace.errors import DataError
+from aerotrace.errors import AerotraceError, DataError
 from aerotrace.fseq import iter_fseq_frames, write_fseq
 from aerotrace.synth import SceneObject, SceneScript, scene_frames
 from aerotrace.traffic_count import (
     DIR_DOWN, DIR_UP, F_MAT, H_MAT, MAX_LINE_COORD, P0_MAT, Q_MAT, R_MAT, BackgroundModel,
-    CountLine, CountParams, Detection, DimensionMismatch, NonFiniteState, SortTracker,
+    CountLine, CountParams, Detection, SortTracker,
     boxes_from_states, count_frames, count_video, extract_detections,
     iou_matrix, kf_predict, kf_update, scan_crossings, segment_crossing)
 
@@ -81,7 +81,7 @@ class TestBackgroundModel:
 
     def test_dimension_mismatch(self):
         model = BackgroundModel(8, 8)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match=r"^frame is \(8, 9\), model expects \(8, 8\)$"):
             model.update(np.zeros((8, 9), dtype=np.uint8))
 
 
@@ -464,13 +464,13 @@ class TrackOracle:
             self.x[6] = 0.0
         self.x, self.P = kf_predict_one(self.x, self.P)
         if not np.isfinite(self.x).all():
-            raise NonFiniteState(f"track {self.id} diverged")
+            raise AerotraceError(f"track {self.id} diverged")
         return box_from_state(self.x)
 
     def update(self, detection):
         self.x, self.P = kf_update_one(self.x, self.P, measurement_from_box(detection.box))
         if not np.isfinite(self.x).all():
-            raise NonFiniteState(f"track {self.id} diverged")
+            raise AerotraceError(f"track {self.id} diverged")
         self.hits += 1
         self.misses = 0
         self.history.append(detection.center)
@@ -585,8 +585,9 @@ class TestTracker:
         tracker = SortTracker()
         tracker.step([self.det(10, 10), Detection(box=(math.nan, 40, 20, 10), area=200),
                       Detection(box=(110, math.nan, 20, 10), area=200), self.det(150, 100)])
-        with pytest.raises(NonFiniteState, match="^track 2 diverged$"):
+        with pytest.raises(AerotraceError, match="^track 2 diverged$") as exc:
             tracker.step([])
+        assert type(exc.value) is AerotraceError  # not a data error: exit 2, plain message
 
     def test_non_finite_update_names_first_track_in_match_order(self):
         """A NaN x edge still overlaps (``iou_matrix`` keeps the predicted edge),
@@ -595,8 +596,9 @@ class TestTracker:
         tracker = SortTracker()
         tracker.step([a, b, c])
         nan_a, nan_c = (Detection(box=(math.nan, *d.box[1:]), area=d.area) for d in (a, c))
-        with pytest.raises(NonFiniteState, match="^track 3 diverged$"):
+        with pytest.raises(AerotraceError, match="^track 3 diverged$") as exc:
             tracker.step([nan_c, b, nan_a])
+        assert type(exc.value) is AerotraceError
 
 
 @st.composite
