@@ -3,14 +3,11 @@ moving average, MAPE, RMSE, trend/cycle decomposition, and the combined report
 used to judge a low-cost sensor against a reference instrument."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from datetime import timedelta
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .errors import DataError
 from .series import TimeSeries, bucket_resample
@@ -162,9 +159,15 @@ def hp_filter(values: Sequence[float], lam: float = 1600.0) -> tuple[np.ndarray,
     """Split a series into a smooth trend and the residual cycle.
 
     The trend minimizes sum((y - tau)^2) + lam * sum(second differences of
-    tau squared), solved exactly via the sparse normal equations
+    tau squared), solved exactly from the normal equations
     (I + lam * D'D) tau = y with D the second-difference operator, for
     0 < lam <= MAX_LAMBDA. Returns (trend, cycle) with cycle = y - trend.
+
+    I + lam * D'D is symmetric pentadiagonal, so an O(n) banded LDL' solve
+    over Python floats does the work: L has the two subdiagonals e and f.
+    The matrix is I plus a positive semidefinite one, so every pivot d is at
+    least 1 and no step divides by zero; an overflow from values near the
+    float64 limit shows up as a non-finite trend.
     """
     y = np.asarray(values, dtype=float)
     if y.size < 4:
@@ -174,15 +177,27 @@ def hp_filter(values: Sequence[float], lam: float = 1600.0) -> tuple[np.ndarray,
     if lam > MAX_LAMBDA:
         raise DataError(f"lambda={lam:g} is too large: above {MAX_LAMBDA:.3g} "
                         "the trend is lost to rounding")
+    if not np.isfinite(y).all():
+        raise DataError("hp_filter needs finite values")
     n = y.size
-    eye = sparse.eye(n, format="csc")
-    data = np.repeat([[1.0], [-2.0], [1.0]], n, axis=1)
-    D = sparse.dia_matrix((data, [0, 1, 2]), shape=(n - 2, n)).tocsc()
-    with warnings.catch_warnings():
-        # Values near the float64 limit overflow the solve; the check below
-        # reports it instead.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        trend = spsolve(eye + lam * (D.T @ D), y)
+    diag = [1.0 + lam * c for c in (1, 5, *[6] * (n - 4), 5, 1)]
+    sub = [lam * c for c in (-2, *[-4] * (n - 3), -2, 0)]  # A[i+1, i]; A[i+2, i] = lam
+    e, f, w = [], [], []  # L's subdiagonals, and the solution of L D w = y
+    d1 = d2 = e1 = f1 = f2 = z1 = z2 = 0.0  # pivot, e, f and L^-1 y at i - 1 and i - 2
+    for a0, a1, yi in zip(diag, sub, y.tolist()):
+        di = a0 - e1 * e1 * d1 - f2 * f2 * d2
+        ei = (a1 - f1 * e1 * d1) / di
+        zi = yi - e1 * z1 - f2 * z2
+        e.append(ei)
+        f.append(lam / di)
+        w.append(zi / di)
+        d1, d2, e1, f1, f2, z1, z2 = di, d1, ei, f[-1], f1, zi, z1
+    trend = [0.0] * n
+    x1 = x2 = 0.0
+    for i in range(n - 1, -1, -1):
+        x2, x1 = x1, w[i] - e[i] * x1 - f[i] * x2
+        trend[i] = x1
+    trend = np.array(trend)
     if not np.isfinite(trend).all():
         raise DataError(f"no finite trend for {n} points at lambda={lam:g}: "
                         "values too large for float64")

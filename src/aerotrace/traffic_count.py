@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .assignment import hungarian
 from .errors import AerotraceError, DataError
@@ -158,36 +157,69 @@ class Detection:
         return (x + (w - 1) / 2.0, y + (h - 1) / 2.0)
 
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+def _components(start: np.ndarray, end: np.ndarray, stride: int) -> tuple[np.ndarray, ...]:
+    """8-connected components of the runs ``[start, end)``, given as flat
+    indices into a raster of row length ``stride`` that has a False pixel at
+    the end of each row, in raster order.
+
+    A run of the row above touches run i if its columns overlap i's widened
+    by one on each side; those runs are consecutive, and two ``searchsorted``
+    calls find them. Each link hooks the larger of its two roots to the
+    smaller, and pointer jumping flattens the trees, until every link joins
+    one root. A root is thus its component's first run.
+
+    Returns the left, top, right and bottom edges (right and bottom
+    exclusive) and the pixel count of each component, in raster order of
+    its first pixel.
+    """
+    lo = np.searchsorted(end, start - stride)
+    hi = np.searchsorted(start, end - stride, side="right")
+    n_links = hi - lo
+    run = np.repeat(np.arange(start.size), n_links)
+    above = np.arange(run.size) + np.repeat(lo - (np.cumsum(n_links) - n_links), n_links)
+    root = np.arange(start.size)
+    while run.size:
+        low = np.minimum(root[run], root[above])
+        np.minimum.at(root, root[run], low)
+        np.minimum.at(root, root[above], low)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        split = root[run] != root[above]
+        run, above = run[split], above[split]
+    heads = np.flatnonzero(root == np.arange(start.size))
+    comp = np.searchsorted(heads, root)
+    row = start // stride
+    x0, x1 = start - row * stride, end - row * stride
+    left = np.full(heads.size, stride)
+    np.minimum.at(left, comp, x0)
+    right = np.zeros(heads.size, dtype=np.intp)
+    np.maximum.at(right, comp, x1)
+    bottom = np.zeros(heads.size, dtype=np.intp)
+    np.maximum.at(bottom, comp, row + 1)
+    return left, row[heads], right, bottom, np.bincount(comp, weights=x1 - x0)
 
 
 def extract_detections(mask: np.ndarray, min_area: int = 150) -> list[Detection]:
     """8-connected components with at least ``min_area`` pixels, top-left order.
 
-    Labelling works in row bands: runs of consecutive rows that hold a mask
-    pixel, each cropped to its span of non-empty columns. An 8-connected
-    component cannot cross an empty row, and within a band labels follow the
-    raster order of each component's first pixel, so the bands joined in row
-    order give the labels, and the ties of the final sort, of the whole frame.
+    Run-based labelling (He, Ren, Gao et al., Pattern Recognition 70, 2017)
+    that reads only the rows holding a mask pixel: one ``diff`` of those
+    rows, padded with False at both ends, gives every run's start and end,
+    which then carry their frame row, so runs two rows apart never join.
+    ``_components`` merges the runs; components come out in the raster order
+    of their first pixel, which breaks the ties of the final sort.
     """
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
         return []
-    dets = []
-    for band_rows in np.split(rows, np.flatnonzero(np.diff(rows) > 1) + 1):
-        y0 = int(band_rows[0])
-        band = mask[y0:int(band_rows[-1]) + 1]
-        cols = np.flatnonzero(band.any(axis=0))
-        x0 = int(cols[0])
-        labels, _ = ndimage.label(band[:, x0:cols[-1] + 1], structure=_EIGHT_CONNECTED)
-        counts = np.bincount(labels.ravel())
-        for lab, sl in enumerate(ndimage.find_objects(labels), start=1):
-            area = int(counts[lab])
-            if area < min_area:
-                continue
-            y, x = y0 + sl[0].start, x0 + sl[1].start
-            h, w = sl[0].stop - sl[0].start, sl[1].stop - sl[1].start
-            dets.append(Detection(box=(x, y, w, h), area=area))
+    stride = mask.shape[1] + 1
+    edges = np.flatnonzero(np.diff(mask[rows], axis=1, prepend=False, append=False))
+    packed_row = edges // stride
+    edges += (rows[packed_row] - packed_row) * stride
+    dets = [Detection(box=(left, top, right - left, bottom - top), area=int(area))
+            for left, top, right, bottom, area in zip(
+                *(a.tolist() for a in _components(edges[0::2], edges[1::2], stride)))
+            if area >= min_area]
     dets.sort(key=lambda d: (d.box[1], d.box[0], d.box[3], d.box[2]))
     return dets
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from aerotrace import calib_metrics
 from aerotrace.calib_metrics import (
@@ -266,6 +268,17 @@ class TestErrorMetrics:
             assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
 
+def hp_filter_oracle(values, lam):
+    """HP filter oracle: the sparse normal equations solved by ``spsolve``."""
+    y = np.asarray(values, dtype=float)
+    n = y.size
+    eye = sparse.eye(n, format="csc")
+    data = np.repeat([[1.0], [-2.0], [1.0]], n, axis=1)
+    D = sparse.dia_matrix((data, [0, 1, 2]), shape=(n - 2, n)).tocsc()
+    trend = spsolve(eye + lam * (D.T @ D), y)
+    return trend, y - trend
+
+
 def dense_hp_oracle(y, lam):
     n = len(y)
     D = np.zeros((n - 2, n))
@@ -332,12 +345,47 @@ class TestHpFilter:
                                                 "the trend is lost to rounding$"):
                 hp_filter(rng.normal(10, 3, size=n), lam)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DataError, match="^hp_filter needs finite values$"):
+            hp_filter([bad, 1.0, 2.0, 3.0, 4.0], 1600.0)
+
     def test_values_without_finite_trend_rejected(self):
+        # The exact trend starts at 1.19 * 1.7e308, past the float64 maximum.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="^no finite trend for 60 points at lambda=1: "
                                                 "values too large for float64$"):
-                hp_filter([1.7e308, -1.7e308] * 30, 1.0)
+                hp_filter([1.7e308] * 3 + [-1.7e308] * 57, 1.0)
+
+    def test_large_values_with_finite_trend_solved(self):
+        # The exact trend peaks at 9.1e307. spsolve overflows to inf on these
+        # values; the banded solve does not.
+        y = np.array([1.7e308, -1.7e308] * 30)
+        trend, _ = hp_filter(y, 1.0)
+        expected = 1e300 * hp_filter_oracle(y / 1e300, 1.0)[0]
+        assert np.max(np.abs(trend - expected)) < 1e-15 * 1.7e308
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+           st.floats(allow_nan=True, allow_infinity=True))
+    def test_raises_only_data_error(self, values, lam):
+        # The hand-written solve divides and multiplies Python floats, which
+        # could raise ZeroDivisionError or OverflowError on an unchecked input.
+        try:
+            trend, _ = hp_filter(values, lam)
+        except DataError:
+            return
+        assert np.isfinite(trend).all()
+
+    @given(st.integers(4, 400).flatmap(
+               lambda n: arrays(np.float64, n, elements=st.floats(-1e6, 1e6))),
+           st.floats(0.0, 5.0))
+    def test_matches_sparse_oracle(self, y, log_lam):
+        lam = 10.0 ** log_lam  # log-uniform over 1 to 1e5
+        trend, cycle = hp_filter(y, lam)
+        expected = hp_filter_oracle(y, lam)[0]
+        assert np.max(np.abs(trend - expected)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
+        assert np.array_equal(cycle, y - trend)
 
 
 class TestTrendMatch:
@@ -416,5 +464,6 @@ class TestAlignAndReport:
         text = format_report(calibration_report(ref, test))
         monkeypatch.setattr(calib_metrics, "dtw", dtw_oracle)
         monkeypatch.setattr(calib_metrics, "warp_onto_reference", warp_oracle)
+        monkeypatch.setattr(calib_metrics, "hp_filter", hp_filter_oracle)
         assert format_report(calibration_report(ref, test)) == text
         assert "n_points=300\n" in text

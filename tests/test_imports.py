@@ -1,7 +1,6 @@
 """Import hygiene: every module-level import in ``src/aerotrace`` is used by its
-module, every name ``src/aerotrace`` defines is used outside tests, importing the
-CLI leaves ``scipy.optimize`` unloaded, and every name the benchmark's tracer
-wraps still exists."""
+module, every name ``src/aerotrace`` defines is used outside tests, no command
+loads scipy, and every name the benchmark's tracer wraps still exists."""
 import ast
 import importlib
 import importlib.util
@@ -11,7 +10,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from aerotrace.fseq import write_fseq
+from aerotrace.series import format_csv_series
+
+from conftest import make_series
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "aerotrace"
@@ -116,14 +121,32 @@ def test_no_test_only_definitions():
     assert unreferenced_definitions(modules, users, extra) == []
 
 
-def test_cli_import_leaves_out_scipy_optimize():
-    # scipy.optimize adds 12-18% to the peak RSS of a `count` run.
-    code = "import sys, aerotrace.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+def test_commands_load_no_scipy(tmp_path):
+    # Importing scipy cost every command more start-up time than its work.
+    # One fresh interpreter runs `count` and `analyze calibrate`, so a lazy
+    # import inside either command shows up as well.
+    frames = np.zeros((40, 16, 24), dtype=np.uint8)
+    for t in range(20, 40):
+        frames[t, 6:10, t - 18:t - 14] = 200
+    write_fseq(tmp_path / "scene.fseq", frames, fps=10)
+    for name, offset in (("ref.csv", 10), ("test.csv", 11)):
+        series = make_series([offset + i % 7 for i in range(120)], step_s=60)
+        (tmp_path / name).write_text(format_csv_series(series, "timestamp,value"))
+    code = ("import sys\n"
+            "from aerotrace import cli\n"
+            "d = sys.argv[1]\n"
+            "rcs = [cli.main(['count', '--in', f'{d}/scene.fseq', '--line', '12,0,12,16',\n"
+            "                 '--min-area', '4', '--out', f'{d}/count.csv']),\n"
+            "       cli.main(['analyze', 'calibrate', '--ref', f'{d}/ref.csv',\n"
+            "                 '--test', f'{d}/test.csv', '--out', f'{d}/report.txt'])]\n"
+            "print(rcs, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "count.csv").read_text().endswith("\n1970-01-01T00:00:00Z,0,1,1\n")
+    assert "n_points=" in (tmp_path / "report.txt").read_text()
 
 
 def _load_tracer():

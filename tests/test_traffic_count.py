@@ -265,9 +265,35 @@ def masks(draw):
     return mask
 
 
+@st.composite
+def dense_masks(draw):
+    """Uniform random masks up to 40x96 with pixel probability 0.3 to 0.7: many
+    runs per row, joined to many runs above."""
+    shape = draw(st.integers(1, 40)), draw(st.integers(1, 96))
+    p = draw(st.floats(0.3, 0.7))
+    return np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(shape) < p
+
+
+@st.composite
+def checkerboards(draw):
+    """Checkerboards of 1 to 4 px cells up to 40x96, whose cells join only at
+    corners, with a few rows and columns cleared to split them apart."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 96))
+    ch, cw, dy, dx = (draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 4), (0, 7), (0, 7)))
+    y, x = np.ogrid[dy:dy + h, dx:dx + w]
+    mask = (y // ch + x // cw) % 2 == 0
+    mask[draw(st.lists(st.integers(0, h - 1), max_size=4))] = False
+    mask[:, draw(st.lists(st.integers(0, w - 1), max_size=4))] = False
+    return mask
+
+
 class TestDetectionsOracle:
     @given(masks(), st.integers(1, 12))
     def test_matches_whole_frame_labelling(self, mask, min_area):
+        assert extract_detections(mask, min_area) == extract_detections_oracle(mask, min_area)
+
+    @given(st.one_of(dense_masks(), checkerboards()), st.integers(1, 5))
+    def test_dense_and_checkerboard_masks_match(self, mask, min_area):
         assert extract_detections(mask, min_area) == extract_detections_oracle(mask, min_area)
 
     def test_scene_masks_match(self):
