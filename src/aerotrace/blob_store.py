@@ -1,4 +1,4 @@
-"""Per-node blob storage: addressing, retried file upload, tiering.
+"""Per-node blob storage: addressing, file upload, tiering.
 
 Each monitoring node owns one container named after it; every object the node
 produces lands in that container under a ``video/`` or ``csv/`` key. One
@@ -9,10 +9,8 @@ backend's methods, so tests substitute fakes that wrap it.
 """
 from __future__ import annotations
 
-import logging
 import re
 import shutil
-import time as _time
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -21,20 +19,10 @@ from typing import Callable
 from .errors import BackendError, DataError
 from .series import UTC, as_utc, format_utc, parse_utc
 
-log = logging.getLogger(__name__)
-
 TIER_COOL = "cool"
 TIER_ARCHIVE = "archive"
 
 NODE_ID_RE = re.compile(r"^[a-z0-9-]{1,63}$")
-
-MAX_ATTEMPTS = 5
-BACKOFF_BASE_S = 5.0
-BACKOFF_FACTOR = 2.0
-
-
-class BackendUnavailable(BackendError):
-    """The backend did not accept the request; the caller may retry."""
 
 
 def validate_node_id(node_id: str) -> str:
@@ -85,7 +73,6 @@ class FilesystemBackend:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def ensure_container(self, name: str) -> None:
         (self.root / name).mkdir(parents=True, exist_ok=True)
@@ -93,13 +80,13 @@ class FilesystemBackend:
     def _obj_path(self, container: str, key: str) -> Path:
         cdir = self.root / container
         if not cdir.is_dir():
-            raise BackendUnavailable(f"container {container!r} does not exist")
+            raise BackendError(f"container {container!r} does not exist")
         return cdir / key
 
     def _existing(self, container: str, key: str) -> Path:
         path = self._obj_path(container, key)
         if not path.is_file():
-            raise BackendUnavailable(f"{container}/{key} not found")
+            raise BackendError(f"{container}/{key} not found")
         return path
 
     def put(self, container: str, key: str, src: Path, uploaded_at: datetime) -> int:
@@ -138,7 +125,7 @@ class FilesystemBackend:
                     meta[k.strip()] = v.strip()
             return meta["tier"], parse_utc(meta["uploaded_at"])
         except (OSError, KeyError, ValueError) as exc:
-            raise BackendUnavailable(f"{path}: unreadable sidecar: {exc!r}") from exc
+            raise BackendError(f"{path}: unreadable sidecar: {exc!r}") from exc
 
     def get(self, container: str, key: str, dst: Path) -> None:
         """Copy the object to the file ``dst``."""
@@ -155,7 +142,7 @@ class FilesystemBackend:
     def list_objects(self, container: str) -> list[ObjectInfo]:
         cdir = self.root / container
         if not cdir.is_dir():
-            raise BackendUnavailable(f"container {container!r} does not exist")
+            raise BackendError(f"container {container!r} does not exist")
         infos = []
         for path in sorted(cdir.rglob("*")):
             if not path.is_file() or path.suffix in (".meta", ".tmp"):
@@ -169,14 +156,13 @@ class FilesystemBackend:
 
 @dataclass
 class BlobStore:
-    """Store facade: validated addressing, retried uploads, tier policy.
+    """Store facade: validated addressing, uploads, tier policy.
 
-    ``sleep`` and ``now`` are injectable so tests and accelerated simulations
-    can control the retry schedule and object ages.
+    ``now`` is injectable so tests and accelerated simulations control upload
+    times, and with them object ages.
     """
 
     backend: object
-    sleep: Callable[[float], None] = _time.sleep
     now: Callable[[], datetime] = lambda: datetime.now(tz=UTC)
 
     def ensure_node_container(self, node_id: str) -> str:
@@ -185,36 +171,24 @@ class BlobStore:
         return node_id
 
     def upload(self, job: UploadJob) -> UploadJob:
-        """Copy a sealed local file into its blob, retrying transient failures.
+        """Copy a sealed local file into its blob in one attempt.
 
         The backend copies the file by path, so its contents are never held in
-        memory; the size it stored must then equal the file's size. Backoff
-        between attempts is ``BACKOFF_BASE_S * BACKOFF_FACTOR**(attempt-1)``.
-        After ``MAX_ATTEMPTS`` failures a BackendError is raised; on success the
-        job gets its ``confirmed_at`` stamp.
+        memory; the size it stored must then equal the file's size, or a
+        BackendError is raised. On success the job gets its ``confirmed_at``
+        stamp. A failure is not retried here: the caller keeps the file and
+        decides when to try again.
         """
         path = Path(job.local_path)
         if not path.is_file():
             raise DataError(f"{path} does not exist")
-        delay = BACKOFF_BASE_S
-        while True:
-            job.attempts += 1
-            try:
-                stored = self.backend.put(job.blob.container, job.blob.key, path, self.now())
-            except BackendUnavailable as exc:
-                log.warning("upload attempt %d for %s failed: %s",
-                            job.attempts, job.blob.key, exc)
-                if job.attempts >= MAX_ATTEMPTS:
-                    raise BackendError(f"upload of {job.local_path} failed after "
-                                       f"{job.attempts} attempts") from exc
-                self.sleep(delay)
-                delay *= BACKOFF_FACTOR
-                continue
-            if stored != path.stat().st_size:
-                raise BackendError(f"upload of {job.local_path} failed after "
-                                   f"{job.attempts} attempts")
-            job.confirmed_at = self.now()
-            return job
+        job.attempts += 1
+        stored = self.backend.put(job.blob.container, job.blob.key, path, self.now())
+        size = path.stat().st_size
+        if stored != size:
+            raise BackendError(f"upload of {path} stored {stored} of {size} bytes")
+        job.confirmed_at = self.now()
+        return job
 
     def download(self, ref: BlobRef, dst: Path) -> None:
         """Copy an object to the file ``dst``; archive-tier objects are refused."""

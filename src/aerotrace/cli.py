@@ -44,15 +44,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _store_root(explicit: str | None, config_root: Path | None = None) -> Path:
-    env = os.environ.get(STORE_ROOT_ENV)
-    if env:
-        return Path(env)
-    if explicit:
-        return Path(explicit)
-    if config_root:
-        return Path(config_root)
-    raise DataError(f"no store root: pass --root or set {STORE_ROOT_ENV}")
+def _store_root(explicit: str | Path | None, hint: str) -> Path:
+    """``STORE_ROOT_ENV``, else ``explicit``; ``hint`` says how to give ``explicit``."""
+    root = os.environ.get(STORE_ROOT_ENV) or explicit
+    if not root:
+        raise DataError(f"no store root: {hint} or set {STORE_ROOT_ENV}")
+    return Path(root)
 
 
 def _read_input(path: str) -> Path:
@@ -107,8 +104,8 @@ def cmd_node_run(args: argparse.Namespace) -> int:
     duration = timedelta(seconds=parse_duration(args.duration))
     start = config.start_time or datetime.now(tz=UTC).replace(microsecond=0)
     clock = AcceleratedClock(start=start, accel=args.accel)
-    root = _store_root(None, config.store_root)
-    store = BlobStore(FilesystemBackend(root), sleep=clock.sleep, now=clock.now)
+    root = _store_root(config.store_root, "add a store_root line to the config")
+    store = BlobStore(FilesystemBackend(root), now=clock.now)
     summary = run_node(
         config,
         sample_source=synthetic_sample_source(config.seed),
@@ -121,7 +118,7 @@ def cmd_node_run(args: argparse.Namespace) -> int:
 
 
 def cmd_store_ls(args: argparse.Namespace) -> int:
-    store = BlobStore(FilesystemBackend(_store_root(args.root)))
+    store = BlobStore(FilesystemBackend(_store_root(args.root, "pass --root")))
     lines = ["key,size,tier,uploaded_at"]
     for obj in store.list_node_objects(args.node):
         if args.prefix and not obj.key.startswith(args.prefix):
@@ -132,7 +129,7 @@ def cmd_store_ls(args: argparse.Namespace) -> int:
 
 
 def cmd_store_get(args: argparse.Namespace) -> int:
-    store = BlobStore(FilesystemBackend(_store_root(args.root)))
+    store = BlobStore(FilesystemBackend(_store_root(args.root, "pass --root")))
     out = Path(args.out)
     store.download(BlobRef(container=args.node, key=args.key), out)
     log.info("wrote %d bytes to %s", out.stat().st_size, out)
@@ -140,7 +137,7 @@ def cmd_store_get(args: argparse.Namespace) -> int:
 
 
 def cmd_store_tier_sweep(args: argparse.Namespace) -> int:
-    store = BlobStore(FilesystemBackend(_store_root(args.root)))
+    store = BlobStore(FilesystemBackend(_store_root(args.root, "pass --root")))
     now = _utc_option("--now", args.now) if args.now else datetime.now(tz=UTC)
     archive_after = timedelta(seconds=parse_duration(args.archive_after))
     moved = store.apply_tier_policy(args.node, archive_after=archive_after, now=now)

@@ -3,10 +3,9 @@
 The CLI maps these to exit codes: usage problems exit 1, ``BackendError``
 exits 3, and ``DataError`` or any other package error exits 2.
 
-There is one class per CLI outcome. A subclass exists only where ``src/``
-catches it by name: ``blob_store.BackendUnavailable``, which the upload retry
-tells apart from other backend errors. Every other error raises one of these
-three classes, and its message says what went wrong.
+There is one class per CLI outcome and no subclass: no code in ``src/``
+tells two errors of one outcome apart. Every error raises one of these three
+classes, and its message says what went wrong.
 """
 
 

@@ -6,7 +6,9 @@ them into five-minute FSEQ chunks aligned to the hour. Sealed files go to an
 unbounded upload queue serviced by a single worker thread, so slow uploads
 never stall sampling. A sealed file is deleted only after its upload was
 confirmed and it has outlived the retention window; everything else stays on
-disk and is re-enqueued by the restart scan of the next run.
+disk. A buffer scan re-enqueues every sealed, unconfirmed file at start and
+after each retention sweep, so a failed upload is retried within one chunk
+length; a file still unconfirmed when the session ends waits for the next one.
 
 Timestamps are scheduled, not measured: the k-th sample is stamped
 start + k * interval regardless of scheduling jitter or a wall clock that
@@ -209,7 +211,7 @@ def retention_sweep(buffer_dir: str | Path, now: datetime,
 
 
 def scan_unconfirmed(buffer_dir: Path, node_id: str, today: date) -> list[Path]:
-    """Sealed-but-unconfirmed files to re-enqueue after a restart.
+    """Sealed-but-unconfirmed files to re-enqueue at start and after each sweep.
 
     Any ``.fseq`` without a marker is sealed. A daily CSV without a marker is
     sealed once its date is in the past; the current day's file may still be
@@ -228,10 +230,12 @@ def scan_unconfirmed(buffer_dir: Path, node_id: str, today: date) -> list[Path]:
 class UploadWorker:
     """Single consumer thread pushing sealed files into the blob store.
 
-    ``enqueue`` never blocks and ignores duplicate names. The queue is unbounded:
-    it holds paths, whose sealed files on disk bound its length. An ``.fseq``
-    file is stored under ``video/``, any other file under ``csv/``. A failed
-    upload, a local ``OSError`` included, is counted and leaves the file unmarked.
+    ``enqueue`` never blocks and ignores a name that is queued, in flight or
+    confirmed. The queue is unbounded: it holds paths, whose sealed files on
+    disk bound its length. An ``.fseq`` file is stored under ``video/``, any
+    other file under ``csv/``. A failed upload, a local ``OSError`` included,
+    is counted, leaves the file unmarked and forgets its name, so the next
+    buffer scan enqueues it again.
     """
 
     def __init__(self, store: BlobStore, node_id: str):
@@ -248,8 +252,9 @@ class UploadWorker:
     def enqueue(self, path: Path) -> bool:
         if path.name in self._names:
             return False
-        self.queue.put(path)
+        # Add before the put: the worker forgets only names it has taken.
         self._names.add(path.name)
+        self.queue.put(path)
         self.enqueued += 1
         return True
 
@@ -267,6 +272,7 @@ class UploadWorker:
                 write_marker(path, job.confirmed_at)
             except (OSError, AerotraceError) as exc:
                 self.failed += 1
+                self._names.discard(path.name)
                 log.error("upload of %s failed: %s", path, exc)
                 continue
             self.confirmed += 1
@@ -281,6 +287,9 @@ class UploadWorker:
 
 @dataclass
 class SessionSummary:
+    """Session counters. A file retried after a failure is enqueued again, so
+    ``uploads_enqueued`` and ``uploads_failed`` count attempts, not files."""
+
     samples_written: int = 0
     chunks_sealed: int = 0
     csvs_sealed: int = 0
@@ -416,11 +425,16 @@ def run_node(config: NodeConfig,
         worker.enqueue(sealed)
         return 1
 
-    for path in scan_unconfirmed(buffer_dir, config.node_id, today=start.date()):
-        worker.enqueue(path)
-
     csv_sink = _CsvSink(config.node_id, buffer_dir)
     chunk_sink = _ChunkSink(config)
+
+    def rescan(today: date) -> None:
+        """Queue every sealed, unconfirmed file; the open CSV is not sealed yet."""
+        for path in scan_unconfirmed(buffer_dir, config.node_id, today=today):
+            if path != csv_sink.path:
+                worker.enqueue(path)
+
+    rescan(start.date())
     next_sample = start
     next_frame = start
     next_sweep = start + sweep_dt
@@ -448,6 +462,7 @@ def run_node(config: NodeConfig,
             if t >= next_sweep:
                 summary.files_deleted += len(
                     retention_sweep(buffer_dir, clock.now(), config.retention_s))
+                rescan(t.date())
                 next_sweep += sweep_dt
 
         summary.chunks_sealed += enqueue(chunk_sink.seal())

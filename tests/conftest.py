@@ -4,7 +4,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from aerotrace.blob_store import BackendUnavailable, FilesystemBackend
+from aerotrace.blob_store import FilesystemBackend
+from aerotrace.errors import BackendError
 
 UTC = timezone.utc
 T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
@@ -34,7 +35,7 @@ class FlakyBackend:
     raises ``error``.
     """
 
-    def __init__(self, root, fail_times=0, fail_prefix=None, error=BackendUnavailable):
+    def __init__(self, root, fail_times=0, fail_prefix=None, error=BackendError):
         self.inner = FilesystemBackend(root)
         self.fail_times = fail_times
         self.fail_prefix = fail_prefix
@@ -60,16 +61,6 @@ class FlakyBackend:
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
-
-
-class FakeSleeper:
-    """Records requested sleep durations without sleeping."""
-
-    def __init__(self):
-        self.sleeps = []
-
-    def __call__(self, seconds):
-        self.sleeps.append(seconds)
 
 
 @pytest.fixture

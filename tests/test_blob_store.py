@@ -1,15 +1,15 @@
 import re
+import time
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from aerotrace.blob_store import (
-    TIER_ARCHIVE, TIER_COOL, BackendUnavailable, BlobRef, BlobStore, FilesystemBackend,
-    UploadJob)
+    TIER_ARCHIVE, TIER_COOL, BlobRef, BlobStore, FilesystemBackend, UploadJob)
 from aerotrace.errors import BackendError, DataError
 
-from conftest import T0, FakeSleeper, FlakyBackend, at
+from conftest import T0, FlakyBackend
 
 UTC = timezone.utc
 
@@ -20,11 +20,8 @@ def bad_key_message(key: str) -> str:
             "|a backslash or a sidecar suffix)$")
 
 
-def make_store(tmp_path, backend=None, now=None):
-    sleeper = FakeSleeper()
-    store = BlobStore(backend or FilesystemBackend(tmp_path / "store"), sleep=sleeper,
-                      now=now or (lambda: T0))
-    return store, sleeper
+def make_store(tmp_path, backend=None):
+    return BlobStore(backend or FilesystemBackend(tmp_path / "store"), now=lambda: T0)
 
 
 def write_file(tmp_path, name, data):
@@ -40,13 +37,13 @@ def put_bytes(backend, key, data, uploaded_at, tmp_path):
 
 class TestAddressing:
     def test_container_idempotent(self, tmp_path):
-        store, _ = make_store(tmp_path)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         store.ensure_node_container("node-a")
         assert store.list_node_objects("node-a") == []
 
     def test_bad_node_id(self, tmp_path):
-        store, _ = make_store(tmp_path)
+        store = make_store(tmp_path)
         with pytest.raises(DataError, match=r"^node id 'NODE!' must match \[a-z0-9-\]\{1,63\}$"):
             store.ensure_node_container("NODE!")
 
@@ -71,7 +68,7 @@ class TestAddressing:
         assert BlobRef(container="node-a", key=key).key == key
 
     def test_absolute_key_cannot_escape_root(self, tmp_path):
-        store, _ = make_store(tmp_path)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         outside = tmp_path / "outside.bin"
         path = write_file(tmp_path, "x.bin", b"abc")
@@ -84,7 +81,7 @@ class TestAddressing:
 @pytest.mark.parametrize("backend_cls", [FilesystemBackend], ids=["fs"])
 class TestUploadDownload:
     def test_integrity_round_trip(self, backend_cls, tmp_path, rng):
-        store, _ = make_store(tmp_path, backend_cls(tmp_path / "store"))
+        store = make_store(tmp_path, backend_cls(tmp_path / "store"))
         store.ensure_node_container("node-a")
         data = rng.integers(0, 256, size=1 << 20, dtype="uint8").tobytes()
         path = write_file(tmp_path, "blob.bin", data)
@@ -97,15 +94,15 @@ class TestUploadDownload:
         assert out.read_bytes() == data
 
     def test_missing_object_is_backend_error(self, backend_cls, tmp_path):
-        store, _ = make_store(tmp_path, backend_cls(tmp_path / "store"))
+        store = make_store(tmp_path, backend_cls(tmp_path / "store"))
         store.ensure_node_container("node-a")
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendError):
             store.download(BlobRef("node-a", "csv/nope.csv"), tmp_path / "out.csv")
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendError):
             store.backend.set_tier("node-a", "csv/nope.csv", TIER_COOL)
 
     def test_container_isolation(self, backend_cls, tmp_path):
-        store, _ = make_store(tmp_path, backend_cls(tmp_path / "store"))
+        store = make_store(tmp_path, backend_cls(tmp_path / "store"))
         store.ensure_node_container("node-a")
         store.ensure_node_container("node-b")
         path = write_file(tmp_path, "x.csv", b"hello")
@@ -114,44 +111,34 @@ class TestUploadDownload:
         assert store.list_node_objects("node-b") == []
 
 
-class TestRetries:
-    def test_two_failures_then_success(self, tmp_path):
-        backend = FlakyBackend(tmp_path / "store", fail_times=2)
-        store, sleeper = make_store(tmp_path, backend)
-        store.ensure_node_container("node-a")
-        path = write_file(tmp_path, "x.bin", b"abc")
-        job = store.upload(UploadJob(blob=BlobRef("node-a", "video/x.bin"), local_path=path))
-        assert job.confirmed_at == T0
-        assert job.attempts == 3
-        assert sleeper.sleeps == [5.0, 10.0]
-
-    def test_permanent_failure_hits_ceiling(self, tmp_path):
+class TestOneAttempt:
+    def test_failing_put_is_attempted_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda s: pytest.fail(f"slept {s} s"))
         backend = FlakyBackend(tmp_path / "store", fail_times=None)
-        store, sleeper = make_store(tmp_path, backend)
+        store = make_store(tmp_path, backend)
         store.ensure_node_container("node-a")
-        path = write_file(tmp_path, "x.bin", b"abc")
-        job = UploadJob(blob=BlobRef("node-a", "video/x.bin"), local_path=path)
-        with pytest.raises(BackendError, match=f"^upload of {re.escape(str(path))} failed "
-                                               "after 5 attempts$"):
+        job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
+                        local_path=write_file(tmp_path, "x.bin", b"abc"))
+        with pytest.raises(BackendError, match="^scripted failure #1$"):
             store.upload(job)
+        assert backend.put_attempts == job.attempts == 1
         assert job.confirmed_at is None
-        assert job.attempts == 5
-        assert sleeper.sleeps == [5.0, 10.0, 20.0, 40.0]
+        assert store.list_node_objects("node-a") == []
 
     def test_stored_size_mismatch_fails(self, tmp_path, monkeypatch):
-        store, _ = make_store(tmp_path)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         put = FilesystemBackend.put
         monkeypatch.setattr(FilesystemBackend, "put", lambda *a: put(*a) - 1)
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
                         local_path=write_file(tmp_path, "x.bin", b"abc"))
         with pytest.raises(BackendError, match=f"^upload of {re.escape(str(job.local_path))} "
-                                               "failed after 1 attempts$"):
+                                               "stored 2 of 3 bytes$"):
             store.upload(job)
         assert job.confirmed_at is None
 
     def test_missing_local_file(self, tmp_path):
-        store, _ = make_store(tmp_path)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         gone = tmp_path / "gone.bin"
         job = UploadJob(blob=BlobRef("node-a", "video/gone.bin"), local_path=gone)
@@ -161,7 +148,7 @@ class TestRetries:
 
 class TestTierPolicy:
     def _loaded_store(self, tmp_path):
-        store, _ = make_store(tmp_path)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         for name, age_d in [("old.bin", 40), ("fresh.bin", 1)]:
             path = write_file(tmp_path, name, b"x" * 10)
@@ -177,7 +164,7 @@ class TestTierPolicy:
         assert tiers == {"video/old.bin": TIER_ARCHIVE, "video/fresh.bin": TIER_COOL}
 
     def test_exact_boundary_not_archived(self, tmp_path):
-        store, _ = make_store(tmp_path)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         put_bytes(store.backend, "csv/x.csv", b"d", T0 - timedelta(days=30), tmp_path)
         assert store.apply_tier_policy("node-a", timedelta(days=30), now=T0) == []
@@ -191,7 +178,7 @@ class TestTierPolicy:
         assert store.apply_tier_policy("node-a", timedelta(days=30), now=T0) == []
 
     def test_empty_container(self, tmp_path):
-        store, _ = make_store(tmp_path)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         assert store.apply_tier_policy("node-a", timedelta(days=30), now=T0) == []
 
@@ -231,9 +218,9 @@ class TestFilesystemSidecars:
         backend.ensure_container("node-a")
         put_bytes(backend, "csv/day.csv", b"rows", T0, tmp_path)
         (tmp_path / "store" / "node-a" / "csv" / "day.csv.meta").write_text(sidecar)
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendError):
             backend.get_tier("node-a", "csv/day.csv")
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendError):
             backend.list_objects("node-a")
 
     def test_sidecar_visible_before_data(self, tmp_path, monkeypatch):
@@ -250,7 +237,7 @@ class TestFilesystemSidecars:
 
 
 def test_download_never_holds_the_object_in_memory(tmp_path):
-    store, _ = make_store(tmp_path)
+    store = make_store(tmp_path)
     store.ensure_node_container("node-a")
     path = tmp_path / "chunk.fseq"
     with open(path, "wb") as fh:
@@ -268,7 +255,7 @@ def test_download_never_holds_the_object_in_memory(tmp_path):
 
 
 def test_upload_never_holds_the_file_in_memory(tmp_path):
-    store, _ = make_store(tmp_path)
+    store = make_store(tmp_path)
     store.ensure_node_container("node-a")
     path = tmp_path / "chunk.fseq"
     with open(path, "wb") as fh:

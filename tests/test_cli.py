@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aerotrace.blob_store import FilesystemBackend
-from aerotrace.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, main
+from aerotrace.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, STORE_ROOT_ENV, main
 from aerotrace.fseq import write_fseq
 from aerotrace.sensor_codec import sample_to_csv_row
 from aerotrace.series import format_csv_series
@@ -28,6 +28,19 @@ def test_store_get_missing_key_exits_backend_error(tmp_path, capsys):
     assert "backend error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "store ls --root {d}/typo/store --node node-a",
+    "store get --root {d}/typo/store --node node-a --key csv/day.csv --out {d}/got.csv",
+    "store tier-sweep --root {d}/typo/store --node node-a --archive-after 1d",
+])
+def test_read_only_store_command_on_a_missing_root_creates_nothing(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    monkeypatch.delenv(STORE_ROOT_ENV, raising=False)
+    assert main(argv.format(d=tmp_path).split()) == EXIT_BACKEND
+    assert "backend error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def write_inputs(d):
     source = synthetic_sample_source(0)
     (d / "raw.csv").write_text("".join(sample_to_csv_row(source(at(10 * i))) + "\n"
@@ -43,6 +56,7 @@ def write_inputs(d):
     for name, buffer_dir in (("node.conf", d / "buf"), ("blocked.conf", d / "raw.csv")):
         (d / name).write_text(f"node_id=node-a\nbuffer_dir={buffer_dir}\n"
                               f"store_root={d / 'store'}\n")
+    (d / "no-store.conf").write_text(f"node_id=node-a\nbuffer_dir={d / 'buf'}\n")
     for name, line in (("slow.conf", "sample_interval=3000000d"),
                        ("long-chunk.conf", "video_chunk_len=3000000d"),
                        ("late.conf", "start_time=9999-12-31T23:59:00Z"),
@@ -93,18 +107,22 @@ HUGE = "1" + "0" * 30 + "d"
     "node run --config {d}/long-chunk.conf --duration 1s",
     "node run --config {d}/late.conf --duration 20s",
     "node run --config {d}/many-frames.conf --duration 1s",
+    "node run --config {d}/no-store.conf --duration 1s",
     "synth --script {d}/nan.scene --out {d}/nan.fseq",
     "synth --script {d}/inf.scene --out {d}/inf.fseq",
     "synth --script {d}/long.scene --out {d}/long.fseq",
     "synth --script {d}/far.scene --out {d}/far.fseq",
     "synth --script {d}/fast.scene --out {d}/fast.fseq",
 ])
-def test_out_of_range_value_exits_data_error(tmp_path, capsys, argv):
+def test_out_of_range_value_exits_data_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv(STORE_ROOT_ENV, raising=False)
     write_inputs(tmp_path)
     assert main(argv.format(d=tmp_path).split()) == EXIT_DATA
     err = capsys.readouterr().err
     assert "aerotrace: data error: " in err
     assert "Traceback" not in err
+    if "no-store.conf" in argv:
+        assert "store_root" in err and "--root" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
 import dataclasses
 import re
+import sys
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -47,7 +49,7 @@ def make_config(tmp_path, **overrides):
 
 def make_store(clock, tmp_path, backend=None):
     backend = backend or FilesystemBackend(tmp_path / "store")
-    return BlobStore(backend, sleep=clock.sleep, now=clock.now)
+    return BlobStore(backend, now=clock.now)
 
 
 def run(config, clock, store, duration_s):
@@ -391,7 +393,8 @@ class TestRunNode:
         config = make_config(tmp_path)
         store = make_store(clock, tmp_path, FlakyBackend(tmp_path / "store", fail_times=None))
         summary = run(config, clock, store, 600)
-        assert summary.uploads_failed == summary.uploads_enqueued == 3
+        # Each sweep re-enqueues the files whose upload failed so far.
+        assert summary.uploads_failed == summary.uploads_enqueued >= 3
         assert summary.uploads_confirmed == 0
         leftovers = [p for p in config.buffer_dir.iterdir()
                      if not p.name.endswith(".uploaded")]
@@ -474,6 +477,60 @@ class TestRunNode:
         assert summary.uploads_enqueued == summary.uploads_confirmed == 102
         assert all(read_marker(path) is not None for path in backlog)
         assert len(store.list_node_objects("node-a")) == 102
+
+    def test_failed_upload_is_retried_in_the_same_session(self, tmp_path):
+        """The first put fails; a later sweep re-enqueues that chunk, and every
+        sealed file is confirmed before the session ends."""
+        second_put = threading.Event()
+
+        class FailsFirst(FlakyBackend):
+            def put(self, *args):
+                try:
+                    return super().put(*args)
+                finally:
+                    if self.put_attempts >= 2:
+                        second_put.set()
+
+        frames = fast_frame_source(64, 36)
+
+        def frame_source(ts):
+            if ts > T0 + timedelta(seconds=10):
+                # The worker takes the second file only after it handled the first.
+                assert second_put.wait(timeout=30.0)
+            return frames(ts)
+
+        config = make_config(tmp_path, video_chunk_len_s=5)
+        clock = ScheduleClock(T0)
+        backend = FailsFirst(tmp_path / "store", fail_times=1)
+        summary = run_node(config, synthetic_sample_source(0), frame_source,
+                           make_store(clock, tmp_path, backend), clock, timedelta(seconds=30))
+        assert dataclasses.asdict(summary) == dict(
+            samples_written=3, chunks_sealed=6, csvs_sealed=1,
+            uploads_enqueued=8, uploads_confirmed=7, uploads_failed=1, files_deleted=0)
+        sealed = [p for p in config.buffer_dir.iterdir() if not p.name.endswith(".uploaded")]
+        assert len(sealed) == 7 and all(read_marker(p) is not None for p in sealed)
+
+    def test_sweep_after_midnight_leaves_the_open_csv_alone(self, tmp_path, monkeypatch):
+        """The sweep at 00:00:00 runs before the new day's first sample, while the
+        old day's CSV is still open; only its seal may enqueue it."""
+        sizes = {}
+
+        class RecordingWorker(UploadWorker):
+            def enqueue(self, path):
+                size = path.stat().st_size
+                queued = super().enqueue(path)
+                if queued and path.suffix == ".csv":
+                    sizes.setdefault(path.name, []).append(size)
+                return queued
+
+        monkeypatch.setattr(node_pipeline, "UploadWorker", RecordingWorker)
+        start = datetime(2022, 7, 1, 23, 59, 55, tzinfo=UTC)
+        clock = ScheduleClock(start)
+        config = make_config(tmp_path, start_time=start, video_chunk_len_s=5)
+        summary = run(config, clock, make_store(clock, tmp_path), 20)
+        assert summary.uploads_confirmed == summary.uploads_enqueued == 6
+        day1 = config.buffer_dir / daily_csv_name("node-a", start.date())
+        assert sizes[day1.name] == [day1.stat().st_size]
 
     def test_restart_in_the_same_chunk_window_keeps_both_sessions_frames(self, tmp_path):
         starts = [T0, T0 + timedelta(minutes=2)]
@@ -577,7 +634,7 @@ class TestUploadWorker:
         return UploadWorker(store, "node-a"), paths
 
     def test_local_os_error_counts_as_failure_and_keeps_serving(self, tmp_path):
-        # an OSError such as a full disk, raised below the retry layer
+        # an OSError such as a full disk, raised by the backend's copy
         worker, (first, second) = self.start(
             tmp_path, FlakyBackend(tmp_path / "store", fail_times=1, error=OSError))
         worker.enqueue(first)
@@ -586,6 +643,41 @@ class TestUploadWorker:
         assert (worker.failed, worker.confirmed) == (1, 1)
         assert read_marker(first) is None and first.exists()
         assert read_marker(second) is not None
+        # The failed name is forgotten, so a later scan can enqueue it again.
+        assert worker.enqueue(first) and not worker.enqueue(second)
+
+    def test_rescans_during_failures_confirm_every_file_once(self, tmp_path):
+        """Every other put fails while the main thread keeps rescanning, with
+        thread switches as frequent as the interpreter allows: every file is
+        confirmed exactly once and none is stranded by a name left behind."""
+
+        class EveryOtherFails(FlakyBackend):
+            def _should_fail(self, key):
+                return self.put_attempts % 2 == 1
+
+        clock = AcceleratedClock(start=T0, accel=1000.0)
+        store = make_store(clock, tmp_path, EveryOtherFails(tmp_path / "store"))
+        store.ensure_node_container("node-a")
+        paths = [tmp_path / f"{i:03d}.fseq" for i in range(60)]
+        for path in paths:
+            path.write_bytes(b"frames")
+        worker = UploadWorker(store, "node-a")
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                pending = [p for p in paths if read_marker(p) is None]
+                if not pending:
+                    break
+                for path in pending:
+                    worker.enqueue(path)
+        finally:
+            sys.setswitchinterval(switch)
+        assert drain_within(worker, 5.0)
+        assert all(read_marker(p) is not None for p in paths)
+        assert worker.confirmed == len(paths)
+        assert worker.enqueued == worker.confirmed + worker.failed
 
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_drain_returns_when_thread_is_gone(self, tmp_path):
