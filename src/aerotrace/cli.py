@@ -15,7 +15,7 @@ import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
-from .blob_store import BlobRef, BlobStore, FilesystemBackend
+from .blob_store import BlobRef, BlobStore
 from .calib_metrics import calibration_report, format_report
 from .clocks import AcceleratedClock
 from .correlate import emit_report, join_hourly, lagged_cross_correlation
@@ -105,7 +105,7 @@ def cmd_node_run(args: argparse.Namespace) -> int:
     start = config.start_time or datetime.now(tz=UTC).replace(microsecond=0)
     clock = AcceleratedClock(start=start, accel=args.accel)
     root = _store_root(config.store_root, "add a store_root line to the config")
-    store = BlobStore(FilesystemBackend(root), now=clock.now)
+    store = BlobStore(root, now=clock.now)
     summary = run_node(
         config,
         sample_source=synthetic_sample_source(config.seed),
@@ -118,7 +118,7 @@ def cmd_node_run(args: argparse.Namespace) -> int:
 
 
 def cmd_store_ls(args: argparse.Namespace) -> int:
-    store = BlobStore(FilesystemBackend(_store_root(args.root, "pass --root")))
+    store = BlobStore(_store_root(args.root, "pass --root"))
     lines = ["key,size,tier,uploaded_at"]
     for obj in store.list_node_objects(args.node):
         if args.prefix and not obj.key.startswith(args.prefix):
@@ -129,7 +129,7 @@ def cmd_store_ls(args: argparse.Namespace) -> int:
 
 
 def cmd_store_get(args: argparse.Namespace) -> int:
-    store = BlobStore(FilesystemBackend(_store_root(args.root, "pass --root")))
+    store = BlobStore(_store_root(args.root, "pass --root"))
     out = Path(args.out)
     store.download(BlobRef(container=args.node, key=args.key), out)
     log.info("wrote %d bytes to %s", out.stat().st_size, out)
@@ -137,10 +137,11 @@ def cmd_store_get(args: argparse.Namespace) -> int:
 
 
 def cmd_store_tier_sweep(args: argparse.Namespace) -> int:
-    store = BlobStore(FilesystemBackend(_store_root(args.root, "pass --root")))
+    root = _store_root(args.root, "pass --root")
     now = _utc_option("--now", args.now) if args.now else datetime.now(tz=UTC)
     archive_after = timedelta(seconds=parse_duration(args.archive_after))
-    moved = store.apply_tier_policy(args.node, archive_after=archive_after, now=now)
+    store = BlobStore(root, now=lambda: now)
+    moved = store.apply_tier_policy(args.node, archive_after=archive_after)
     lines = [ref.key for ref in moved]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     log.info("archived %d objects", len(moved))

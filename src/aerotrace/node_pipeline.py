@@ -227,15 +227,21 @@ def scan_unconfirmed(buffer_dir: Path, node_id: str, today: date) -> list[Path]:
     return found
 
 
+def _blob_ref(node_id: str, path: Path) -> BlobRef:
+    """Where a buffer file is stored: an ``.fseq`` file under ``video/``, any
+    other file under ``csv/``."""
+    kind = "video" if path.suffix == ".fseq" else "csv"
+    return BlobRef(container=node_id, key=f"{kind}/{path.name}")
+
+
 class UploadWorker:
     """Single consumer thread pushing sealed files into the blob store.
 
     ``enqueue`` never blocks and ignores a name that is queued, in flight or
     confirmed. The queue is unbounded: it holds paths, whose sealed files on
-    disk bound its length. An ``.fseq`` file is stored under ``video/``, any
-    other file under ``csv/``. A failed upload, a local ``OSError`` included,
-    is counted, leaves the file unmarked and forgets its name, so the next
-    buffer scan enqueues it again.
+    disk bound its length. Each file goes to its ``_blob_ref``. A failed
+    upload, a local ``OSError`` included, is counted, leaves the file unmarked
+    and forgets its name, so the next buffer scan enqueues it again.
     """
 
     def __init__(self, store: BlobStore, node_id: str):
@@ -263,10 +269,7 @@ class UploadWorker:
             path = self.queue.get()
             if path is None:
                 return
-            kind = "video" if path.suffix == ".fseq" else "csv"
-            job = UploadJob(
-                blob=BlobRef(container=self.node_id, key=f"{kind}/{path.name}"),
-                local_path=path)
+            job = UploadJob(blob=_blob_ref(self.node_id, path), local_path=path)
             try:
                 self.store.upload(job)
                 write_marker(path, job.confirmed_at)
@@ -338,12 +341,14 @@ class _CsvSink:
 class _ChunkSink:
     """Streams frames into hour-aligned fixed-length FSEQ chunks.
 
-    A chunk whose window's name an earlier session already used in the buffer
-    is named by its first frame's second, so a restart never overwrites one.
+    A chunk whose window's name an earlier session already used, in the buffer
+    or in the store, is named by its first frame's second, so a restart never
+    overwrites one.
     """
 
-    def __init__(self, config: NodeConfig):
+    def __init__(self, config: NodeConfig, store: BlobStore):
         self.config = config
+        self.store = store
         self.writer: FseqWriter | None = None
         self.chunk_start: datetime | None = None
         self.part_path: Path | None = None
@@ -367,10 +372,11 @@ class _ChunkSink:
         for start in (key, ts.replace(microsecond=0)):
             final = self.config.buffer_dir / chunk_filename(self.config.node_id, start)
             part = final.with_name(final.name + PART_SUFFIX)
-            if not any(p.exists() for p in (final, part, marker_path(final))):
+            if not (any(p.exists() for p in (final, part, marker_path(final)))
+                    or self.store.has(_blob_ref(self.config.node_id, final))):
                 return part
-        raise DataError(f"chunk {final.name} is already in the buffer; a replay of an "
-                        "earlier schedule would overwrite it")
+        raise DataError(f"chunk {final.name} is already in the buffer or the store; a "
+                        "replay of an earlier schedule would overwrite it")
 
     def seal(self) -> Path | None:
         if self.writer is None:
@@ -426,7 +432,7 @@ def run_node(config: NodeConfig,
         return 1
 
     csv_sink = _CsvSink(config.node_id, buffer_dir)
-    chunk_sink = _ChunkSink(config)
+    chunk_sink = _ChunkSink(config, store)
 
     def rescan(today: date) -> None:
         """Queue every sealed, unconfirmed file; the open CSV is not sealed yet."""

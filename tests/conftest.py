@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from aerotrace.blob_store import FilesystemBackend
+from aerotrace.blob_store import BlobStore
 from aerotrace.errors import BackendError
 
 UTC = timezone.utc
@@ -27,40 +27,29 @@ def same_series(a, b) -> bool:
             and a.values.tobytes() == b.values.tobytes())
 
 
-class FlakyBackend:
-    """FilesystemBackend wrapper, rooted at ``root``, whose puts fail a scripted number of times.
+class FlakyStore(BlobStore):
+    """Store whose uploads fail a scripted number of times.
 
-    fail_times=None means every put fails forever. Keys matching
-    ``fail_prefix`` (when set) are the only ones affected. A failing put
-    raises ``error``.
+    fail_times=None means every upload fails forever. A failing upload raises
+    ``error`` before it copies anything.
     """
 
-    def __init__(self, root, fail_times=0, fail_prefix=None, error=BackendError):
-        self.inner = FilesystemBackend(root)
+    def __init__(self, root, now, fail_times=0, error=BackendError):
+        super().__init__(root, now)
         self.fail_times = fail_times
-        self.fail_prefix = fail_prefix
         self.error = error
         self.put_attempts = 0
         self._lock = threading.Lock()
 
-    def _should_fail(self, key):
-        if self.fail_prefix is not None and not key.startswith(self.fail_prefix):
-            return False
-        if self.fail_times is None:
-            return True
-        if self.put_attempts <= self.fail_times:
-            return True
-        return False
+    def _should_fail(self):
+        return self.fail_times is None or self.put_attempts <= self.fail_times
 
-    def put(self, container, key, src, uploaded_at):
+    def upload(self, job):
         with self._lock:
             self.put_attempts += 1
-            if self._should_fail(key):
+            if self._should_fail():
                 raise self.error(f"scripted failure #{self.put_attempts}")
-        return self.inner.put(container, key, src, uploaded_at)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+        return super().upload(job)
 
 
 @pytest.fixture

@@ -1,17 +1,19 @@
 import re
+import tempfile
 import time
 import tracemalloc
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aerotrace.blob_store import (
-    TIER_ARCHIVE, TIER_COOL, BlobRef, BlobStore, FilesystemBackend, UploadJob)
+from aerotrace import blob_store
+from aerotrace.blob_store import TIER_ARCHIVE, TIER_COOL, BlobRef, BlobStore, UploadJob
 from aerotrace.errors import BackendError, DataError
 
-from conftest import T0, FlakyBackend
-
-UTC = timezone.utc
+from conftest import T0
 
 
 def bad_key_message(key: str) -> str:
@@ -20,8 +22,8 @@ def bad_key_message(key: str) -> str:
             "|a backslash or a sidecar suffix)$")
 
 
-def make_store(tmp_path, backend=None):
-    return BlobStore(backend or FilesystemBackend(tmp_path / "store"), now=lambda: T0)
+def make_store(tmp_path, now=T0):
+    return BlobStore(tmp_path / "store", now=lambda: now)
 
 
 def write_file(tmp_path, name, data):
@@ -30,9 +32,10 @@ def write_file(tmp_path, name, data):
     return path
 
 
-def put_bytes(backend, key, data, uploaded_at, tmp_path):
-    """Store ``data`` under ``node-a/key`` through a local source file."""
-    return backend.put("node-a", key, write_file(tmp_path, "src.bin", data), uploaded_at)
+def put_bytes(store, key, data, uploaded_at, tmp_path):
+    """Upload ``data`` to ``node-a/key`` at ``uploaded_at`` through a local source file."""
+    job = UploadJob(blob=BlobRef("node-a", key), local_path=write_file(tmp_path, "src.bin", data))
+    BlobStore(store.root, now=lambda: uploaded_at).upload(job)
 
 
 class TestAddressing:
@@ -76,12 +79,34 @@ class TestAddressing:
             store.upload(UploadJob(blob=BlobRef("node-a", str(outside)), local_path=path))
         assert not outside.exists()
 
+    # Printable ASCII, weighted toward path separators and sidecar suffixes.
+    # Keys stay well below the file system's name length limit.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["/", ".", "\\", "-", ".meta", ".tmp"])
+                    | st.characters(min_codepoint=32, max_codepoint=126), max_size=30)
+           .map("".join))
+    def test_any_accepted_key_stays_inside_its_container(self, key):
+        try:
+            ref = BlobRef("node-a", key)
+        except DataError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            src = write_file(tmp, "src.bin", b"abc")
+            store = BlobStore(tmp / "store", now=lambda: T0)
+            store.ensure_node_container("node-a")
+            store.upload(UploadJob(blob=ref, local_path=src))
+            container = (tmp / "store" / "node-a").resolve()
+            obj = (container / key).resolve()
+            assert obj.is_relative_to(container) and obj.read_bytes() == b"abc"
+            assert [o.key for o in store.list_node_objects("node-a")] == [key]
+            written = {p.relative_to(tmp).as_posix() for p in tmp.rglob("*") if p.is_file()}
+            assert written == {"src.bin", f"store/node-a/{key}", f"store/node-a/{key}.meta"}
 
-# One backend ships; the "fs" id keeps these test names stable.
-@pytest.mark.parametrize("backend_cls", [FilesystemBackend], ids=["fs"])
+
 class TestUploadDownload:
-    def test_integrity_round_trip(self, backend_cls, tmp_path, rng):
-        store = make_store(tmp_path, backend_cls(tmp_path / "store"))
+    def test_integrity_round_trip(self, tmp_path, rng):
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         data = rng.integers(0, 256, size=1 << 20, dtype="uint8").tobytes()
         path = write_file(tmp_path, "blob.bin", data)
@@ -93,16 +118,16 @@ class TestUploadDownload:
         store.download(job.blob, out)
         assert out.read_bytes() == data
 
-    def test_missing_object_is_backend_error(self, backend_cls, tmp_path):
-        store = make_store(tmp_path, backend_cls(tmp_path / "store"))
+    def test_missing_object_is_backend_error(self, tmp_path):
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match=r"^node-a/csv/nope\.csv not found$"):
             store.download(BlobRef("node-a", "csv/nope.csv"), tmp_path / "out.csv")
-        with pytest.raises(BackendError):
-            store.backend.set_tier("node-a", "csv/nope.csv", TIER_COOL)
+        with pytest.raises(BackendError, match="^container 'node-b' does not exist$"):
+            store.download(BlobRef("node-b", "csv/nope.csv"), tmp_path / "out.csv")
 
-    def test_container_isolation(self, backend_cls, tmp_path):
-        store = make_store(tmp_path, backend_cls(tmp_path / "store"))
+    def test_container_isolation(self, tmp_path):
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         store.ensure_node_container("node-b")
         path = write_file(tmp_path, "x.csv", b"hello")
@@ -113,23 +138,29 @@ class TestUploadDownload:
 
 class TestOneAttempt:
     def test_failing_put_is_attempted_once(self, tmp_path, monkeypatch):
+        copies = []
+
+        def failing_copy(src, dst):
+            copies.append(dst)
+            raise BackendError(f"scripted failure #{len(copies)}")
+
         monkeypatch.setattr(time, "sleep", lambda s: pytest.fail(f"slept {s} s"))
-        backend = FlakyBackend(tmp_path / "store", fail_times=None)
-        store = make_store(tmp_path, backend)
+        monkeypatch.setattr(blob_store.shutil, "copyfile", failing_copy)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
                         local_path=write_file(tmp_path, "x.bin", b"abc"))
         with pytest.raises(BackendError, match="^scripted failure #1$"):
             store.upload(job)
-        assert backend.put_attempts == job.attempts == 1
+        assert len(copies) == job.attempts == 1
         assert job.confirmed_at is None
         assert store.list_node_objects("node-a") == []
 
     def test_stored_size_mismatch_fails(self, tmp_path, monkeypatch):
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
-        put = FilesystemBackend.put
-        monkeypatch.setattr(FilesystemBackend, "put", lambda *a: put(*a) - 1)
+        monkeypatch.setattr(blob_store.shutil, "copyfile",
+                            lambda src, dst: Path(dst).write_bytes(Path(src).read_bytes()[:-1]))
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
                         local_path=write_file(tmp_path, "x.bin", b"abc"))
         with pytest.raises(BackendError, match=f"^upload of {re.escape(str(job.local_path))} "
@@ -151,14 +182,12 @@ class TestTierPolicy:
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         for name, age_d in [("old.bin", 40), ("fresh.bin", 1)]:
-            path = write_file(tmp_path, name, b"x" * 10)
-            uploaded = T0 - timedelta(days=age_d)
-            store.backend.put("node-a", f"video/{name}", path, uploaded)
+            put_bytes(store, f"video/{name}", b"x" * 10, T0 - timedelta(days=age_d), tmp_path)
         return store
 
     def test_age_boundary(self, tmp_path):
         store = self._loaded_store(tmp_path)
-        moved = store.apply_tier_policy("node-a", archive_after=timedelta(days=30), now=T0)
+        moved = store.apply_tier_policy("node-a", archive_after=timedelta(days=30))
         assert [m.key for m in moved] == ["video/old.bin"]
         tiers = {o.key: o.tier for o in store.list_node_objects("node-a")}
         assert tiers == {"video/old.bin": TIER_ARCHIVE, "video/fresh.bin": TIER_COOL}
@@ -166,73 +195,73 @@ class TestTierPolicy:
     def test_exact_boundary_not_archived(self, tmp_path):
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
-        put_bytes(store.backend, "csv/x.csv", b"d", T0 - timedelta(days=30), tmp_path)
-        assert store.apply_tier_policy("node-a", timedelta(days=30), now=T0) == []
-        just_over = T0 + timedelta(seconds=1)
-        moved = store.apply_tier_policy("node-a", timedelta(days=30), now=just_over)
+        put_bytes(store, "csv/x.csv", b"d", T0 - timedelta(days=30), tmp_path)
+        assert store.apply_tier_policy("node-a", timedelta(days=30)) == []
+        just_over = make_store(tmp_path, now=T0 + timedelta(seconds=1))
+        moved = just_over.apply_tier_policy("node-a", timedelta(days=30))
         assert [m.key for m in moved] == ["csv/x.csv"]
 
     def test_idempotent(self, tmp_path):
         store = self._loaded_store(tmp_path)
-        store.apply_tier_policy("node-a", timedelta(days=30), now=T0)
-        assert store.apply_tier_policy("node-a", timedelta(days=30), now=T0) == []
+        store.apply_tier_policy("node-a", timedelta(days=30))
+        assert store.apply_tier_policy("node-a", timedelta(days=30)) == []
 
     def test_empty_container(self, tmp_path):
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
-        assert store.apply_tier_policy("node-a", timedelta(days=30), now=T0) == []
+        assert store.apply_tier_policy("node-a", timedelta(days=30)) == []
 
     def test_archive_refuses_reads_until_rehydrated(self, tmp_path):
         store = self._loaded_store(tmp_path)
-        store.apply_tier_policy("node-a", timedelta(days=30), now=T0)
+        store.apply_tier_policy("node-a", timedelta(days=30))
         ref = BlobRef("node-a", "video/old.bin")
         out = tmp_path / "out.bin"
         with pytest.raises(BackendError,
                            match=r"^node-a/video/old\.bin is archived and cannot be downloaded$"):
             store.download(ref, out)
         assert not out.exists()
-        store.backend.set_tier(ref.container, ref.key, TIER_COOL)
+        meta = tmp_path / "store" / "node-a" / "video" / "old.bin.meta"
+        meta.write_text(meta.read_text().replace(f"tier={TIER_ARCHIVE}", f"tier={TIER_COOL}"))
         store.download(ref, out)
         assert out.read_bytes() == b"x" * 10
 
 
 class TestFilesystemSidecars:
     def test_meta_files_not_listed(self, tmp_path):
-        backend = FilesystemBackend(tmp_path / "store")
-        backend.ensure_container("node-a")
-        put_bytes(backend, "csv/day.csv", b"rows", T0, tmp_path)
-        assert [o.key for o in backend.list_objects("node-a")] == ["csv/day.csv"]
+        store = make_store(tmp_path)
+        store.ensure_node_container("node-a")
+        put_bytes(store, "csv/day.csv", b"rows", T0, tmp_path)
+        assert [o.key for o in store.list_node_objects("node-a")] == ["csv/day.csv"]
 
     def test_tier_survives_reopen(self, tmp_path):
-        root = tmp_path / "store"
-        backend = FilesystemBackend(root)
-        backend.ensure_container("node-a")
-        put_bytes(backend, "csv/day.csv", b"rows", T0, tmp_path)
-        backend.set_tier("node-a", "csv/day.csv", TIER_ARCHIVE)
-        again = FilesystemBackend(root)
-        assert again.list_objects("node-a")[0].tier == TIER_ARCHIVE
+        store = make_store(tmp_path, now=T0 + timedelta(days=2))
+        store.ensure_node_container("node-a")
+        put_bytes(store, "csv/day.csv", b"rows", T0, tmp_path)
+        assert store.apply_tier_policy("node-a", timedelta(days=1))
+        again = make_store(tmp_path)
+        assert again.list_node_objects("node-a")[0].tier == TIER_ARCHIVE
 
     @pytest.mark.parametrize("sidecar", ["", "tier=cool\n", "tier=cool\nuploaded_at=soon\n"])
     def test_malformed_sidecar_is_backend_error(self, tmp_path, sidecar):
-        backend = FilesystemBackend(tmp_path / "store")
-        backend.ensure_container("node-a")
-        put_bytes(backend, "csv/day.csv", b"rows", T0, tmp_path)
+        store = make_store(tmp_path)
+        store.ensure_node_container("node-a")
+        put_bytes(store, "csv/day.csv", b"rows", T0, tmp_path)
         (tmp_path / "store" / "node-a" / "csv" / "day.csv.meta").write_text(sidecar)
-        with pytest.raises(BackendError):
-            backend.get_tier("node-a", "csv/day.csv")
-        with pytest.raises(BackendError):
-            backend.list_objects("node-a")
+        with pytest.raises(BackendError, match="unreadable sidecar"):
+            store.download(BlobRef("node-a", "csv/day.csv"), tmp_path / "out.csv")
+        with pytest.raises(BackendError, match="unreadable sidecar"):
+            store.list_node_objects("node-a")
 
     def test_sidecar_visible_before_data(self, tmp_path, monkeypatch):
         def no_sidecar(*args):
             raise OSError("disk full")
 
-        backend = FilesystemBackend(tmp_path / "store")
-        backend.ensure_container("node-a")
-        monkeypatch.setattr(backend, "_write_meta", no_sidecar)
+        store = make_store(tmp_path)
+        store.ensure_node_container("node-a")
+        monkeypatch.setattr(blob_store, "_write_meta", no_sidecar)
         with pytest.raises(OSError):
-            put_bytes(backend, "csv/day.csv", b"rows", T0, tmp_path)
-        assert backend.list_objects("node-a") == []
+            put_bytes(store, "csv/day.csv", b"rows", T0, tmp_path)
+        assert store.list_node_objects("node-a") == []
         assert list((tmp_path / "store" / "node-a").rglob("*.tmp")) == []
 
 

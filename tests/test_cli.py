@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aerotrace.blob_store import FilesystemBackend
+from aerotrace.blob_store import BlobRef, BlobStore, UploadJob
 from aerotrace.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, STORE_ROOT_ENV, main
 from aerotrace.fseq import write_fseq
 from aerotrace.sensor_codec import sample_to_csv_row
@@ -13,11 +13,11 @@ from conftest import T0, at, make_series
 
 def test_store_get_missing_key_exits_backend_error(tmp_path, capsys):
     root = tmp_path / "store"
-    backend = FilesystemBackend(root)
-    backend.ensure_container("node-a")
+    store = BlobStore(root, now=lambda: T0)
+    store.ensure_node_container("node-a")
     src = tmp_path / "day.csv"
     src.write_bytes(b"rows")
-    backend.put("node-a", "csv/day.csv", src, T0)
+    store.upload(UploadJob(blob=BlobRef("node-a", "csv/day.csv"), local_path=src))
     out = tmp_path / "got.csv"
     argv = ["store", "get", "--root", str(root), "--node", "node-a", "--out", str(out)]
 

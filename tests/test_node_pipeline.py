@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aerotrace import node_pipeline
-from aerotrace.blob_store import BlobRef, BlobStore, FilesystemBackend
+from aerotrace.blob_store import BlobRef, BlobStore, UploadJob
 from aerotrace.clocks import AcceleratedClock
 from aerotrace.errors import AerotraceError, DataError
 from aerotrace.fseq import chunk_filename, iter_fseq_frames, write_fseq
@@ -22,7 +22,7 @@ from aerotrace.node_pipeline import (
 from aerotrace.sensor_codec import parse_csv_row
 from aerotrace.synth import synthetic_sample_source
 
-from conftest import FlakyBackend
+from conftest import FlakyStore
 
 UTC = timezone.utc
 T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
@@ -47,9 +47,8 @@ def make_config(tmp_path, **overrides):
     return NodeConfig(**defaults)
 
 
-def make_store(clock, tmp_path, backend=None):
-    backend = backend or FilesystemBackend(tmp_path / "store")
-    return BlobStore(backend, now=clock.now)
+def make_store(clock, tmp_path, cls=BlobStore, **kwargs):
+    return cls(tmp_path / "store", now=clock.now, **kwargs)
 
 
 def run(config, clock, store, duration_s):
@@ -58,35 +57,29 @@ def run(config, clock, store, duration_s):
                     store, clock, timedelta(seconds=duration_s))
 
 
-class SlowBackend:
-    """FilesystemBackend wrapper that adds virtual latency to every put via the run's clock."""
+class SlowStore(BlobStore):
+    """Store whose uploads first ``sleep`` for ``latency_s``, on the run's clock."""
 
-    def __init__(self, root, clock, latency_s):
-        self.inner = FilesystemBackend(root)
-        self.clock = clock
+    def __init__(self, root, now, sleep, latency_s):
+        super().__init__(root, now)
+        self.sleep = sleep
         self.latency_s = latency_s
 
-    def put(self, container, key, src, uploaded_at):
-        self.clock.sleep(self.latency_s)
-        return self.inner.put(container, key, src, uploaded_at)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+    def upload(self, job):
+        self.sleep(self.latency_s)
+        return super().upload(job)
 
 
-class GatedBackend:
-    """FilesystemBackend wrapper whose puts wait until ``gate`` is set."""
+class GatedStore(BlobStore):
+    """Store whose uploads wait until ``gate`` is set."""
 
-    def __init__(self, root, gate):
-        self.inner = FilesystemBackend(root)
+    def __init__(self, root, now, gate):
+        super().__init__(root, now)
         self.gate = gate
 
-    def put(self, container, key, src, uploaded_at):
+    def upload(self, job):
         self.gate.wait(timeout=30.0)
-        return self.inner.put(container, key, src, uploaded_at)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+        return super().upload(job)
 
 
 class BackwardsWindowClock:
@@ -287,13 +280,21 @@ class TestRestartScan:
 
 
 class TestChunkSink:
-    @pytest.mark.parametrize("suffix", ["", ".part", ".uploaded"])
+    @pytest.mark.parametrize("suffix", ["", ".part", ".uploaded", "stored"])
     def test_taken_window_name_falls_back_to_the_first_frame_second(self, tmp_path, suffix):
         config = make_config(tmp_path)
         config.buffer_dir.mkdir()
-        earlier = config.buffer_dir / ("node-a_20220701_160000.fseq" + suffix)
-        earlier.write_bytes(b"earlier session")
-        sink = node_pipeline._ChunkSink(config)
+        store = make_store(ScheduleClock(T0), tmp_path)
+        store.ensure_node_container("node-a")
+        name = "node-a_20220701_160000.fseq"
+        if suffix == "stored":  # uploaded, then deleted from the buffer
+            earlier = tmp_path / name
+            earlier.write_bytes(b"earlier session")
+            store.upload(UploadJob(blob=BlobRef("node-a", f"video/{name}"), local_path=earlier))
+        else:
+            earlier = config.buffer_dir / (name + suffix)
+            earlier.write_bytes(b"earlier session")
+        sink = node_pipeline._ChunkSink(config, store)
         ts = T0 + timedelta(minutes=2, microseconds=100000)
         sink.add(ts, fast_frame_source(config.frame_width, config.frame_height)(ts))
         assert sink.seal().name == "node-a_20220701_160200.fseq"
@@ -369,8 +370,8 @@ class TestRunNode:
     def test_slow_store_does_not_disturb_cadence(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=7200.0)
         config = make_config(tmp_path)
-        backend = SlowBackend(tmp_path / "store", clock, latency_s=900.0)  # 3x chunk length
-        store = make_store(clock, tmp_path, backend)
+        # Each upload takes 3 chunk lengths.
+        store = make_store(clock, tmp_path, SlowStore, sleep=clock.sleep, latency_s=900.0)
         summary = run(config, clock, store, 900)
         assert summary.chunks_sealed == 3
         assert summary.uploads_confirmed == 4
@@ -391,7 +392,7 @@ class TestRunNode:
     def test_failing_store_keeps_files(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)
         config = make_config(tmp_path)
-        store = make_store(clock, tmp_path, FlakyBackend(tmp_path / "store", fail_times=None))
+        store = make_store(clock, tmp_path, FlakyStore, fail_times=None)
         summary = run(config, clock, store, 600)
         # Each sweep re-enqueues the files whose upload failed so far.
         assert summary.uploads_failed == summary.uploads_enqueued >= 3
@@ -422,8 +423,7 @@ class TestRunNode:
     def test_restart_rescans_and_dedupes(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)
         config = make_config(tmp_path)
-        failing = FlakyBackend(tmp_path / "store", fail_times=None)
-        run(config, clock, make_store(clock, tmp_path, failing), 600)
+        run(config, clock, make_store(clock, tmp_path, FlakyStore, fail_times=None), 600)
 
         day2 = datetime(2022, 7, 2, 9, 0, 0, tzinfo=UTC)
         config2 = make_config(tmp_path, start_time=day2)
@@ -439,11 +439,10 @@ class TestRunNode:
         assert summary3.uploads_enqueued == 0
 
     def test_slow_store_confirms_every_file_in_the_same_session(self, tmp_path):
-        # Each put takes 20 chunk lengths, so the session's files wait in the queue.
+        # Each upload takes 20 chunk lengths, so the session's files wait in the queue.
         clock = AcceleratedClock(start=T0, accel=36000.0)
         config = make_config(tmp_path)
-        backend = SlowBackend(tmp_path / "store", clock, latency_s=6000.0)
-        store = make_store(clock, tmp_path, backend)
+        store = make_store(clock, tmp_path, SlowStore, sleep=clock.sleep, latency_s=6000.0)
         summary = run(config, clock, store, 1800)
         assert dataclasses.asdict(summary) == dict(
             samples_written=180, chunks_sealed=6, csvs_sealed=1,
@@ -471,7 +470,7 @@ class TestRunNode:
             return frames(ts)
 
         clock = ScheduleClock(T0)
-        store = make_store(clock, tmp_path, GatedBackend(tmp_path / "store", gate))
+        store = make_store(clock, tmp_path, GatedStore, gate=gate)
         summary = run_node(config, synthetic_sample_source(0), frame_source, store, clock,
                            timedelta(seconds=10))
         assert summary.uploads_enqueued == summary.uploads_confirmed == 102
@@ -483,10 +482,10 @@ class TestRunNode:
         sealed file is confirmed before the session ends."""
         second_put = threading.Event()
 
-        class FailsFirst(FlakyBackend):
-            def put(self, *args):
+        class FailsFirst(FlakyStore):
+            def upload(self, job):
                 try:
-                    return super().put(*args)
+                    return super().upload(job)
                 finally:
                     if self.put_attempts >= 2:
                         second_put.set()
@@ -501,9 +500,9 @@ class TestRunNode:
 
         config = make_config(tmp_path, video_chunk_len_s=5)
         clock = ScheduleClock(T0)
-        backend = FailsFirst(tmp_path / "store", fail_times=1)
         summary = run_node(config, synthetic_sample_source(0), frame_source,
-                           make_store(clock, tmp_path, backend), clock, timedelta(seconds=30))
+                           make_store(clock, tmp_path, FailsFirst, fail_times=1), clock,
+                           timedelta(seconds=30))
         assert dataclasses.asdict(summary) == dict(
             samples_written=3, chunks_sealed=6, csvs_sealed=1,
             uploads_enqueued=8, uploads_confirmed=7, uploads_failed=1, files_deleted=0)
@@ -532,12 +531,17 @@ class TestRunNode:
         day1 = config.buffer_dir / daily_csv_name("node-a", start.date())
         assert sizes[day1.name] == [day1.stat().st_size]
 
-    def test_restart_in_the_same_chunk_window_keeps_both_sessions_frames(self, tmp_path):
+    # With retention 0 the sweep has deleted the first session's chunk and
+    # marker from the buffer before the second session opens the same window.
+    @pytest.mark.parametrize("retention_s", [86400.0, 0.0], ids=["kept", "swept"])
+    def test_restart_in_the_same_chunk_window_keeps_both_sessions_frames(self, tmp_path,
+                                                                        retention_s):
         starts = [T0, T0 + timedelta(minutes=2)]
         for start in starts:
             clock = ScheduleClock(start)
             store = make_store(clock, tmp_path)
-            config = make_config(tmp_path, start_time=start, frame_width=32, frame_height=16)
+            config = make_config(tmp_path, start_time=start, frame_width=32, frame_height=16,
+                                 retention_s=retention_s)
             assert run(config, clock, store, 60).uploads_confirmed == 2
         names = ["node-a_20220701_160000.fseq", "node-a_20220701_160200.fseq"]
         assert sorted(o.key for o in store.list_node_objects("node-a")
@@ -545,7 +549,9 @@ class TestRunNode:
         for name, start in zip(names, starts):
             got = tmp_path / "got.fseq"
             store.download(BlobRef("node-a", f"video/{name}"), got)
-            assert got.read_bytes() == (config.buffer_dir / name).read_bytes()
+            assert (config.buffer_dir / name).exists() == bool(retention_s)
+            if retention_s:
+                assert got.read_bytes() == (config.buffer_dir / name).read_bytes()
             info, frames = iter_fseq_frames(got)
             assert info.frame_count == 600
             assert next(frames)[0, 0] == int(start.timestamp()) % 256
@@ -553,7 +559,7 @@ class TestRunNode:
         # A replay of the second session finds both names taken.
         before = sorted(config.buffer_dir.iterdir())
         clock = ScheduleClock(starts[1])
-        with pytest.raises(DataError, match="already in the buffer"):
+        with pytest.raises(DataError, match="already in the buffer or the store"):
             run(config, clock, make_store(clock, tmp_path), 60)
         assert sorted(config.buffer_dir.iterdir()) == before
 
@@ -624,9 +630,9 @@ def drain_within(worker, seconds):
 
 
 class TestUploadWorker:
-    def start(self, tmp_path, backend):
+    def start(self, tmp_path, **flaky):
         clock = AcceleratedClock(start=T0, accel=1000.0)
-        store = make_store(clock, tmp_path, backend)
+        store = make_store(clock, tmp_path, FlakyStore, **flaky)
         store.ensure_node_container("node-a")
         paths = [tmp_path / name for name in ("a.fseq", "b.fseq")]
         for path in paths:
@@ -634,9 +640,8 @@ class TestUploadWorker:
         return UploadWorker(store, "node-a"), paths
 
     def test_local_os_error_counts_as_failure_and_keeps_serving(self, tmp_path):
-        # an OSError such as a full disk, raised by the backend's copy
-        worker, (first, second) = self.start(
-            tmp_path, FlakyBackend(tmp_path / "store", fail_times=1, error=OSError))
+        # an OSError such as a full disk, raised by the store's copy
+        worker, (first, second) = self.start(tmp_path, fail_times=1, error=OSError)
         worker.enqueue(first)
         worker.enqueue(second)
         assert drain_within(worker, 5.0)
@@ -651,12 +656,12 @@ class TestUploadWorker:
         thread switches as frequent as the interpreter allows: every file is
         confirmed exactly once and none is stranded by a name left behind."""
 
-        class EveryOtherFails(FlakyBackend):
-            def _should_fail(self, key):
+        class EveryOtherFails(FlakyStore):
+            def _should_fail(self):
                 return self.put_attempts % 2 == 1
 
         clock = AcceleratedClock(start=T0, accel=1000.0)
-        store = make_store(clock, tmp_path, EveryOtherFails(tmp_path / "store"))
+        store = make_store(clock, tmp_path, EveryOtherFails)
         store.ensure_node_container("node-a")
         paths = [tmp_path / f"{i:03d}.fseq" for i in range(60)]
         for path in paths:
@@ -681,8 +686,7 @@ class TestUploadWorker:
 
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_drain_returns_when_thread_is_gone(self, tmp_path):
-        backend = FlakyBackend(tmp_path / "store", fail_times=None, error=RuntimeError)
-        worker, (first, second) = self.start(tmp_path, backend)
+        worker, (first, second) = self.start(tmp_path, fail_times=None, error=RuntimeError)
         worker.enqueue(first)
         worker._thread.join(timeout=5.0)
         assert not worker._thread.is_alive()
