@@ -4,9 +4,10 @@ Each monitoring node owns one container named after it, the directory
 ``<root>/<node id>``; every object the node produces lands in that container
 under a ``video/`` or ``csv/`` key, as the file ``<root>/<container>/<key>``.
 A flat-text ``<key>.meta`` sidecar beside it records the object's tier and
-upload time, so listings and tier sweeps survive process restarts. Uploads and
-downloads copy local files by path, objects start in the ``cool`` tier, and
-``archive`` objects cannot be downloaded.
+upload time, so listings and tier sweeps survive process restarts. The store
+reads no clock: an upload's time comes with its job, and a tier sweep's with
+its call. Uploads and downloads copy local files by path, objects start in the
+``cool`` tier, and ``archive`` objects cannot be downloaded.
 """
 from __future__ import annotations
 
@@ -15,10 +16,9 @@ import shutil
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable
 
 from .errors import BackendError, DataError
-from .series import UTC, format_utc, parse_utc
+from .series import format_utc, parse_utc
 
 TIER_COOL = "cool"
 TIER_ARCHIVE = "archive"
@@ -51,10 +51,12 @@ class BlobRef:
 
 @dataclass
 class UploadJob:
+    """A file to store at ``blob``, with the upload time its sidecar records."""
+
     blob: BlobRef
     local_path: Path
+    uploaded_at: datetime
     attempts: int = 0
-    confirmed_at: datetime | None = None
 
 
 @dataclass(frozen=True)
@@ -88,14 +90,12 @@ def _read_meta(path: Path) -> tuple[str, datetime]:
 class BlobStore:
     """The blob store rooted at the directory ``root``.
 
-    ``now`` is injectable so tests and accelerated simulations control upload
-    times, and with them object ages.
+    It reads no clock: callers pass the upload time in each ``UploadJob`` and
+    the current time to ``apply_tier_policy``, so object ages follow their time.
     """
 
-    def __init__(self, root: str | Path,
-                 now: Callable[[], datetime] = lambda: datetime.now(tz=UTC)):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.now = now
 
     def _container(self, node_id: str) -> Path:
         cdir = self.root / validate_node_id(node_id)
@@ -115,24 +115,22 @@ class BlobStore:
 
         The file is copied by path, so its contents are never held in memory.
         The copy lands under a ``.tmp`` name, and the sidecar (tier ``cool``,
-        upload time ``now()``) is written before the rename, so an object is
-        never listed without its sidecar; a failed upload removes its ``.tmp``
-        file. The stored size must then equal the file's size, or a
-        BackendError is raised. On success the job gets its ``confirmed_at``
-        stamp. A failure is not retried here: the caller keeps the file and
-        decides when to try again.
+        upload time ``job.uploaded_at``) is written before the rename, so an
+        object is never listed without its sidecar; a failed upload removes its
+        ``.tmp`` file. The stored size must then equal the file's size, or a
+        BackendError is raised. A failure is not retried here: the caller keeps
+        the file and decides when to try again.
         """
         path = Path(job.local_path)
         if not path.is_file():
             raise DataError(f"{path} does not exist")
         job.attempts += 1
-        uploaded_at = self.now()
         obj = self._container(job.blob.container) / job.blob.key
         obj.parent.mkdir(parents=True, exist_ok=True)
         tmp = obj.with_name(obj.name + ".tmp")
         try:
             shutil.copyfile(path, tmp)
-            _write_meta(obj, TIER_COOL, uploaded_at)
+            _write_meta(obj, TIER_COOL, job.uploaded_at)
             tmp.replace(obj)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -140,7 +138,6 @@ class BlobStore:
         stored, size = obj.stat().st_size, path.stat().st_size
         if stored != size:
             raise BackendError(f"upload of {path} stored {stored} of {size} bytes")
-        job.confirmed_at = self.now()
         return job
 
     def download(self, ref: BlobRef, dst: Path) -> None:
@@ -164,9 +161,9 @@ class BlobStore:
                 size=path.stat().st_size, uploaded_at=uploaded_at, tier=tier))
         return sorted(infos, key=lambda o: o.key)
 
-    def apply_tier_policy(self, node_id: str, archive_after: timedelta) -> list[BlobRef]:
-        """Archive every object strictly older than ``archive_after`` at ``now()``. Idempotent."""
-        now = self.now()
+    def apply_tier_policy(self, node_id: str, archive_after: timedelta,
+                          now: datetime) -> list[BlobRef]:
+        """Archive every object strictly older than ``archive_after`` at ``now``. Idempotent."""
         moved = []
         for obj in self.list_node_objects(node_id):
             if obj.tier != TIER_ARCHIVE and now - obj.uploaded_at > archive_after:

@@ -99,13 +99,13 @@ def _read_sensor_series(path: Path, column: str) -> TimeSeries:
 
 def cmd_node_run(args: argparse.Namespace) -> int:
     config = parse_node_config(_read_input(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    # The schedule and the clock share one origin: the configured start, else now.
+    config = dataclasses.replace(
+        config, seed=config.seed if args.seed is None else args.seed,
+        start_time=config.start_time or datetime.now(tz=UTC).replace(microsecond=0))
     duration = timedelta(seconds=parse_duration(args.duration))
-    start = config.start_time or datetime.now(tz=UTC).replace(microsecond=0)
-    clock = AcceleratedClock(start=start, accel=args.accel)
-    root = _store_root(config.store_root, "add a store_root line to the config")
-    store = BlobStore(root, now=clock.now)
+    clock = AcceleratedClock(start=config.start_time, accel=args.accel)
+    store = BlobStore(_store_root(config.store_root, "add a store_root line to the config"))
     summary = run_node(
         config,
         sample_source=synthetic_sample_source(config.seed),
@@ -140,8 +140,7 @@ def cmd_store_tier_sweep(args: argparse.Namespace) -> int:
     root = _store_root(args.root, "pass --root")
     now = _utc_option("--now", args.now) if args.now else datetime.now(tz=UTC)
     archive_after = timedelta(seconds=parse_duration(args.archive_after))
-    store = BlobStore(root, now=lambda: now)
-    moved = store.apply_tier_policy(args.node, archive_after=archive_after)
+    moved = BlobStore(root).apply_tier_policy(args.node, archive_after, now)
     lines = [ref.key for ref in moved]
     sys.stdout.write("\n".join(lines) + ("\n" if lines else ""))
     log.info("archived %d objects", len(moved))

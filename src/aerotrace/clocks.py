@@ -1,15 +1,14 @@
 """The node runtime's time source.
 
-Everything downstream schedules work against a clock object with three
-methods: ``now()`` returning an aware UTC datetime, ``sleep(seconds)``, and
-``sleep_until(when)``. The accelerated clock maps virtual time onto scaled
-real time so an hour-long run can execute in under a second while keeping
-all recorded timestamps in virtual time; at ``accel=1`` it runs in real time.
+The node's schedule is its only time: every timestamp it records is a
+scheduled one. A clock only paces the schedule, through ``sleep_until(when)``.
+The accelerated clock maps virtual time onto scaled real time so an hour-long
+run can execute in under a second; at ``accel=1`` it runs in real time.
 """
 from __future__ import annotations
 
 import time
-from datetime import datetime, timedelta
+from datetime import datetime
 
 from .errors import DataError
 from .series import as_utc
@@ -31,18 +30,12 @@ class AcceleratedClock:
         self.accel = float(accel)
         self._mono0 = time.monotonic()
 
-    def now(self) -> datetime:
-        elapsed = (time.monotonic() - self._mono0) * self.accel
-        try:
-            return self.start + timedelta(seconds=elapsed)
-        except OverflowError:
-            raise DataError(f"virtual time {elapsed:.3g} s after start is out of "
-                            f"datetime range at accel={self.accel:g}") from None
-
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             time.sleep(seconds / self.accel)
 
     def sleep_until(self, when: datetime) -> None:
-        remaining = (when - self.now()).total_seconds()
-        self.sleep(remaining)
+        """Sleep until virtual time ``when``. It compares offsets from ``start``
+        and builds no datetime, so any finite ``accel`` works."""
+        elapsed = (time.monotonic() - self._mono0) * self.accel
+        self.sleep((when - self.start).total_seconds() - elapsed)

@@ -12,7 +12,11 @@ length; a file still unconfirmed when the session ends waits for the next one.
 
 Timestamps are scheduled, not measured: the k-th sample is stamped
 start + k * interval regardless of scheduling jitter or a wall clock that
-steps back, which keeps cadence exact under any clock acceleration.
+steps back, which keeps cadence exact under any clock acceleration. Retention
+sweeps and upload times use scheduled time too: a sweep runs at its scheduled
+time, and a file's upload time is the scheduled time at which it was queued.
+The clock only paces the loop, so the files a session leaves do not depend
+on the host's speed.
 """
 from __future__ import annotations
 
@@ -157,12 +161,14 @@ def marker_path(path: Path) -> Path:
     return path.with_name(path.name + MARKER_SUFFIX)
 
 
-def write_marker(path: Path, confirmed_at: datetime) -> None:
-    marker_path(path).write_text(f"confirmed_at={format_utc(confirmed_at)}\n")
+def write_marker(path: Path, queued_at: datetime) -> None:
+    """Mark ``path`` as stored, with the scheduled time it was queued at."""
+    marker_path(path).write_text(f"confirmed_at={format_utc(queued_at)}\n")
 
 
 def read_marker(path: Path) -> datetime | None:
-    """The confirmation time, or None when the marker is missing or unreadable.
+    """The scheduled time a stored file was queued at, or None when the marker
+    is missing or unreadable.
 
     A marker cut short mid-write counts as missing, so the file is uploaded
     again and gets a fresh marker.
@@ -181,8 +187,9 @@ def read_marker(path: Path) -> datetime | None:
 
 def retention_sweep(buffer_dir: str | Path, now: datetime,
                     retention_s: float) -> list[Path]:
-    """Delete confirmed files older than the retention window.
+    """Delete confirmed files queued longer than the retention window before ``now``.
 
+    Retention counts from the scheduled time a file was queued for upload.
     Files without a confirmation marker are never touched, whatever their
     age: local storage is the upload buffer. A daily CSV is also kept until
     ``now`` is past its UTC day, since a restart that day appends to it.
@@ -196,11 +203,11 @@ def retention_sweep(buffer_dir: str | Path, now: datetime,
     for path in sorted(buffer_dir.iterdir()):
         if path.is_dir() or path.name.endswith(MARKER_SUFFIX) or path.name.endswith(PART_SUFFIX):
             continue
-        confirmed_at = read_marker(path)
+        queued_at = read_marker(path)
         csv = _parse_csv_name(path.name)
-        if confirmed_at is None or (csv is not None and csv[1] >= now.date()):
+        if queued_at is None or (csv is not None and csv[1] >= now.date()):
             continue
-        if (now - confirmed_at).total_seconds() > retention_s:
+        if (now - queued_at).total_seconds() > retention_s:
             try:
                 path.unlink()
                 marker_path(path).unlink(missing_ok=True)
@@ -239,7 +246,8 @@ class UploadWorker:
 
     ``enqueue`` never blocks and ignores a name that is queued, in flight or
     confirmed. The queue is unbounded: it holds paths, whose sealed files on
-    disk bound its length. Each file goes to its ``_blob_ref``. A failed
+    disk bound its length. Each file goes to its ``_blob_ref``, and the store
+    and its marker record the scheduled time ``at`` it was queued at. A failed
     upload, a local ``OSError`` included, is counted, leaves the file unmarked
     and forgets its name, so the next buffer scan enqueues it again.
     """
@@ -255,24 +263,25 @@ class UploadWorker:
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._thread.start()
 
-    def enqueue(self, path: Path) -> bool:
+    def enqueue(self, path: Path, at: datetime) -> bool:
         if path.name in self._names:
             return False
         # Add before the put: the worker forgets only names it has taken.
         self._names.add(path.name)
-        self.queue.put(path)
+        self.queue.put((path, at))
         self.enqueued += 1
         return True
 
     def _run(self) -> None:
         while True:
-            path = self.queue.get()
-            if path is None:
+            item = self.queue.get()
+            if item is None:
                 return
-            job = UploadJob(blob=_blob_ref(self.node_id, path), local_path=path)
+            path, at = item
+            job = UploadJob(blob=_blob_ref(self.node_id, path), local_path=path, uploaded_at=at)
             try:
                 self.store.upload(job)
-                write_marker(path, job.confirmed_at)
+                write_marker(path, at)
             except (OSError, AerotraceError) as exc:
                 self.failed += 1
                 self._names.discard(path.name)
@@ -396,7 +405,9 @@ def run_node(config: NodeConfig,
              store: BlobStore,
              clock,
              duration: timedelta) -> SessionSummary:
-    """Run one node session: sample, chunk, upload, sweep. Returns counters."""
+    """Run one session from ``config.start_time``: sample, chunk, upload, sweep."""
+    if config.start_time is None:
+        raise DataError("run_node needs a start_time")
     buffer_dir = Path(config.buffer_dir)
     try:
         buffer_dir.mkdir(parents=True, exist_ok=True)
@@ -408,10 +419,7 @@ def run_node(config: NodeConfig,
 
     store.ensure_node_container(config.node_id)
     summary = SessionSummary()
-    # The schedule anchors on the configured start; the clock only paces it.
-    # Lagging deadlines are simply caught up, so a start slightly behind the
-    # clock is harmless and keeps sample timestamps on whole seconds.
-    start = config.start_time or as_utc(clock.now()).replace(microsecond=0)
+    start = config.start_time
     sample_dt = timedelta(seconds=config.sample_interval_s)
     frame_dt = timedelta(microseconds=round(1e6 / config.video_fps))
     sweep_dt = timedelta(seconds=config.video_chunk_len_s)
@@ -424,23 +432,23 @@ def run_node(config: NodeConfig,
                         "sample, frame and sweep run past year 9999") from None
     worker = UploadWorker(store, config.node_id)
 
-    def enqueue(sealed: Path | None) -> int:
-        """Queue a file a sink sealed; returns the number queued, 0 or 1."""
+    def enqueue(sealed: Path | None, at: datetime) -> int:
+        """Queue a file a sink sealed at ``at``; returns the number queued, 0 or 1."""
         if sealed is None:
             return 0
-        worker.enqueue(sealed)
+        worker.enqueue(sealed, at)
         return 1
 
     csv_sink = _CsvSink(config.node_id, buffer_dir)
     chunk_sink = _ChunkSink(config, store)
 
-    def rescan(today: date) -> None:
+    def rescan(at: datetime) -> None:
         """Queue every sealed, unconfirmed file; the open CSV is not sealed yet."""
-        for path in scan_unconfirmed(buffer_dir, config.node_id, today=today):
+        for path in scan_unconfirmed(buffer_dir, config.node_id, today=at.date()):
             if path != csv_sink.path:
-                worker.enqueue(path)
+                worker.enqueue(path, at)
 
-    rescan(start.date())
+    rescan(start)
     next_sample = start
     next_frame = start
     next_sweep = start + sweep_dt
@@ -452,33 +460,30 @@ def run_node(config: NodeConfig,
                 break
             clock.sleep_until(t)
             if next_frame <= next_sample:
-                ts = next_frame
-                frame = frame_source(ts)
+                frame = frame_source(t)
                 if frame.shape != (config.frame_height, config.frame_width):
                     raise DataError(
                         f"frame source produced {frame.shape}, config says "
                         f"{(config.frame_height, config.frame_width)}")
-                summary.chunks_sealed += enqueue(chunk_sink.add(ts, frame))
+                summary.chunks_sealed += enqueue(chunk_sink.add(t, frame), t)
                 next_frame += frame_dt
             else:
-                ts = next_sample
                 next_sample += sample_dt
-                summary.csvs_sealed += enqueue(csv_sink.write(sample_source(ts)))
+                summary.csvs_sealed += enqueue(csv_sink.write(sample_source(t)), t)
                 summary.samples_written += 1
             if t >= next_sweep:
                 summary.files_deleted += len(
-                    retention_sweep(buffer_dir, clock.now(), config.retention_s))
-                rescan(t.date())
+                    retention_sweep(buffer_dir, t, config.retention_s))
+                rescan(t)
                 next_sweep += sweep_dt
 
-        summary.chunks_sealed += enqueue(chunk_sink.seal())
-        summary.csvs_sealed += enqueue(csv_sink.seal())
+        summary.chunks_sealed += enqueue(chunk_sink.seal(), end)
+        summary.csvs_sealed += enqueue(csv_sink.seal(), end)
     finally:
         # Also on a loop error: the worker finishes its queue and its thread ends.
         worker.drain()
     summary.uploads_enqueued = worker.enqueued
     summary.uploads_confirmed = worker.confirmed
     summary.uploads_failed = worker.failed
-    summary.files_deleted += len(
-        retention_sweep(buffer_dir, clock.now(), config.retention_s))
+    summary.files_deleted += len(retention_sweep(buffer_dir, end, config.retention_s))
     return summary

@@ -34,8 +34,8 @@ class FlakyStore(BlobStore):
     ``error`` before it copies anything.
     """
 
-    def __init__(self, root, now, fail_times=0, error=BackendError):
-        super().__init__(root, now)
+    def __init__(self, root, fail_times=0, error=BackendError):
+        super().__init__(root)
         self.fail_times = fail_times
         self.error = error
         self.put_attempts = 0

@@ -22,8 +22,8 @@ def bad_key_message(key: str) -> str:
             "|a backslash or a sidecar suffix)$")
 
 
-def make_store(tmp_path, now=T0):
-    return BlobStore(tmp_path / "store", now=lambda: now)
+def make_store(tmp_path):
+    return BlobStore(tmp_path / "store")
 
 
 def write_file(tmp_path, name, data):
@@ -34,8 +34,8 @@ def write_file(tmp_path, name, data):
 
 def put_bytes(store, key, data, uploaded_at, tmp_path):
     """Upload ``data`` to ``node-a/key`` at ``uploaded_at`` through a local source file."""
-    job = UploadJob(blob=BlobRef("node-a", key), local_path=write_file(tmp_path, "src.bin", data))
-    BlobStore(store.root, now=lambda: uploaded_at).upload(job)
+    src = write_file(tmp_path, "src.bin", data)
+    store.upload(UploadJob(blob=BlobRef("node-a", key), local_path=src, uploaded_at=uploaded_at))
 
 
 class TestAddressing:
@@ -76,7 +76,8 @@ class TestAddressing:
         outside = tmp_path / "outside.bin"
         path = write_file(tmp_path, "x.bin", b"abc")
         with pytest.raises(DataError, match=bad_key_message(str(outside))):
-            store.upload(UploadJob(blob=BlobRef("node-a", str(outside)), local_path=path))
+            store.upload(UploadJob(blob=BlobRef("node-a", str(outside)), local_path=path,
+                                   uploaded_at=T0))
         assert not outside.exists()
 
     # Printable ASCII, weighted toward path separators and sidecar suffixes.
@@ -93,9 +94,9 @@ class TestAddressing:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             src = write_file(tmp, "src.bin", b"abc")
-            store = BlobStore(tmp / "store", now=lambda: T0)
+            store = BlobStore(tmp / "store")
             store.ensure_node_container("node-a")
-            store.upload(UploadJob(blob=ref, local_path=src))
+            store.upload(UploadJob(blob=ref, local_path=src, uploaded_at=T0))
             container = (tmp / "store" / "node-a").resolve()
             obj = (container / key).resolve()
             assert obj.is_relative_to(container) and obj.read_bytes() == b"abc"
@@ -110,10 +111,10 @@ class TestUploadDownload:
         store.ensure_node_container("node-a")
         data = rng.integers(0, 256, size=1 << 20, dtype="uint8").tobytes()
         path = write_file(tmp_path, "blob.bin", data)
-        job = UploadJob(blob=BlobRef("node-a", "video/blob.bin"), local_path=path)
+        job = UploadJob(blob=BlobRef("node-a", "video/blob.bin"), local_path=path, uploaded_at=T0)
         store.upload(job)
-        assert job.confirmed_at == T0
         assert job.attempts == 1
+        assert store.list_node_objects("node-a")[0].uploaded_at == T0
         out = tmp_path / "out.bin"
         store.download(job.blob, out)
         assert out.read_bytes() == data
@@ -131,7 +132,8 @@ class TestUploadDownload:
         store.ensure_node_container("node-a")
         store.ensure_node_container("node-b")
         path = write_file(tmp_path, "x.csv", b"hello")
-        store.upload(UploadJob(blob=BlobRef("node-a", "csv/x.csv"), local_path=path))
+        store.upload(UploadJob(blob=BlobRef("node-a", "csv/x.csv"), local_path=path,
+                               uploaded_at=T0))
         assert [o.key for o in store.list_node_objects("node-a")] == ["csv/x.csv"]
         assert store.list_node_objects("node-b") == []
 
@@ -149,11 +151,10 @@ class TestOneAttempt:
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
-                        local_path=write_file(tmp_path, "x.bin", b"abc"))
+                        local_path=write_file(tmp_path, "x.bin", b"abc"), uploaded_at=T0)
         with pytest.raises(BackendError, match="^scripted failure #1$"):
             store.upload(job)
         assert len(copies) == job.attempts == 1
-        assert job.confirmed_at is None
         assert store.list_node_objects("node-a") == []
 
     def test_stored_size_mismatch_fails(self, tmp_path, monkeypatch):
@@ -162,17 +163,16 @@ class TestOneAttempt:
         monkeypatch.setattr(blob_store.shutil, "copyfile",
                             lambda src, dst: Path(dst).write_bytes(Path(src).read_bytes()[:-1]))
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
-                        local_path=write_file(tmp_path, "x.bin", b"abc"))
+                        local_path=write_file(tmp_path, "x.bin", b"abc"), uploaded_at=T0)
         with pytest.raises(BackendError, match=f"^upload of {re.escape(str(job.local_path))} "
                                                "stored 2 of 3 bytes$"):
             store.upload(job)
-        assert job.confirmed_at is None
 
     def test_missing_local_file(self, tmp_path):
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         gone = tmp_path / "gone.bin"
-        job = UploadJob(blob=BlobRef("node-a", "video/gone.bin"), local_path=gone)
+        job = UploadJob(blob=BlobRef("node-a", "video/gone.bin"), local_path=gone, uploaded_at=T0)
         with pytest.raises(DataError, match=f"^{re.escape(str(gone))} does not exist$"):
             store.upload(job)
 
@@ -187,7 +187,7 @@ class TestTierPolicy:
 
     def test_age_boundary(self, tmp_path):
         store = self._loaded_store(tmp_path)
-        moved = store.apply_tier_policy("node-a", archive_after=timedelta(days=30))
+        moved = store.apply_tier_policy("node-a", timedelta(days=30), T0)
         assert [m.key for m in moved] == ["video/old.bin"]
         tiers = {o.key: o.tier for o in store.list_node_objects("node-a")}
         assert tiers == {"video/old.bin": TIER_ARCHIVE, "video/fresh.bin": TIER_COOL}
@@ -196,24 +196,23 @@ class TestTierPolicy:
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         put_bytes(store, "csv/x.csv", b"d", T0 - timedelta(days=30), tmp_path)
-        assert store.apply_tier_policy("node-a", timedelta(days=30)) == []
-        just_over = make_store(tmp_path, now=T0 + timedelta(seconds=1))
-        moved = just_over.apply_tier_policy("node-a", timedelta(days=30))
+        assert store.apply_tier_policy("node-a", timedelta(days=30), T0) == []
+        moved = store.apply_tier_policy("node-a", timedelta(days=30), T0 + timedelta(seconds=1))
         assert [m.key for m in moved] == ["csv/x.csv"]
 
     def test_idempotent(self, tmp_path):
         store = self._loaded_store(tmp_path)
-        store.apply_tier_policy("node-a", timedelta(days=30))
-        assert store.apply_tier_policy("node-a", timedelta(days=30)) == []
+        store.apply_tier_policy("node-a", timedelta(days=30), T0)
+        assert store.apply_tier_policy("node-a", timedelta(days=30), T0) == []
 
     def test_empty_container(self, tmp_path):
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
-        assert store.apply_tier_policy("node-a", timedelta(days=30)) == []
+        assert store.apply_tier_policy("node-a", timedelta(days=30), T0) == []
 
     def test_archive_refuses_reads_until_rehydrated(self, tmp_path):
         store = self._loaded_store(tmp_path)
-        store.apply_tier_policy("node-a", timedelta(days=30))
+        store.apply_tier_policy("node-a", timedelta(days=30), T0)
         ref = BlobRef("node-a", "video/old.bin")
         out = tmp_path / "out.bin"
         with pytest.raises(BackendError,
@@ -234,10 +233,10 @@ class TestFilesystemSidecars:
         assert [o.key for o in store.list_node_objects("node-a")] == ["csv/day.csv"]
 
     def test_tier_survives_reopen(self, tmp_path):
-        store = make_store(tmp_path, now=T0 + timedelta(days=2))
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         put_bytes(store, "csv/day.csv", b"rows", T0, tmp_path)
-        assert store.apply_tier_policy("node-a", timedelta(days=1))
+        assert store.apply_tier_policy("node-a", timedelta(days=1), T0 + timedelta(days=2))
         again = make_store(tmp_path)
         assert again.list_node_objects("node-a")[0].tier == TIER_ARCHIVE
 
@@ -271,7 +270,8 @@ def test_download_never_holds_the_object_in_memory(tmp_path):
     path = tmp_path / "chunk.fseq"
     with open(path, "wb") as fh:
         fh.truncate(16 << 20)
-    store.upload(UploadJob(blob=BlobRef("node-a", "video/chunk.fseq"), local_path=path))
+    store.upload(UploadJob(blob=BlobRef("node-a", "video/chunk.fseq"), local_path=path,
+                           uploaded_at=T0))
     out = tmp_path / "out.fseq"
     tracemalloc.start()
     try:
@@ -289,13 +289,12 @@ def test_upload_never_holds_the_file_in_memory(tmp_path):
     path = tmp_path / "chunk.fseq"
     with open(path, "wb") as fh:
         fh.truncate(16 << 20)
-    job = UploadJob(blob=BlobRef("node-a", "video/chunk.fseq"), local_path=path)
+    job = UploadJob(blob=BlobRef("node-a", "video/chunk.fseq"), local_path=path, uploaded_at=T0)
     tracemalloc.start()
     try:
         store.upload(job)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert job.confirmed_at == T0
     assert store.list_node_objects("node-a")[0].size == 16 << 20
     assert peak < 1 << 20

@@ -1,10 +1,12 @@
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
 
 from aerotrace.blob_store import BlobRef, BlobStore, UploadJob
 from aerotrace.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, STORE_ROOT_ENV, main
 from aerotrace.fseq import write_fseq
-from aerotrace.sensor_codec import sample_to_csv_row
+from aerotrace.sensor_codec import parse_csv_row, sample_to_csv_row
 from aerotrace.series import format_csv_series
 from aerotrace.synth import synthetic_sample_source
 
@@ -13,11 +15,11 @@ from conftest import T0, at, make_series
 
 def test_store_get_missing_key_exits_backend_error(tmp_path, capsys):
     root = tmp_path / "store"
-    store = BlobStore(root, now=lambda: T0)
+    store = BlobStore(root)
     store.ensure_node_container("node-a")
     src = tmp_path / "day.csv"
     src.write_bytes(b"rows")
-    store.upload(UploadJob(blob=BlobRef("node-a", "csv/day.csv"), local_path=src))
+    store.upload(UploadJob(blob=BlobRef("node-a", "csv/day.csv"), local_path=src, uploaded_at=T0))
     out = tmp_path / "got.csv"
     argv = ["store", "get", "--root", str(root), "--node", "node-a", "--out", str(out)]
 
@@ -94,7 +96,6 @@ HUGE = "1" + "0" * 30 + "d"
     "store tier-sweep --root {d}/store --node node-a --archive-after 1d --now nope",
     "node run --config {d}/node.conf --duration 1s --accel 0",
     "node run --config {d}/node.conf --duration 1s --accel inf",
-    "node run --config {d}/node.conf --duration 1s --accel 1e308",
     f"node run --config {{d}}/node.conf --duration {HUGE}",
     f"store tier-sweep --root {{d}}/store --node node-a --archive-after {HUGE}",
     f"analyze calibrate --ref {{d}}/ref.csv --test {{d}}/test.csv --window {HUGE}",
@@ -133,3 +134,59 @@ def test_unwritable_output_exits_data_error(tmp_path, capsys, argv):
     write_inputs(tmp_path)
     assert main(argv.format(d=tmp_path).split()) == EXIT_DATA
     assert capsys.readouterr().err.startswith("aerotrace: ")
+
+
+def small_node_conf(d, *lines):
+    """A node config of 64x36 frames and 5 s chunks, buffer and store in ``d``."""
+    conf = d / "small.conf"
+    conf.write_text("\n".join([
+        "node_id=node-a", f"buffer_dir={d / 'buf'}", f"store_root={d / 'store'}",
+        "frame_width=64", "frame_height=36", "video_chunk_len=5s", *lines]) + "\n")
+    return conf
+
+
+def test_node_run_without_start_time_starts_at_the_wall_time(tmp_path, monkeypatch):
+    monkeypatch.delenv(STORE_ROOT_ENV, raising=False)
+    conf = small_node_conf(tmp_path)
+    before = datetime.now(tz=timezone.utc).replace(microsecond=0)
+    argv = ["node", "run", "--config", str(conf), "--duration", "1s", "--accel", "1e6"]
+    assert main(argv) == EXIT_OK
+    after = datetime.now(tz=timezone.utc)
+    first_csv = sorted((tmp_path / "buf").glob("node-a_*.csv"))[0]
+    first = parse_csv_row(first_csv.read_text().splitlines()[0]).timestamp
+    assert before <= first <= after
+
+
+# Clocks this fast pass year 9999 within milliseconds of real time.
+@pytest.mark.parametrize("accel", ["1e14", "1e308"])
+def test_node_run_at_a_huge_accel_stores_every_file(tmp_path, monkeypatch, accel):
+    monkeypatch.delenv(STORE_ROOT_ENV, raising=False)
+    conf = small_node_conf(tmp_path, "start_time=2022-07-01T16:00:00Z")
+    argv = ["node", "run", "--config", str(conf), "--duration", "60s", "--accel", accel]
+    assert main(argv) == EXIT_OK
+    keys = [o.key for o in BlobStore(tmp_path / "store").list_node_objects("node-a")]
+    assert keys == ["csv/node-a_2022-07-01.csv"] + [
+        f"video/node-a_20220701_1600{s:02d}.fseq" for s in range(0, 60, 5)]
+    names = [key.split("/", 1)[1] for key in keys]
+    assert sorted(p.name for p in (tmp_path / "buf").iterdir()) == sorted(
+        names + [name + ".uploaded" for name in names])
+
+
+def test_tier_sweep_after_an_accelerated_session_uses_scheduled_upload_times(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(STORE_ROOT_ENV, raising=False)
+    conf = small_node_conf(tmp_path, "start_time=2022-07-01T16:00:00Z")
+    root = str(tmp_path / "store")
+    argv = ["node", "run", "--config", str(conf), "--duration", "10s", "--accel", "1e8"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(["store", "ls", "--root", root, "--node", "node-a"]) == EXIT_OK
+    listing = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    # A chunk is queued when the next chunk's first frame seals it; the rest at the end.
+    assert [(key, tier, uploaded_at) for key, _, tier, uploaded_at in listing] == [
+        ("csv/node-a_2022-07-01.csv", "cool", "2022-07-01T16:00:10Z"),
+        ("video/node-a_20220701_160000.fseq", "cool", "2022-07-01T16:00:05Z"),
+        ("video/node-a_20220701_160005.fseq", "cool", "2022-07-01T16:00:10Z")]
+    assert main(["store", "tier-sweep", "--root", root, "--node", "node-a",
+                 "--archive-after", "30d", "--now", "2022-08-01T16:00:11Z"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [key for key, *_ in listing]

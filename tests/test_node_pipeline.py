@@ -1,9 +1,11 @@
 import dataclasses
 import re
 import sys
+import tempfile
 import threading
 import time
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,8 +49,8 @@ def make_config(tmp_path, **overrides):
     return NodeConfig(**defaults)
 
 
-def make_store(clock, tmp_path, cls=BlobStore, **kwargs):
-    return cls(tmp_path / "store", now=clock.now, **kwargs)
+def make_store(tmp_path, cls=BlobStore, **kwargs):
+    return cls(tmp_path / "store", **kwargs)
 
 
 def run(config, clock, store, duration_s):
@@ -60,8 +62,8 @@ def run(config, clock, store, duration_s):
 class SlowStore(BlobStore):
     """Store whose uploads first ``sleep`` for ``latency_s``, on the run's clock."""
 
-    def __init__(self, root, now, sleep, latency_s):
-        super().__init__(root, now)
+    def __init__(self, root, sleep, latency_s):
+        super().__init__(root)
         self.sleep = sleep
         self.latency_s = latency_s
 
@@ -73,8 +75,8 @@ class SlowStore(BlobStore):
 class GatedStore(BlobStore):
     """Store whose uploads wait until ``gate`` is set."""
 
-    def __init__(self, root, now, gate):
-        super().__init__(root, now)
+    def __init__(self, root, gate):
+        super().__init__(root)
         self.gate = gate
 
     def upload(self, job):
@@ -82,44 +84,12 @@ class GatedStore(BlobStore):
         return super().upload(job)
 
 
-class BackwardsWindowClock:
-    """Delegates to an accelerated clock but reports a regressed wall time
-    inside one virtual window."""
-
-    def __init__(self, inner, window_start_s, window_end_s):
-        self.inner = inner
-        self.lo = window_start_s
-        self.hi = window_end_s
-
-    def now(self):
-        t = self.inner.now()
-        offset = (t - self.inner.start).total_seconds()
-        if self.lo <= offset < self.hi:
-            return t - timedelta(minutes=5)
-        return t
-
-    def sleep(self, seconds):
-        self.inner.sleep(seconds)
-
-    def sleep_until(self, when):
-        self.inner.sleep_until(when)
-
-
 class ScheduleClock:
-    """Never waits: ``now()`` is the latest time slept until, so a session's
-    clock stays within the day it was scheduled in."""
-
-    def __init__(self, start):
-        self.t = start
-
-    def now(self):
-        return self.t
-
-    def sleep(self, seconds):
-        pass
+    """Never waits. It has no ``now()``, so a session run on it shows that the
+    node reads no time but its schedule."""
 
     def sleep_until(self, when):
-        self.t = max(self.t, when)
+        pass
 
 
 class TestDurations:
@@ -233,8 +203,8 @@ class TestMarkers:
         chunk = config.buffer_dir / "node-a_20220701_150000.fseq"
         chunk.write_bytes(b"v")
         marker_path(chunk).write_text("confirmed_at=2022-07-0")
-        clock = ScheduleClock(T0)
-        summary = run(config, clock, make_store(clock, tmp_path), 0)
+        clock = ScheduleClock()
+        summary = run(config, clock, make_store(tmp_path), 0)
         assert summary.uploads_confirmed == 1
         assert read_marker(chunk) == T0
         assert "unreadable upload marker" in caplog.text
@@ -284,13 +254,14 @@ class TestChunkSink:
     def test_taken_window_name_falls_back_to_the_first_frame_second(self, tmp_path, suffix):
         config = make_config(tmp_path)
         config.buffer_dir.mkdir()
-        store = make_store(ScheduleClock(T0), tmp_path)
+        store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         name = "node-a_20220701_160000.fseq"
         if suffix == "stored":  # uploaded, then deleted from the buffer
             earlier = tmp_path / name
             earlier.write_bytes(b"earlier session")
-            store.upload(UploadJob(blob=BlobRef("node-a", f"video/{name}"), local_path=earlier))
+            store.upload(UploadJob(blob=BlobRef("node-a", f"video/{name}"), local_path=earlier,
+                                   uploaded_at=T0))
         else:
             earlier = config.buffer_dir / (name + suffix)
             earlier.write_bytes(b"earlier session")
@@ -305,7 +276,7 @@ class TestRunNode:
     def test_one_hour_run(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)
         config = make_config(tmp_path)
-        store = make_store(clock, tmp_path)
+        store = make_store(tmp_path)
         summary = run(config, clock, store, 3600)
 
         assert summary.chunks_sealed == 12
@@ -339,25 +310,31 @@ class TestRunNode:
         # 23:00:01 + 3598 s fits in year 9999, + 3599 s does not.
         late = datetime(9999, 12, 31, 23, 0, 0, tzinfo=UTC)
         config = make_config(tmp_path, start_time=late, video_chunk_len_s=chunk_s)
-        clock = ScheduleClock(late)
+        clock = ScheduleClock()
         if chunk_s < 3599:
-            assert run(config, clock, make_store(clock, tmp_path), 1).samples_written == 1
+            assert run(config, clock, make_store(tmp_path), 1).samples_written == 1
             return
         with pytest.raises(DataError, match="past year 9999"):
-            run(config, clock, make_store(clock, tmp_path), 1)
+            run(config, clock, make_store(tmp_path), 1)
         assert list(config.buffer_dir.iterdir()) == []
+
+    def test_start_time_is_required(self, tmp_path):
+        config = make_config(tmp_path, start_time=None)
+        with pytest.raises(DataError, match="^run_node needs a start_time$"):
+            run(config, ScheduleClock(), make_store(tmp_path), 10)
+        assert not config.buffer_dir.exists()
 
     def test_zero_duration(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=1000.0)
         config = make_config(tmp_path)
-        summary = run(config, clock, make_store(clock, tmp_path), 0)
+        summary = run(config, clock, make_store(tmp_path), 0)
         assert summary == SessionSummary()
 
     def test_midnight_rotation(self, tmp_path):
         start = datetime(2022, 7, 1, 23, 55, 0, tzinfo=UTC)
         clock = AcceleratedClock(start=start, accel=40000.0)
         config = make_config(tmp_path, start_time=start)
-        store = make_store(clock, tmp_path)
+        store = make_store(tmp_path)
         summary = run(config, clock, store, 1200)
         assert summary.csvs_sealed == 2
         assert summary.chunks_sealed == 4
@@ -371,7 +348,7 @@ class TestRunNode:
         clock = AcceleratedClock(start=T0, accel=7200.0)
         config = make_config(tmp_path)
         # Each upload takes 3 chunk lengths.
-        store = make_store(clock, tmp_path, SlowStore, sleep=clock.sleep, latency_s=900.0)
+        store = make_store(tmp_path, SlowStore, sleep=clock.sleep, latency_s=900.0)
         summary = run(config, clock, store, 900)
         assert summary.chunks_sealed == 3
         assert summary.uploads_confirmed == 4
@@ -392,7 +369,7 @@ class TestRunNode:
     def test_failing_store_keeps_files(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)
         config = make_config(tmp_path)
-        store = make_store(clock, tmp_path, FlakyStore, fail_times=None)
+        store = make_store(tmp_path, FlakyStore, fail_times=None)
         summary = run(config, clock, store, 600)
         # Each sweep re-enqueues the files whose upload failed so far.
         assert summary.uploads_failed == summary.uploads_enqueued >= 3
@@ -405,13 +382,15 @@ class TestRunNode:
                                   retention_s=config.retention_s)
         assert deleted == []
 
-    def test_same_day_restart_keeps_both_sessions_rows(self, tmp_path):
+    @pytest.mark.parametrize("accel", [None, 1e8], ids=["schedule", "accel-1e8"])
+    def test_same_day_restart_keeps_both_sessions_rows(self, tmp_path, accel):
         """The second session appends to the first one's CSV; sweeps every 10 s
-        must leave it on disk, and its upload must hold both sessions' rows."""
+        must leave it on disk, and its upload must hold both sessions' rows,
+        however far a fast clock runs ahead of the schedule."""
         for hour in (10, 11):
             start = datetime(2022, 7, 1, hour, tzinfo=UTC)
-            clock = ScheduleClock(start)
-            store = make_store(clock, tmp_path)
+            clock = ScheduleClock() if accel is None else AcceleratedClock(start, accel)
+            store = make_store(tmp_path)
             config = make_config(tmp_path, start_time=start, retention_s=0.0,
                                  video_chunk_len_s=10)
             assert run(config, clock, store, 60).uploads_failed == 0
@@ -420,29 +399,53 @@ class TestRunNode:
         hours = [parse_csv_row(row).timestamp.hour for row in got.read_text().splitlines()]
         assert hours == [10] * 6 + [11] * 6
 
+    @settings(max_examples=25, deadline=None)
+    @given(offset_s=st.integers(-90, 30), duration_s=st.integers(0, 60),
+           chunk_s=st.sampled_from([1, 5, 60]), retention_s=st.sampled_from([0.0, 7.0, 86400.0]),
+           interval_s=st.sampled_from([1, 10]))
+    def test_a_fast_clock_leaves_what_the_schedule_leaves(self, offset_s, duration_s, chunk_s,
+                                                          retention_s, interval_s):
+        """A session paced by a clock far ahead of its schedule leaves the same
+        buffer, markers included, and the same store listing, upload times
+        included, as one that never waits. Sessions start near midnight."""
+        start = datetime(2022, 7, 2, tzinfo=UTC) + timedelta(seconds=offset_s)
+        end = start + timedelta(seconds=duration_s)
+        left = []
+        for clock in (ScheduleClock(), AcceleratedClock(start, accel=1e8)):
+            with tempfile.TemporaryDirectory() as tmp:
+                config = make_config(Path(tmp), start_time=start, video_chunk_len_s=chunk_s,
+                                     retention_s=retention_s, sample_interval_s=interval_s,
+                                     frame_width=8, frame_height=8)
+                store = make_store(Path(tmp))
+                run(config, clock, store, duration_s)
+                left.append(({p.name: p.read_bytes() for p in config.buffer_dir.iterdir()},
+                             store.list_node_objects("node-a")))
+        assert left[0] == left[1]
+        assert all(start <= obj.uploaded_at <= end for obj in left[0][1])
+
     def test_restart_rescans_and_dedupes(self, tmp_path):
         clock = AcceleratedClock(start=T0, accel=40000.0)
         config = make_config(tmp_path)
-        run(config, clock, make_store(clock, tmp_path, FlakyStore, fail_times=None), 600)
+        run(config, clock, make_store(tmp_path, FlakyStore, fail_times=None), 600)
 
         day2 = datetime(2022, 7, 2, 9, 0, 0, tzinfo=UTC)
         config2 = make_config(tmp_path, start_time=day2)
         clock2 = AcceleratedClock(start=day2, accel=40000.0)
-        store2 = make_store(clock2, tmp_path)
+        store2 = make_store(tmp_path)
         summary2 = run(config2, clock2, store2, 0)
         assert summary2.uploads_enqueued == 3
         assert summary2.uploads_confirmed == 3
 
         clock3 = AcceleratedClock(start=day2 + timedelta(hours=1), accel=40000.0)
         config3 = make_config(tmp_path, start_time=day2 + timedelta(hours=1))
-        summary3 = run(config3, clock3, make_store(clock3, tmp_path), 0)
+        summary3 = run(config3, clock3, make_store(tmp_path), 0)
         assert summary3.uploads_enqueued == 0
 
     def test_slow_store_confirms_every_file_in_the_same_session(self, tmp_path):
         # Each upload takes 20 chunk lengths, so the session's files wait in the queue.
         clock = AcceleratedClock(start=T0, accel=36000.0)
         config = make_config(tmp_path)
-        store = make_store(clock, tmp_path, SlowStore, sleep=clock.sleep, latency_s=6000.0)
+        store = make_store(tmp_path, SlowStore, sleep=clock.sleep, latency_s=6000.0)
         summary = run(config, clock, store, 1800)
         assert dataclasses.asdict(summary) == dict(
             samples_written=180, chunks_sealed=6, csvs_sealed=1,
@@ -469,8 +472,8 @@ class TestRunNode:
             gate.set()  # the restart scan has enqueued the whole backlog by now
             return frames(ts)
 
-        clock = ScheduleClock(T0)
-        store = make_store(clock, tmp_path, GatedStore, gate=gate)
+        clock = ScheduleClock()
+        store = make_store(tmp_path, GatedStore, gate=gate)
         summary = run_node(config, synthetic_sample_source(0), frame_source, store, clock,
                            timedelta(seconds=10))
         assert summary.uploads_enqueued == summary.uploads_confirmed == 102
@@ -499,9 +502,9 @@ class TestRunNode:
             return frames(ts)
 
         config = make_config(tmp_path, video_chunk_len_s=5)
-        clock = ScheduleClock(T0)
+        clock = ScheduleClock()
         summary = run_node(config, synthetic_sample_source(0), frame_source,
-                           make_store(clock, tmp_path, FailsFirst, fail_times=1), clock,
+                           make_store(tmp_path, FailsFirst, fail_times=1), clock,
                            timedelta(seconds=30))
         assert dataclasses.asdict(summary) == dict(
             samples_written=3, chunks_sealed=6, csvs_sealed=1,
@@ -515,67 +518,60 @@ class TestRunNode:
         sizes = {}
 
         class RecordingWorker(UploadWorker):
-            def enqueue(self, path):
+            def enqueue(self, path, at):
                 size = path.stat().st_size
-                queued = super().enqueue(path)
+                queued = super().enqueue(path, at)
                 if queued and path.suffix == ".csv":
                     sizes.setdefault(path.name, []).append(size)
                 return queued
 
         monkeypatch.setattr(node_pipeline, "UploadWorker", RecordingWorker)
         start = datetime(2022, 7, 1, 23, 59, 55, tzinfo=UTC)
-        clock = ScheduleClock(start)
+        clock = ScheduleClock()
         config = make_config(tmp_path, start_time=start, video_chunk_len_s=5)
-        summary = run(config, clock, make_store(clock, tmp_path), 20)
+        summary = run(config, clock, make_store(tmp_path), 20)
         assert summary.uploads_confirmed == summary.uploads_enqueued == 6
         day1 = config.buffer_dir / daily_csv_name("node-a", start.date())
         assert sizes[day1.name] == [day1.stat().st_size]
 
-    # With retention 0 the sweep has deleted the first session's chunk and
-    # marker from the buffer before the second session opens the same window.
+    # The first session runs past the end of its chunk, so with retention 0 its
+    # final sweep deletes that chunk and marker from the buffer before the
+    # second session, started inside the same window, opens it.
     @pytest.mark.parametrize("retention_s", [86400.0, 0.0], ids=["kept", "swept"])
     def test_restart_in_the_same_chunk_window_keeps_both_sessions_frames(self, tmp_path,
                                                                         retention_s):
-        starts = [T0, T0 + timedelta(minutes=2)]
-        for start in starts:
-            clock = ScheduleClock(start)
-            store = make_store(clock, tmp_path)
+        # (start, duration, files confirmed, frames in its first chunk): the
+        # first session confirms its 160000 and 160500 chunks and its CSV.
+        sessions = [(T0, 301, 3, 3000), (T0 + timedelta(minutes=2), 60, 2, 600)]
+        for start, duration_s, confirmed, _ in sessions:
+            clock = ScheduleClock()
+            store = make_store(tmp_path)
             config = make_config(tmp_path, start_time=start, frame_width=32, frame_height=16,
                                  retention_s=retention_s)
-            assert run(config, clock, store, 60).uploads_confirmed == 2
+            assert run(config, clock, store, duration_s).uploads_confirmed == confirmed
         names = ["node-a_20220701_160000.fseq", "node-a_20220701_160200.fseq"]
         assert sorted(o.key for o in store.list_node_objects("node-a")
-                      if o.key.startswith("video/")) == [f"video/{n}" for n in names]
-        for name, start in zip(names, starts):
+                      if o.key.startswith("video/")) == [
+            f"video/{n}" for n in [*names, "node-a_20220701_160500.fseq"]]
+        # The second session's chunk is queued at its end, so it is 0 s old at
+        # the final sweep and stays either way.
+        assert (config.buffer_dir / names[0]).exists() == bool(retention_s)
+        assert (config.buffer_dir / names[1]).exists()
+        for name, (start, _, _, frame_count) in zip(names, sessions):
             got = tmp_path / "got.fseq"
             store.download(BlobRef("node-a", f"video/{name}"), got)
-            assert (config.buffer_dir / name).exists() == bool(retention_s)
-            if retention_s:
+            if (config.buffer_dir / name).exists():
                 assert got.read_bytes() == (config.buffer_dir / name).read_bytes()
             info, frames = iter_fseq_frames(got)
-            assert info.frame_count == 600
+            assert info.frame_count == frame_count
             assert next(frames)[0, 0] == int(start.timestamp()) % 256
 
         # A replay of the second session finds both names taken.
         before = sorted(config.buffer_dir.iterdir())
-        clock = ScheduleClock(starts[1])
+        clock = ScheduleClock()
         with pytest.raises(DataError, match="already in the buffer or the store"):
-            run(config, clock, make_store(clock, tmp_path), 60)
+            run(config, clock, make_store(tmp_path), 60)
         assert sorted(config.buffer_dir.iterdir()) == before
-
-    def test_clock_regression_keeps_every_sample(self, tmp_path):
-        # The wall clock steps back 5 minutes around the sample at 30 s. Sample
-        # timestamps are scheduled, so every sample is written in order.
-        inner = AcceleratedClock(start=T0, accel=200.0)
-        clock = BackwardsWindowClock(inner, 27.0, 38.0)
-        config = make_config(tmp_path)
-        summary = run_node(config, synthetic_sample_source(0),
-                           fast_frame_source(64, 36),
-                           make_store(inner, tmp_path), clock, timedelta(seconds=60))
-        assert summary.samples_written == 6
-        rows = (config.buffer_dir / daily_csv_name("node-a", T0.date())).read_text().splitlines()
-        assert [parse_csv_row(row).timestamp for row in rows] == [
-            T0 + timedelta(seconds=10 * k) for k in range(6)]
 
     def test_unwritable_buffer_dir(self, tmp_path):
         target = tmp_path / "blocked"
@@ -583,7 +579,7 @@ class TestRunNode:
         clock = AcceleratedClock(start=T0, accel=1000.0)
         config = make_config(tmp_path, buffer_dir=target)
         with pytest.raises(AerotraceError, match=f"^{re.escape(str(target))}: ") as exc:
-            run(config, clock, make_store(clock, tmp_path), 10)
+            run(config, clock, make_store(tmp_path), 10)
         assert type(exc.value) is AerotraceError
 
     def test_frame_shape_enforced(self, tmp_path):
@@ -591,7 +587,7 @@ class TestRunNode:
         config = make_config(tmp_path)
         with pytest.raises(DataError):
             run_node(config, synthetic_sample_source(0), fast_frame_source(32, 32),
-                     make_store(clock, tmp_path), clock, timedelta(seconds=10))
+                     make_store(tmp_path), clock, timedelta(seconds=10))
 
     def test_loop_error_stops_upload_worker(self, tmp_path):
         before = set(threading.enumerate())
@@ -599,7 +595,7 @@ class TestRunNode:
         config = make_config(tmp_path, frame_width=8, frame_height=8)
         with pytest.raises(DataError):
             run_node(config, synthetic_sample_source(0), fast_frame_source(4, 4),
-                     make_store(clock, tmp_path), clock, timedelta(seconds=10))
+                     make_store(tmp_path), clock, timedelta(seconds=10))
         assert set(threading.enumerate()) <= before
 
     def test_lagging_loop_sweeps_on_schedule(self, tmp_path, monkeypatch):
@@ -612,7 +608,7 @@ class TestRunNode:
         monkeypatch.setattr(node_pipeline, "retention_sweep", counting_sweep)
         clock = AcceleratedClock(start=T0, accel=1e6)  # the loop lags the clock
         config = make_config(tmp_path, video_chunk_len_s=5, retention_s=0.0)
-        summary = run(config, clock, make_store(clock, tmp_path), 120)
+        summary = run(config, clock, make_store(tmp_path), 120)
         assert summary.chunks_sealed == 24
         assert len(calls) <= 120 / 5 + 1
 
@@ -631,8 +627,7 @@ def drain_within(worker, seconds):
 
 class TestUploadWorker:
     def start(self, tmp_path, **flaky):
-        clock = AcceleratedClock(start=T0, accel=1000.0)
-        store = make_store(clock, tmp_path, FlakyStore, **flaky)
+        store = make_store(tmp_path, FlakyStore, **flaky)
         store.ensure_node_container("node-a")
         paths = [tmp_path / name for name in ("a.fseq", "b.fseq")]
         for path in paths:
@@ -642,14 +637,14 @@ class TestUploadWorker:
     def test_local_os_error_counts_as_failure_and_keeps_serving(self, tmp_path):
         # an OSError such as a full disk, raised by the store's copy
         worker, (first, second) = self.start(tmp_path, fail_times=1, error=OSError)
-        worker.enqueue(first)
-        worker.enqueue(second)
+        worker.enqueue(first, T0)
+        worker.enqueue(second, T0)
         assert drain_within(worker, 5.0)
         assert (worker.failed, worker.confirmed) == (1, 1)
         assert read_marker(first) is None and first.exists()
         assert read_marker(second) is not None
         # The failed name is forgotten, so a later scan can enqueue it again.
-        assert worker.enqueue(first) and not worker.enqueue(second)
+        assert worker.enqueue(first, T0) and not worker.enqueue(second, T0)
 
     def test_rescans_during_failures_confirm_every_file_once(self, tmp_path):
         """Every other put fails while the main thread keeps rescanning, with
@@ -660,8 +655,7 @@ class TestUploadWorker:
             def _should_fail(self):
                 return self.put_attempts % 2 == 1
 
-        clock = AcceleratedClock(start=T0, accel=1000.0)
-        store = make_store(clock, tmp_path, EveryOtherFails)
+        store = make_store(tmp_path, EveryOtherFails)
         store.ensure_node_container("node-a")
         paths = [tmp_path / f"{i:03d}.fseq" for i in range(60)]
         for path in paths:
@@ -676,7 +670,7 @@ class TestUploadWorker:
                 if not pending:
                     break
                 for path in pending:
-                    worker.enqueue(path)
+                    worker.enqueue(path, T0)
         finally:
             sys.setswitchinterval(switch)
         assert drain_within(worker, 5.0)
@@ -687,8 +681,8 @@ class TestUploadWorker:
     @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_drain_returns_when_thread_is_gone(self, tmp_path):
         worker, (first, second) = self.start(tmp_path, fail_times=None, error=RuntimeError)
-        worker.enqueue(first)
+        worker.enqueue(first, T0)
         worker._thread.join(timeout=5.0)
         assert not worker._thread.is_alive()
-        assert worker.enqueue(second)  # no thread will take it
+        assert worker.enqueue(second, T0)  # no thread will take it
         assert drain_within(worker, 0.5)
