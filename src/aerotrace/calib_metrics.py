@@ -101,16 +101,18 @@ def moving_average(series: TimeSeries, window: timedelta = timedelta(minutes=10)
     w = window.total_seconds()
     if w <= 0:
         raise DataError(f"moving-average window must be positive, got {w} s")
-    times, vals = series.epoch, series.values
-    out = np.empty(len(vals))
+    # Python numbers, not numpy scalars: the same operations in the same order,
+    # at a tenth of the cost.
+    times, vals = series.epoch.tolist(), series.values.tolist()
+    out = []
     left = 0
     acc = 0.0
-    for i in range(len(vals)):
-        acc += vals[i]
-        while times[left] <= times[i] - w:
+    for i, (t, v) in enumerate(zip(times, vals)):
+        acc += v
+        while times[left] <= t - w:
             acc -= vals[left]
             left += 1
-        out[i] = acc / (i - left + 1)
+        out.append(acc / (i - left + 1))
     return series.with_values(out)
 
 

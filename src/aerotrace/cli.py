@@ -75,13 +75,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_sensor_series(path: Path, column: str) -> TimeSeries:
+    parsed = parse_csv_columns(path.read_bytes(), column)
+    if parsed is not None:
+        return TimeSeries(*parsed)
     linenos, lines = read_rows(path)
     if not lines:
         raise DataError(f"{path}: no rows")
-    table = parse_csv_columns(lines)
-    if table is not None:
-        epoch, fields = table
-        return TimeSeries(epoch, fields[column])
     epoch, values = [], []
     for lineno, line in zip(linenos, lines):
         try:

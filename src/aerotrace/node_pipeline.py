@@ -21,6 +21,7 @@ on the host's speed.
 from __future__ import annotations
 
 import logging
+import os
 import queue
 import re
 import threading
@@ -311,11 +312,25 @@ class SessionSummary:
     files_deleted: int = 0
 
 
+def _last_stamp(path: Path) -> datetime | None:
+    """The timestamp of a CSV's last line; None if there is none or it does not parse."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 4096, 0))
+            last = (fh.read().splitlines() or [b""])[-1]
+        return parse_utc(last.split(b",")[0].decode("ascii"))
+    except (FileNotFoundError, ValueError):
+        return None
+
+
 class _CsvSink:
     """Appends rows to the current UTC day's CSV, rotating at midnight.
 
     Opening a day's file removes its upload marker: the rows appended after a
-    same-day restart are not in the store yet.
+    same-day restart are not in the store yet. A restart whose first row is
+    not later than the file's last one is a replay of an earlier schedule; it
+    is refused before a byte is written. A last line whose timestamp does not
+    parse, as a row torn inside it, is no reason to refuse.
     """
 
     def __init__(self, node_id: str, buffer_dir: Path):
@@ -331,8 +346,12 @@ class _CsvSink:
         day = sample.timestamp.date()
         if day != self.day:
             sealed = self.seal()
-            self.day = day
-            self.path = self.buffer_dir / daily_csv_name(self.node_id, day)
+            path = self.buffer_dir / daily_csv_name(self.node_id, day)
+            last = _last_stamp(path)
+            if last is not None and sample.timestamp <= last:
+                raise DataError(f"{path.name} ends at {format_utc(last)}; a replay of an "
+                                f"earlier schedule would append {format_utc(sample.timestamp)}")
+            self.day, self.path = day, path
             self._fh = open(self.path, "a")
             marker_path(self.path).unlink(missing_ok=True)
         self._fh.write(sample_to_csv_row(sample) + "\n")

@@ -115,15 +115,17 @@ def parse_csv_row(line: str) -> SensorSample:
         raise DataError(_unparsable(parts, bad)) from None
 
 
-def parse_csv_columns(lines: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
-    """Epoch seconds and one array per ``CSV_FIELDS`` name of non-empty telemetry
-    rows, equal to what ``parse_csv_row`` gives. None unless every row has a
-    ``...Z`` timestamp and passes every check of ``parse_csv_row``.
+def parse_csv_columns(data: bytes, column: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Epoch seconds and the ``column`` values of a telemetry file's bytes, equal
+    to what ``parse_csv_row`` gives for each non-empty row. None unless
+    ``series.parse_columns`` takes the file, its PM fields are plain digits and
+    every row passes the checks of ``parse_csv_row``.
     """
-    columns = parse_columns(lines, 7, {i: int if i <= 3 else float for i in range(1, 7)})
+    index = CSV_FIELDS.index(column) + 1
+    # temp_c is converted only so that a field float() rejects declines the parse.
+    columns = parse_columns(data, 7, [index, 5, 6, 4], counts=(1, 2, 3))
     if columns is None:
         return None
-    epoch, pm1_0, pm2_5, pm10, _, rh_pct, pressure_hpa = columns
-    valid = ((pm1_0 >= 0) & (pm2_5 >= 0) & (pm10 >= 0) & (rh_pct >= 0.0) & (rh_pct <= 100.0)
-             & ~(pressure_hpa <= 0))
-    return (epoch, dict(zip(CSV_FIELDS, columns[1:]))) if valid.all() else None
+    epoch, values, rh_pct, pressure_hpa, _ = columns
+    valid = (rh_pct >= 0.0) & (rh_pct <= 100.0) & ~(pressure_hpa <= 0)
+    return (epoch, values) if valid.all() else None

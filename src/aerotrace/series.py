@@ -1,16 +1,22 @@
 """Immutable time series plus the resampling and CSV helpers shared by the analytics modules.
 
 A ``TimeSeries`` is two read-only numpy arrays, int64 epoch seconds and float64
-values; datetimes are built only where text is written. A CSV reader reads its
-file once (``read_rows``) and parses it column by column (``parse_columns``).
-When a row does not fit that parse, the reader walks the rows with its row
-parser instead, which returns the same values for odd but valid rows and raises
-the ``path:lineno: ...`` error of the first bad one.
+values; datetimes are built only where text is written.
+
+A CSV reader parses its file's bytes column by column first (``parse_columns``).
+numpy finds every line end and comma in one pass, checks each timestamp's
+shape at fixed offsets, gathers each wanted field into one fixed-width bytes
+array and converts it with one cast. The values are exact because numpy's cast
+from bytes to float64 converts each element with Python's ``float()``, as the
+row parsers do; the oracle tests in ``tests/test_csv_readers.py`` check this on
+numpy 2.4.6. A file that this parse declines (not ASCII, a line break it does
+not split at, a row of another shape) is read again as text (``read_rows``) and
+walked with the reader's row parser, which returns the same values for odd but
+valid rows and raises the ``path:lineno: ...`` error of the first bad one.
 """
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -24,11 +30,15 @@ UTC = timezone.utc
 HOUR_S = 3600
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
-# The node's timestamp form. Without its ``Z``, numpy parses it with no timezone
-# warning and rejects out-of-range fields as ``strptime`` does; the lookahead
-# rejects year 0000, which numpy takes and ``datetime`` does not.
-_NODE_STAMP = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
-# Rows split at a time, so that the field strings of a whole file are never all alive.
+_ZERO, _COMMA, _LF, _CR = b"0,\n\r"
+# The node's timestamp form, with each digit mapped to "0" as ``_DIGITS_AS_ZERO``
+# maps it. Without its ``Z``, numpy parses it with no timezone warning and
+# rejects out-of-range fields as ``strptime`` does; it also takes year 0000,
+# which ``datetime`` does not, so parsed times must not fall before year 1.
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
+_DIGITS_AS_ZERO = np.frombuffer(bytes.maketrans(b"123456789", b"0" * 9), np.uint8)
+_YEAR_1 = np.datetime64("0001-01-01T00:00:00", "s")
+# Rows parsed at a time, so that the gather indices grow with the chunk, not the file.
 _CHUNK_ROWS = 4096
 
 
@@ -131,44 +141,101 @@ def read_rows(path: str | Path) -> tuple[list[int], list[str]]:
     return linenos, [lines[lineno - 1] for lineno in linenos]
 
 
-def parse_columns(lines: list[str], width: int,
-                  kinds: dict[int, type]) -> list[np.ndarray] | None:
-    """Parse non-empty ``timestamp,...`` lines column by column.
+def parse_columns(data: bytes, width: int | None, columns: Sequence[int],
+                  counts: Sequence[int] = ()) -> list[np.ndarray] | None:
+    """Parse the bytes of a ``timestamp,...`` CSV file column by column.
 
-    Returns the epoch seconds of the first field, then, for each ``index: kind``
-    of ``kinds``, that field of every row converted exactly as ``kind()``
-    (``int`` or ``float``) converts it. Returns None unless every row has
-    ``width`` fields, the node's timestamp form and fields ``kind()`` accepts.
+    Returns the epoch seconds of each row's first field, then the float64
+    values of each field index of ``columns``, converted by numpy's bytes cast,
+    which calls ``float()`` on each field. The fields of ``counts`` must be 1
+    to 15 ASCII digits, which ``int()`` reads as a value of at least 0 and
+    float64 holds exactly. With no ``width`` the first non-empty line is a
+    header, which must hold a byte other than a space, and the width is that
+    of the first data row.
+
+    Returns None, for the caller's row parser, unless the file is ASCII, its
+    lines end in ``\n`` or ``\r\n``, and it holds no other byte below 0x20
+    (``str.splitlines`` breaks lines at some of them). Empty lines are
+    skipped; every other line must have ``width`` fields, at least 2, the first
+    one in the node's form ``YYYY-MM-DDTHH:MM:SSZ`` with a year other than
+    0000, and every field of ``columns`` must be one that ``float()`` accepts.
     """
+    if not data.isascii():
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    lf = np.flatnonzero(buf == _LF)
+    cr = (lf > 0) & (buf[lf - 1] == _CR)
+    if np.count_nonzero(buf < 0x20) != lf.size + np.count_nonzero(cr):
+        return None
+    starts = np.concatenate(([0], lf + 1))
+    ends = np.append(lf - cr, buf.size)
+    starts, ends = starts[ends > starts], ends[ends > starts]
+    if width is None:
+        if starts.size < 2 or not data[starts[0]:ends[0]].strip(b" "):
+            return None
+        starts, ends = starts[1:], ends[1:]
+        width = data.count(b",", int(starts[0]), int(ends[0])) + 1
+    if width < 2 or not starts.size or not all(-width <= i < width for i in columns):
+        return None
     parts = []
-    for start in range(0, len(lines), _CHUNK_ROWS):
-        chunk = lines[start:start + _CHUNK_ROWS]
-        if any(line.count(",") != width - 1 for line in chunk):
+    for first in range(0, starts.size, _CHUNK_ROWS):
+        part = _parse_chunk(buf, starts[first:first + _CHUNK_ROWS],
+                            ends[first:first + _CHUNK_ROWS], width, columns, counts)
+        if part is None:
             return None
-        flat = ",".join(chunk).split(",")
-        fields = [flat[i::width] for i in range(width)]
-        if not all(map(_NODE_STAMP.fullmatch, fields[0])):
-            return None
-        try:
-            stamps = np.array([text[:-1] for text in fields[0]], dtype="datetime64[s]")
-            parts.append([stamps.astype(np.int64)] + [
-                np.fromiter(map(kind, fields[i]), kind, len(chunk)) for i, kind in kinds.items()])
-        except (IndexError, ValueError, OverflowError):
-            return None
+        parts.append(part)
     return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _parse_chunk(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int,
+                 columns: Sequence[int], counts: Sequence[int]) -> list[np.ndarray] | None:
+    """``parse_columns`` on the rows from byte ``starts`` up to ``ends``."""
+    commas = np.flatnonzero(buf[starts[0]:ends[-1]] == _COMMA) + starts[0]
+    if commas.size != starts.size * (width - 1):
+        return None
+    commas = commas.reshape(starts.size, width - 1)
+    # Each row's first comma follows its 20-byte timestamp, which holds none,
+    # so with the total right every row holds exactly width - 1 commas.
+    if not (commas[:, 0] == starts + 20).all():
+        return None
+    stamp = buf[starts[:, None] + np.arange(_STAMP.size)]
+    if not (_DIGITS_AS_ZERO[stamp] == _STAMP).all():
+        return None
+    edges = np.column_stack((starts - 1, commas, ends))
+    wanted = {i % width for i in columns}
+    fields = {}
+    for i in wanted | set(counts):
+        lengths = edges[:, i + 1] - edges[:, i] - 1
+        if lengths.min() < 1:  # float() and int() reject an empty field
+            return None
+        # Each field's bytes as one row, then zeros, which the bytes dtype drops.
+        at = np.arange(lengths.max())
+        octets = np.take(buf, edges[:, i, None] + 1 + at, mode="clip")
+        octets[at >= lengths[:, None]] = 0
+        if i in counts and (at.size > 15 or ((octets - _ZERO >= 10) & (octets != 0)).any()):
+            return None
+        fields[i] = octets.view(f"S{at.size}")[:, 0]
+    try:
+        epoch = stamp[:, :19].copy().view("S19")[:, 0].astype("datetime64[s]")
+        values = {i: fields[i].astype(np.float64) for i in wanted}
+    except ValueError:
+        return None
+    if not (epoch >= _YEAR_1).all():
+        return None
+    return [epoch.astype(np.int64)] + [values[i % width] for i in columns]
 
 
 def read_csv_series(path: str | Path, value_col: int = 1) -> TimeSeries:
     """Read a headered CSV whose first column is an ISO UTC timestamp."""
+    columns = parse_columns(Path(path).read_bytes(), None, [value_col])
+    if columns is not None:
+        return TimeSeries(*columns)
     linenos, lines = read_rows(path)
     if not lines:
         raise DataError(f"{path}: empty file")
     linenos, lines = linenos[1:], lines[1:]
     if not lines:
         raise DataError(f"{path}: no data rows")
-    columns = parse_columns(lines, lines[0].count(",") + 1, {value_col: float})
-    if columns is not None:
-        return TimeSeries(*columns)
     epoch, values = [], []
     for lineno, line in zip(linenos, lines):
         fields = line.split(",")

@@ -18,7 +18,7 @@ from aerotrace.calib_metrics import (
 from aerotrace.errors import DataError
 from aerotrace.series import TimeSeries
 
-from conftest import T0, at, make_series, same_series
+from conftest import E0, T0, at, make_series, same_series
 
 
 def validate_warp_path(path, n, m):
@@ -206,7 +206,39 @@ class TestWarp:
             warp_onto_reference([1.0, 2.0], path, n_ref)
 
 
+def moving_average_oracle(series, window):
+    """The running-sum loop on numpy scalars that ``moving_average`` used to run."""
+    w = window.total_seconds()
+    times, vals = series.epoch, series.values
+    out = np.empty(len(vals))
+    left = 0
+    acc = 0.0
+    for i in range(len(vals)):
+        acc += vals[i]
+        while times[left] <= times[i] - w:
+            acc -= vals[left]
+            left += 1
+        out[i] = acc / (i - left + 1)
+    return out
+
+
 class TestMovingAverage:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+               st.lists(st.integers(1, 900), min_size=1, max_size=80).map(
+                   lambda steps: E0 + np.cumsum(steps)),
+               st.lists(st.integers(-62135596800, 253402300799), min_size=1, max_size=40,
+                        unique=True).map(sorted)),
+           st.data(),
+           st.one_of(st.integers(1, 7200).map(lambda s: timedelta(seconds=s)),
+                     st.floats(1e-3, 1e12).map(lambda s: timedelta(seconds=s))))
+    def test_matches_the_numpy_scalar_loop(self, epoch, data, window):
+        values = data.draw(st.lists(st.floats(-1e12, 1e12), min_size=len(epoch),
+                                    max_size=len(epoch)))
+        s = TimeSeries(epoch, values)
+        assert moving_average(s, window).values.tobytes() == \
+            moving_average_oracle(s, window).tobytes()
+
     def test_constant_unchanged(self):
         s = make_series([5, 5, 5, 5], step_s=60)
         assert same_series(moving_average(s, timedelta(minutes=10)), s)

@@ -166,6 +166,38 @@ CORRUPTIONS = {
 }
 
 
+def edge_cases(text, field):
+    """Variants of the plain file ``text`` that its byte parse must decline or
+    read as the row parsers do. ``field`` is a ``,number`` in its last row."""
+    head, _, tail = text.rpartition(field)
+    first_end = text.index("\n")
+    t = head.rindex("T")
+    return {
+        "stamp_space": head[:t] + " " + head[t + 1:] + field + tail,
+        "crlf": text.replace("\n", "\r\n"),
+        "lone_cr": text.replace("\n", "\r", 1),
+        "bom": "\ufeff" + text,
+        "nul": head + field + "\x00" + tail,
+        "tab": head + field + "\t" + tail,
+        "arabic_digit": head + ",\u0663" + tail,
+        # str.splitlines breaks a line at each of these.
+        "form_feed": text[:first_end] + "\x0c" + text[first_end + 1:],
+        "line_separator": text[:first_end] + "\u2028" + text[first_end + 1:],
+        "file_separator": head + ",\x1c" + field[1:] + tail,
+        "no_trailing_newline": text[:-1],
+        "space_line_first": "  \n" + text,
+        "space_line_for_first": "  " + text[first_end:],
+        "underscore": head + ",1_0" + tail,
+        "plus": head + ",+5" + tail,
+        "exponent": head + ",1e3" + tail,
+    }
+
+
+PLAIN_SENSOR = ("2022-07-01T16:00:00Z,5,12,15,27.00,65.50,1008.25\n"
+                "2022-07-01T16:00:10Z,6,13,16,27.10,65.40,1008.20\n")
+PLAIN_VALUES = "t,v\n2022-07-01T16:00:00Z,1.5\n2022-07-01T17:00:00Z,2.5\n"
+
+
 @pytest.fixture
 def csv_path(tmp_path):
     return tmp_path / "input.csv"
@@ -228,6 +260,29 @@ class TestSensorReader:
         csv_path.write_text("\n  \n")
         want = outcome(read_sensor_series_oracle, csv_path, "pm2_5")
         assert outcome(cli._read_sensor_series, csv_path, "pm2_5") == want
+
+    @pytest.mark.parametrize("column", ["pm2_5", "temp_c"])
+    @pytest.mark.parametrize("case", sorted(edge_cases(PLAIN_SENSOR, ",13")))
+    def test_edge_cases_match_the_row_reader(self, csv_path, case, column):
+        csv_path.write_bytes(edge_cases(PLAIN_SENSOR, ",13")[case].encode())
+        want = outcome(read_sensor_series_oracle, csv_path, column)
+        assert outcome(cli._read_sensor_series, csv_path, column) == want
+
+    def test_pm_too_large_for_a_float(self, csv_path):
+        csv_path.write_text(PLAIN_SENSOR.replace(",13,", f",{'9' * 400},"))
+        with pytest.raises(DataError, match=":2: pm2_5 too large for a float$"):
+            cli._read_sensor_series(csv_path, "pm2_5")
+
+    def test_crlf_copy_skips_the_row_parser(self, csv_path, monkeypatch):
+        csv_path.write_bytes(PLAIN_SENSOR.encode())
+        want = outcome(cli._read_sensor_series, csv_path, "rh_pct")
+
+        def no_rows(line):
+            raise AssertionError(line)
+
+        monkeypatch.setattr(cli, "parse_csv_row", no_rows)
+        csv_path.write_bytes(PLAIN_SENSOR.replace("\n", "\r\n").encode())
+        assert outcome(cli._read_sensor_series, csv_path, "rh_pct") == want
 
 
 @st.composite
@@ -298,6 +353,37 @@ class TestValueReader:
         want = outcome(read_csv_series_oracle, csv_path, 1)
         assert want[0] is DataError
         assert outcome(read_csv_series, csv_path, 1) == want
+
+    @SETTINGS
+    @given(value_files(), st.sampled_from([1, -1]))
+    @example(("t,v", [["2022-07-01T16:00:00Z"], ["2022-07-01T17:00:00Z", "1.5"]],
+              [("", "")] * 2, [[], [], []]), 1)
+    def test_one_field_first_row_raises_the_same_error(self, csv_path, file, value_col):
+        # The byte parse takes its width from the first data row.
+        header, rows, pads, blanks = file
+        rows[0] = rows[0][:1]
+        write_value_file(csv_path, header, rows, pads, blanks)
+        want = outcome(read_csv_series_oracle, csv_path, value_col)
+        assert want[0] is DataError
+        assert outcome(read_csv_series, csv_path, value_col) == want
+
+    @pytest.mark.parametrize("value_col", [1, -1])
+    @pytest.mark.parametrize("case", sorted(edge_cases(PLAIN_VALUES, ",2.5")))
+    def test_edge_cases_match_the_row_reader(self, csv_path, case, value_col):
+        csv_path.write_bytes(edge_cases(PLAIN_VALUES, ",2.5")[case].encode())
+        want = outcome(read_csv_series_oracle, csv_path, value_col)
+        assert outcome(read_csv_series, csv_path, value_col) == want
+
+    def test_crlf_copy_skips_the_row_parser(self, csv_path, monkeypatch):
+        csv_path.write_bytes(PLAIN_VALUES.encode())
+        want = outcome(read_csv_series, csv_path, -1)
+
+        def no_rows(text):
+            raise AssertionError(text)
+
+        monkeypatch.setattr(series, "parse_utc", no_rows)
+        csv_path.write_bytes(PLAIN_VALUES.replace("\n", "\r\n").encode())
+        assert outcome(read_csv_series, csv_path, -1) == want
 
     def test_plain_file_skips_the_row_parser(self, csv_path, monkeypatch):
         csv_path.write_text("t,v\n2022-07-01T16:00:00Z,1.5\n2022-07-01T17:00:00Z, 2.5 \n")

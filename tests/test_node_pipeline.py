@@ -218,6 +218,15 @@ class TestMarkers:
         assert sink.seal() == f
         assert read_marker(f) is None and len(f.read_text().splitlines()) == 2
 
+    def test_torn_last_row_does_not_block_a_restart(self, tmp_path):
+        # The last row was torn inside its timestamp, as by a crash mid-write.
+        f = tmp_path / daily_csv_name("node-a", T0.date())
+        f.write_text("2022-07-01T16:05:00Z,5,12,15,27.00,65.50,1008.25\n2022-07-01T16:0")
+        sink = node_pipeline._CsvSink("node-a", tmp_path)
+        sink.write(synthetic_sample_source(0)(T0))
+        assert sink.seal() == f
+        assert len(f.read_text().splitlines()) == 2
+
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.one_of(st.text(), st.text().map("confirmed_at=".__add__),
                      st.integers(0, 34).map(lambda n: "confirmed_at=2022-07-01T16:00:00Z\n"[:n])))
@@ -399,6 +408,22 @@ class TestRunNode:
         hours = [parse_csv_row(row).timestamp.hour for row in got.read_text().splitlines()]
         assert hours == [10] * 6 + [11] * 6
 
+    def test_restart_earlier_than_the_csv_rows_is_refused(self, tmp_path):
+        """A session that starts before the daily CSV's last row raises before
+        it writes a row or removes the file's upload marker."""
+        store = make_store(tmp_path)
+        config = make_config(tmp_path, frame_width=8, frame_height=8)
+        assert run(config, AcceleratedClock(T0, 1e8), store, 301).uploads_failed == 0
+        csv = config.buffer_dir / daily_csv_name("node-a", T0.date())
+        before = csv.read_bytes()
+        assert read_marker(csv) is not None
+        replay = dataclasses.replace(config, start_time=T0 + timedelta(minutes=2, seconds=3))
+        with pytest.raises(DataError, match="^node-a_2022-07-01.csv ends at "
+                                            "2022-07-01T16:05:00Z; a replay"):
+            run(replay, AcceleratedClock(replay.start_time, 1e8), store, 60)
+        assert csv.read_bytes() == before
+        assert read_marker(csv) is not None
+
     @settings(max_examples=25, deadline=None)
     @given(offset_s=st.integers(-90, 30), duration_s=st.integers(0, 60),
            chunk_s=st.sampled_from([1, 5, 60]), retention_s=st.sampled_from([0.0, 7.0, 86400.0]),
@@ -536,7 +561,8 @@ class TestRunNode:
 
     # The first session runs past the end of its chunk, so with retention 0 its
     # final sweep deletes that chunk and marker from the buffer before the
-    # second session, started inside the same window, opens it.
+    # second session, started inside the same window, opens it. One sample an
+    # hour keeps the first session's last CSV row before the second's start.
     @pytest.mark.parametrize("retention_s", [86400.0, 0.0], ids=["kept", "swept"])
     def test_restart_in_the_same_chunk_window_keeps_both_sessions_frames(self, tmp_path,
                                                                         retention_s):
@@ -547,8 +573,11 @@ class TestRunNode:
             clock = ScheduleClock()
             store = make_store(tmp_path)
             config = make_config(tmp_path, start_time=start, frame_width=32, frame_height=16,
-                                 retention_s=retention_s)
+                                 retention_s=retention_s, sample_interval_s=3600.0)
             assert run(config, clock, store, duration_s).uploads_confirmed == confirmed
+        store.download(BlobRef("node-a", "csv/node-a_2022-07-01.csv"), tmp_path / "got.csv")
+        assert [parse_csv_row(row).timestamp for row in
+                (tmp_path / "got.csv").read_text().splitlines()] == [s for s, *_ in sessions]
         names = ["node-a_20220701_160000.fseq", "node-a_20220701_160200.fseq"]
         assert sorted(o.key for o in store.list_node_objects("node-a")
                       if o.key.startswith("video/")) == [
