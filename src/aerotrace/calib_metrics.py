@@ -26,13 +26,15 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
 
     The table is filled in wavefront order, one anti-diagonal i + j = k per
     numpy pass, since each cell depends only on the two diagonals before it.
-    D is stored inside one (n+1) x (m+1) float64 table with a +inf border
-    and a 0 corner, so the fill needs (n+1)(m+1) * 8 bytes (16.6 MB for
-    n = m = 1440); the costs are computed one diagonal at a time. Every
-    cell gets the same ``cost + min`` of the same three values as in a
-    row-by-row fill, so the result is bit-identical to it. Non-finite input
-    raises ``DataError``, because with a NaN that minimum would depend on
-    argument order.
+    D is stored inside one padded (n+1) x (m+1) table with a +inf border
+    and a 0 corner, kept diagonal by diagonal in one flat float64 array:
+    padded cell (i, k - i) sits at ``base[k] + i``. Each pass then reads
+    three contiguous slices and writes one, and the fill needs
+    (n+1)(m+1) * 8 bytes (16.6 MB for n = m = 1440); each diagonal's costs
+    are computed in its own cells. Every cell gets the same ``cost + min`` of the
+    same three values as in a row-by-row fill, so the result is
+    bit-identical to it. Non-finite input raises ``DataError``, because with
+    a NaN that minimum would depend on argument order.
     """
     a = np.asarray(reference, dtype=float)
     b = np.asarray(test, dtype=float)
@@ -41,22 +43,32 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("dtw needs finite values")
     n, m = a.size, b.size
-    P = np.full((n + 1, m + 1), np.inf)
-    P[0, 0] = 0.0
-    # In the flat C-order view, cell P[i, k - i] sits at i * m + k, so each
-    # diagonal and its three predecessors are stride-m slices. The cell's
-    # test value b[k - i - 1] is b_rev[m - k + i], which rises with i.
-    flat = P.reshape(-1)
+    # Diagonal k holds padded rows max(0, k - m) to min(n, k).
+    diagonals = np.arange(n + m + 1)
+    first = np.maximum(0, diagonals - m)
+    sizes = np.minimum(n, diagonals) - first + 1
+    base = (np.cumsum(sizes) - sizes - first).tolist()
+    flat = np.full((n + 1) * (m + 1), np.inf)
+    flat[0] = 0.0
+    # The test value of padded cell (i, k - i) is b[k - i - 1] = b_rev[m - k + i],
+    # which rises with i.
     b_rev = b[::-1]
+    scratch = np.empty(min(n, m))
     for k in range(2, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
-        start, stop = lo * m + k, hi * m + k + 1
-        cost = np.abs(a[lo - 1:hi] - b_rev[m - k + lo:m - k + hi + 1])
-        least = np.minimum(flat[start - m - 2:stop - m - 2:m],
-                           flat[start - m - 1:stop - m - 1:m])
-        np.minimum(least, flat[start - 1:stop - 1:m], out=least)
-        flat[start:stop:m] = cost + least
-    D = P[1:, 1:]
+        size = hi - lo + 1
+        cells, least = flat[base[k] + lo:base[k] + lo + size], scratch[:size]
+        # The cells' (i - 1, j - 1) start at d2, their (i - 1, j) at d1 and
+        # their (i, j - 1) at d1 + 1.
+        d2, d1 = base[k - 2] + lo - 1, base[k - 1] + lo - 1
+        np.subtract(a[lo - 1:hi], b_rev[m - k + lo:m - k + hi + 1], out=cells)
+        np.abs(cells, out=cells)
+        np.minimum(flat[d2:d2 + size], flat[d1:d1 + size], out=least)
+        np.minimum(least, flat[d1 + 1:d1 + 1 + size], out=least)
+        np.add(cells, least, out=cells)
+
+    def D(i: int, j: int) -> float:
+        return flat[base[i + j + 2] + i + 1]
 
     path: WarpPath = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
@@ -66,7 +78,7 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
         elif j == 0:
             i -= 1
         else:
-            diag, up, left = D[i - 1, j - 1], D[i - 1, j], D[i, j - 1]
+            diag, up, left = D(i - 1, j - 1), D(i - 1, j), D(i, j - 1)
             best = min(diag, up, left)
             if diag == best:
                 i, j = i - 1, j - 1
@@ -76,7 +88,7 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
                 j -= 1
         path.append((i, j))
     path.reverse()
-    return float(D[n - 1, m - 1]), path
+    return float(D(n - 1, m - 1)), path
 
 
 def warp_onto_reference(test: Sequence[float], path: WarpPath, n_ref: int) -> np.ndarray:

@@ -24,7 +24,8 @@ from .node_pipeline import parse_duration, parse_node_config, run_node
 from .pm_clean import CleanConfig, clean_pipeline
 from .sensor_codec import CSV_FIELDS, parse_csv_columns, parse_csv_row
 from .series import (
-    UTC, TimeSeries, format_csv_series, format_utc, parse_utc, read_csv_series, read_rows)
+    UTC, TimeSeries, decode_utf8, format_csv_series, format_utc, parse_utc, read_csv_series,
+    read_rows)
 from .synth import moving_block_frame_source, parse_scene_script, synthetic_sample_source, write_scene_fseq
 from .traffic_count import CountLine, CountParams, count_video
 
@@ -75,10 +76,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_sensor_series(path: Path, column: str) -> TimeSeries:
-    parsed = parse_csv_columns(path.read_bytes(), column)
+    data = path.read_bytes()
+    parsed = parse_csv_columns(data, column)
     if parsed is not None:
         return TimeSeries(*parsed)
-    linenos, lines = read_rows(path)
+    linenos, lines = read_rows(path, data)
     if not lines:
         raise DataError(f"{path}: no rows")
     epoch, values = [], []
@@ -194,7 +196,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    script = parse_scene_script(_read_input(args.script).read_text())
+    path = _read_input(args.script)
+    script = parse_scene_script(decode_utf8(path, path.read_bytes()))
     info = write_scene_fseq(script, args.out, seed=args.seed)
     log.info("wrote %d frames (%dx%d @ %d fps) to %s",
              info.frame_count, info.width, info.height, info.fps, args.out)

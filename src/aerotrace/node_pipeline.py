@@ -36,7 +36,7 @@ from .blob_store import BlobRef, BlobStore, UploadJob, validate_node_id
 from .errors import AerotraceError, DataError
 from .fseq import MAX_FRAME_COUNT, FseqWriter, chunk_filename
 from .sensor_codec import SensorSample, sample_to_csv_row
-from .series import as_utc, floor_to, format_utc, parse_utc
+from .series import as_utc, decode_utf8, floor_to, format_utc, parse_utc
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +119,8 @@ _KEY_TO_FIELD = {
 def parse_node_config(path: str | Path) -> NodeConfig:
     """Read a flat ``key=value`` config file; see CONFIG_KEYS for the schema."""
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = decode_utf8(path, Path(path).read_bytes())
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,6 +1,11 @@
 """Sensor readings and the node CSV row format.
 
-The PM sensor's serial frame is specified in the Plantower PMS7003 datasheet.
+A ``SensorSample`` is one 10-second reading: the PM1.0, PM2.5 and PM10
+concentrations of a PMS7003-style particulate sensor and the temperature,
+humidity and pressure of the environmental sensor (``EnvReading``). The node
+writes each sample as one CSV row (``sample_to_csv_row``). The analytics read
+a row back with ``parse_csv_row``, or one column of a whole file from its bytes
+with ``parse_csv_columns``.
 
 The CSV row format is ``timestamp,pm1_0,pm2_5,pm10,temp_c,rh_pct,pressure_hpa``
 with the timestamp in ISO-8601 UTC (``Z`` suffix, whole seconds), PM values as
@@ -15,9 +20,12 @@ from datetime import datetime
 import numpy as np
 
 from .errors import DataError
-from .series import UTC, as_utc, format_utc, parse_columns, parse_utc
+from .series import (
+    UTC, as_utc, cast_field, field_bytes, format_utc, parse_columns, parse_utc)
 
 CSV_FIELDS = ("pm1_0", "pm2_5", "pm10", "temp_c", "rh_pct", "pressure_hpa")
+_ZERO, _ONE, _DOT, _MINUS = b"01.-"
+_HUNDRED = np.frombuffer(b"100.00", np.uint8)
 
 
 def _unparsable(parts: list[str], index: int) -> str:
@@ -118,14 +126,80 @@ def parse_csv_row(line: str) -> SensorSample:
 def parse_csv_columns(data: bytes, column: str) -> tuple[np.ndarray, np.ndarray] | None:
     """Epoch seconds and the ``column`` values of a telemetry file's bytes, equal
     to what ``parse_csv_row`` gives for each non-empty row. None unless
-    ``series.parse_columns`` takes the file, its PM fields are plain digits and
-    every row passes the checks of ``parse_csv_row``.
+    ``series.parse_columns`` takes the file and every row passes the checks
+    of ``parse_csv_row``.
+
+    Only ``column`` is converted. The other fields are checked from the bytes
+    of each chunk of rows (``_node_shape``); a chunk whose rows are not all in
+    the node's own form has its PM fields checked for plain digits and its
+    environmental fields converted and checked as ``parse_csv_row`` does.
     """
     index = CSV_FIELDS.index(column) + 1
-    # temp_c is converted only so that a field float() rejects declines the parse.
-    columns = parse_columns(data, 7, [index, 5, 6, 4], counts=(1, 2, 3))
-    if columns is None:
-        return None
-    epoch, values, rh_pct, pressure_hpa, _ = columns
-    valid = (rh_pct >= 0.0) & (rh_pct <= 100.0) & ~(pressure_hpa <= 0)
-    return (epoch, values) if valid.all() else None
+    return parse_columns(data, 7, lambda buf, edges: _column_values(buf, edges, index))
+
+
+def _column_values(buf: np.ndarray, edges: np.ndarray, index: int) -> np.ndarray | None:
+    """The values of field ``index`` of a chunk's rows, or None unless
+    ``parse_csv_row`` accepts each row."""
+    if _node_shape(buf, edges):
+        return _pm_values(buf, edges, index) if index <= 3 else cast_field(buf, edges, index)
+    return cast_field(buf, edges, index) if _converted_rows_valid(buf, edges) else None
+
+
+def _pm_values(buf: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray:
+    """Field ``i`` of each row, 1 to 15 digits, as float64. Every digit times
+    its power of ten, and every partial sum, is an integer below 10**15 < 2**53,
+    so the sum is exact in any order and equals ``float()`` of the digits."""
+    ends = edges[:, i + 1]
+    lengths = ends - edges[:, i] - 1
+    before = np.arange(lengths.max(), 0, -1)  # bytes before the field's end
+    digits = buf[ends[:, None] - before] - _ZERO
+    digits[before > lengths[:, None]] = 0
+    return digits @ 10.0 ** (before - 1)
+
+
+def _node_shape(buf: np.ndarray, edges: np.ndarray) -> bool:
+    """Whether each row is in a form that ``parse_csv_row`` accepts, read from
+    its bytes alone: PM fields of 1 to 15 digits, and environmental fields of
+    digits with a ``.`` three bytes before their end and a ``-`` at most as
+    ``temp_c``'s first byte, ``rh_pct`` at most ``100.00`` and
+    ``pressure_hpa`` at least ``1.00``. ``sample_to_csv_row`` writes this form
+    for every sample with PM values below 10**15, a finite temperature and a
+    pressure of at least 1 hPa.
+
+    The stamps and commas are already checked, so one count of the chunk's
+    digit bytes shows that every byte not at a known place is a digit.
+    """
+    lengths = np.diff(edges, axis=1) - 1
+    pm, env = lengths[:, 1:4], lengths[:, 4:]
+    # Three bytes keep each ``.`` inside its own field.
+    if pm.min() < 1 or pm.max() > 15 or env.min() < 3 or lengths[:, 5].max() > 6:
+        return False
+    if not (buf[edges[:, 5:] - 3] == _DOT).all():
+        return False
+    if not (buf[edges[:, 6] + 1] - _ONE < 9).all():
+        return False
+    hundred = edges[lengths[:, 5] == 6, 5]
+    if not (buf[hundred[:, None] + 1 + np.arange(6)] == _HUNDRED).all():
+        return False
+    signs = np.count_nonzero(buf[edges[:, 4] + 1] == _MINUS)
+    digits = np.count_nonzero(buf[edges[0, 0] + 1:edges[-1, -1]] - _ZERO < 10)
+    # A stamp holds 6 bytes other than digits, and the environmental fields 3 dots.
+    return bool(digits == lengths.sum() - 9 * lengths.shape[0] - signs)
+
+
+def _converted_rows_valid(buf: np.ndarray, edges: np.ndarray) -> bool:
+    """Whether ``parse_csv_row`` accepts each row, by the PM fields' digits and
+    the environmental fields converted with ``float()``."""
+    for i in (1, 2, 3):
+        pm = field_bytes(buf, edges, i)
+        if pm is None or pm.itemsize > 15:
+            return False
+        octets = pm.view(np.uint8)
+        if ((octets - _ZERO >= 10) & (octets != 0)).any():
+            return False
+    env = [cast_field(buf, edges, i) for i in (4, 5, 6)]
+    if any(values is None for values in env):
+        return False
+    _, rh_pct, pressure_hpa = env
+    return bool(((rh_pct >= 0.0) & (rh_pct <= 100.0) & ~(pressure_hpa <= 0)).all())

@@ -4,15 +4,18 @@ A ``TimeSeries`` is two read-only numpy arrays, int64 epoch seconds and float64
 values; datetimes are built only where text is written.
 
 A CSV reader parses its file's bytes column by column first (``parse_columns``).
-numpy finds every line end and comma in one pass, checks each timestamp's
-shape at fixed offsets, gathers each wanted field into one fixed-width bytes
-array and converts it with one cast. The values are exact because numpy's cast
-from bytes to float64 converts each element with Python's ``float()``, as the
-row parsers do; the oracle tests in ``tests/test_csv_readers.py`` check this on
-numpy 2.4.6. A file that this parse declines (not ASCII, a line break it does
-not split at, a row of another shape) is read again as text (``read_rows``) and
-walked with the reader's row parser, which returns the same values for odd but
-valid rows and raises the ``path:lineno: ...`` error of the first bad one.
+numpy finds every line end and comma in one pass and checks each timestamp's
+shape at fixed offsets. The reader then converts the one field it wants, a
+chunk of rows at a time, usually by gathering it into one fixed-width bytes
+array and converting that with one cast (``cast_field``); the fields it does
+not convert it may check from their bytes, as ``sensor_codec`` does for node
+rows. The cast's values are exact because numpy's cast from bytes to float64
+converts each element with Python's ``float()``, as the row parsers do; the
+oracle tests in ``tests/test_csv_readers.py`` check this on numpy 2.4.6. A file
+that this parse declines (not ASCII, a line break it does not split at, a row
+of another shape) is decoded as UTF-8 (``read_rows``) and walked with the
+reader's row parser, which returns the same values for odd but valid rows and
+raises the ``path:lineno: ...`` error of the first bad one.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +33,7 @@ UTC = timezone.utc
 HOUR_S = 3600
 TIMESTAMP_FMT = "%Y-%m-%dT%H:%M:%SZ"
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
-_ZERO, _COMMA, _LF, _CR = b"0,\n\r"
+_COMMA, _LF, _CR = b",\n\r"
 # The node's timestamp form, with each digit mapped to "0" as ``_DIGITS_AS_ZERO``
 # maps it. Without its ``Z``, numpy parses it with no timezone warning and
 # rejects out-of-range fields as ``strptime`` does; it also takes year 0000,
@@ -134,31 +137,40 @@ def format_csv_series(series: TimeSeries, header: str) -> str:
     return "".join([header + "\n"] + [f"{format_utc(t)},{v:.6f}\n" for t, v in series])
 
 
-def read_rows(path: str | Path) -> tuple[list[int], list[str]]:
-    """The 1-based physical line numbers and the text of a file's non-blank lines."""
-    lines = Path(path).read_text().splitlines()
+def decode_utf8(path: str | Path, data: bytes) -> str:
+    """``data``, the bytes of the file at ``path``, as UTF-8 text."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start} is not UTF-8") from None
+
+
+def read_rows(path: str | Path, data: bytes) -> tuple[list[int], list[str]]:
+    """The 1-based physical line numbers and the text of the non-blank lines of
+    ``data``, the bytes of the file at ``path``."""
+    lines = decode_utf8(path, data).splitlines()
     linenos = [lineno for lineno, line in enumerate(lines, start=1) if line.strip()]
     return linenos, [lines[lineno - 1] for lineno in linenos]
 
 
-def parse_columns(data: bytes, width: int | None, columns: Sequence[int],
-                  counts: Sequence[int] = ()) -> list[np.ndarray] | None:
+def parse_columns(data: bytes, width: int | None,
+                  convert: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
+                  ) -> tuple[np.ndarray, np.ndarray] | None:
     """Parse the bytes of a ``timestamp,...`` CSV file column by column.
 
-    Returns the epoch seconds of each row's first field, then the float64
-    values of each field index of ``columns``, converted by numpy's bytes cast,
-    which calls ``float()`` on each field. The fields of ``counts`` must be 1
-    to 15 ASCII digits, which ``int()`` reads as a value of at least 0 and
-    float64 holds exactly. With no ``width`` the first non-empty line is a
-    header, which must hold a byte other than a space, and the width is that
-    of the first data row.
+    Returns the epoch seconds of each row's first field and the values that
+    ``convert(buf, edges)`` returns for each chunk of ``_CHUNK_ROWS`` rows:
+    ``buf`` is the file's bytes, and row r's field i lies strictly between
+    ``buf`` offsets ``edges[r, i]`` and ``edges[r, i + 1]``. With no
+    ``width`` the first non-empty line is a header, which must hold a byte
+    other than a space, and the width is that of the first data row.
 
     Returns None, for the caller's row parser, unless the file is ASCII, its
     lines end in ``\n`` or ``\r\n``, and it holds no other byte below 0x20
     (``str.splitlines`` breaks lines at some of them). Empty lines are
     skipped; every other line must have ``width`` fields, at least 2, the first
     one in the node's form ``YYYY-MM-DDTHH:MM:SSZ`` with a year other than
-    0000, and every field of ``columns`` must be one that ``float()`` accepts.
+    0000, and ``convert`` must return values for every chunk.
     """
     if not data.isascii():
         return None
@@ -175,20 +187,22 @@ def parse_columns(data: bytes, width: int | None, columns: Sequence[int],
             return None
         starts, ends = starts[1:], ends[1:]
         width = data.count(b",", int(starts[0]), int(ends[0])) + 1
-    if width < 2 or not starts.size or not all(-width <= i < width for i in columns):
+    if width < 2 or not starts.size:
         return None
     parts = []
     for first in range(0, starts.size, _CHUNK_ROWS):
         part = _parse_chunk(buf, starts[first:first + _CHUNK_ROWS],
-                            ends[first:first + _CHUNK_ROWS], width, columns, counts)
+                            ends[first:first + _CHUNK_ROWS], width, convert)
         if part is None:
             return None
         parts.append(part)
-    return [np.concatenate(column) for column in zip(*parts)]
+    epoch, values = zip(*parts)
+    return np.concatenate(epoch), np.concatenate(values)
 
 
 def _parse_chunk(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int,
-                 columns: Sequence[int], counts: Sequence[int]) -> list[np.ndarray] | None:
+                 convert: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
     """``parse_columns`` on the rows from byte ``starts`` up to ``ends``."""
     commas = np.flatnonzero(buf[starts[0]:ends[-1]] == _COMMA) + starts[0]
     if commas.size != starts.size * (width - 1):
@@ -201,36 +215,51 @@ def _parse_chunk(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: i
     stamp = buf[starts[:, None] + np.arange(_STAMP.size)]
     if not (_DIGITS_AS_ZERO[stamp] == _STAMP).all():
         return None
-    edges = np.column_stack((starts - 1, commas, ends))
-    wanted = {i % width for i in columns}
-    fields = {}
-    for i in wanted | set(counts):
-        lengths = edges[:, i + 1] - edges[:, i] - 1
-        if lengths.min() < 1:  # float() and int() reject an empty field
-            return None
-        # Each field's bytes as one row, then zeros, which the bytes dtype drops.
-        at = np.arange(lengths.max())
-        octets = np.take(buf, edges[:, i, None] + 1 + at, mode="clip")
-        octets[at >= lengths[:, None]] = 0
-        if i in counts and (at.size > 15 or ((octets - _ZERO >= 10) & (octets != 0)).any()):
-            return None
-        fields[i] = octets.view(f"S{at.size}")[:, 0]
+    values = convert(buf, np.column_stack((starts - 1, commas, ends)))
+    if values is None:
+        return None
     try:
         epoch = stamp[:, :19].copy().view("S19")[:, 0].astype("datetime64[s]")
-        values = {i: fields[i].astype(np.float64) for i in wanted}
     except ValueError:
         return None
     if not (epoch >= _YEAR_1).all():
         return None
-    return [epoch.astype(np.int64)] + [values[i % width] for i in columns]
+    return epoch.astype(np.int64), values
+
+
+def field_bytes(buf: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray | None:
+    """Field ``i`` of each row of ``edges`` (see ``parse_columns``) as one
+    fixed-width bytes array, or None if one of them is empty."""
+    lengths = edges[:, i + 1] - edges[:, i] - 1
+    if lengths.min() < 1:  # float() and int() reject an empty field
+        return None
+    # Each field's bytes as one row, then zeros, which the bytes dtype drops.
+    at = np.arange(lengths.max())
+    octets = np.take(buf, edges[:, i, None] + 1 + at, mode="clip")
+    octets[at >= lengths[:, None]] = 0
+    return octets.view(f"S{at.size}")[:, 0]
+
+
+def cast_field(buf: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray | None:
+    """The float64 values of field ``i`` of each row of ``edges``, counted from
+    the end if negative, converted by numpy's bytes cast, which calls
+    ``float()`` on each field; None if the rows have no field ``i`` or
+    ``float()`` rejects one of them."""
+    width = edges.shape[1] - 1
+    field = field_bytes(buf, edges, i % width) if -width <= i < width else None
+    try:
+        return None if field is None else field.astype(np.float64)
+    except ValueError:
+        return None
 
 
 def read_csv_series(path: str | Path, value_col: int = 1) -> TimeSeries:
     """Read a headered CSV whose first column is an ISO UTC timestamp."""
-    columns = parse_columns(Path(path).read_bytes(), None, [value_col])
+    data = Path(path).read_bytes()
+    columns = parse_columns(data, None, lambda buf, edges: cast_field(buf, edges, value_col))
     if columns is not None:
         return TimeSeries(*columns)
-    linenos, lines = read_rows(path)
+    linenos, lines = read_rows(path, data)
     if not lines:
         raise DataError(f"{path}: empty file")
     linenos, lines = linenos[1:], lines[1:]

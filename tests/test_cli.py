@@ -126,6 +126,22 @@ def test_out_of_range_value_exits_data_error(tmp_path, capsys, monkeypatch, argv
         assert "store_root" in err and "--root" not in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("analyze clean --in {f}", "raw.csv"),
+    ("analyze calibrate --ref {f} --test {d}/test.csv", "ref.csv"),
+    ("correlate --vehicles {d}/veh.csv --pm25 {f} --out-dir {d}/corr", "pm.csv"),
+    ("node run --config {f} --duration 1s", "node.conf"),
+    ("synth --script {f} --out {d}/nan.fseq", "nan.scene"),
+])
+def test_a_byte_that_is_not_utf8_exits_data_error(tmp_path, capsys, argv, name):
+    write_inputs(tmp_path)
+    f = tmp_path / name
+    data = f.read_bytes()
+    f.write_bytes(data[:10] + b"\xff" + data[10:])
+    assert main(argv.format(d=tmp_path, f=f).split()) == EXIT_DATA
+    assert capsys.readouterr().err == f"aerotrace: data error: {f}: byte 10 is not UTF-8\n"
+
+
 @pytest.mark.parametrize("argv", [
     "correlate --vehicles {d}/veh.csv --pm25 {d}/pm.csv --out-dir {d}/raw.csv",
     "node run --config {d}/blocked.conf --duration 1s",

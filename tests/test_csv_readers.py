@@ -14,12 +14,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from aerotrace import cli, series
+from aerotrace import cli, sensor_codec, series
 from aerotrace.errors import DataError
-from aerotrace.sensor_codec import CSV_FIELDS, parse_csv_row
+from aerotrace.sensor_codec import (
+    CSV_FIELDS, EnvReading, SensorSample, parse_csv_row, sample_to_csv_row)
 from aerotrace.series import as_utc, parse_utc, read_csv_series, utc_datetime
 
-from conftest import E0
+from conftest import E0, at
 
 SETTINGS = settings(max_examples=100, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -283,6 +284,73 @@ class TestSensorReader:
         monkeypatch.setattr(cli, "parse_csv_row", no_rows)
         csv_path.write_bytes(PLAIN_SENSOR.replace("\n", "\r\n").encode())
         assert outcome(cli._read_sensor_series, csv_path, "rh_pct") == want
+
+
+# Field values at the edges of the form the node writes, and forms outside it,
+# for the byte check of node rows (``sensor_codec._node_shape``).
+PM_FORMS = ["0", "000", "9" * 15, "1" + "0" * 15, "", "-3", "+5", " 5", "1_0", "12."]
+ENV_FORMS = ["-0.00", "0.00", "0.01", "99.99", "100.00", "100.01", "-5.25", "0.50",
+             "9" * 13 + ".99", "9" * 14 + ".99", "nan", "inf", "1e3", "+5", " 5", "5.",
+             ".5", "-.12", "5.123", "", "5", "1..5", "10e3"]
+
+
+@st.composite
+def node_files(draw):
+    """Rows in the node's own form, then a few fields replaced by edge values."""
+    stamps = draw(epochs)
+    rows = [[utc_datetime(e).isoformat().replace("+00:00", "Z"),
+             *map(str, draw(st.lists(st.integers(0, 70000), min_size=3, max_size=3))),
+             f"{draw(st.floats(-40, 60)):.2f}", f"{draw(st.floats(0, 100)):.2f}",
+             f"{draw(st.floats(1, 2000)):.2f}"] for e in stamps]
+    for _ in range(draw(st.integers(0, 2))):
+        i, field = draw(st.integers(0, len(rows) - 1)), draw(st.integers(1, 6))
+        rows[i][field] = draw(st.sampled_from(PM_FORMS if field <= 3 else ENV_FORMS))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestNodeRowShape:
+    """The byte check that lets a chunk of node rows skip the casts of the fields
+    no caller asked for must accept only rows ``parse_csv_row`` accepts."""
+
+    @settings(SETTINGS, max_examples=300)
+    @given(node_files(), st.sampled_from(CSV_FIELDS), st.sampled_from([1, 3, 4096]))
+    # One example for each part of the byte check: a PM field of no digits; a
+    # field that lends its neighbour a dot; rh_pct past its six bytes, above
+    # 100.00 in six, or with another byte for its dot; zero pressure; and a
+    # minus sign outside temp_c.
+    @example("2022-07-01T16:00:00Z,5,,15,27.00,65.50,1008.25\n", "temp_c", 4096)
+    @example("2022-07-01T16:00:00Z,5,12,12.,5,65.50,1008.25\n", "pm2_5", 4096)
+    @example("2022-07-01T16:00:00Z,5,12,15,1..5,,1008.25\n", "pm2_5", 4096)
+    @example("2022-07-01T16:00:00Z,5,12,15,27.00,1000.00,1008.25\n", "pm2_5", 4096)
+    @example("2022-07-01T16:00:00Z,5,12,15,27.00,100.01,1008.25\n", "pm2_5", 4096)
+    @example("2022-07-01T16:00:00Z,5,12,15,27.00,10e3,1008.25\n", "pm2_5", 4096)
+    @example("2022-07-01T16:00:00Z,5,12,15,27.00,65.50,0.00\n", "pm2_5", 4096)
+    @example("2022-07-01T16:00:00Z,5,12,15,27.00,-5.25,1008.25\n", "pm2_5", 4096)
+    def test_node_files_match_the_row_reader(self, csv_path, monkeypatch, text, column,
+                                             chunk_rows):
+        monkeypatch.setattr(series, "_CHUNK_ROWS", chunk_rows)
+        csv_path.write_text(text)
+        want = outcome(read_sensor_series_oracle, csv_path, column)
+        assert outcome(cli._read_sensor_series, csv_path, column) == want
+
+    @pytest.mark.parametrize("column", CSV_FIELDS)
+    def test_node_rows_skip_every_cast_but_the_column(self, csv_path, monkeypatch, column):
+        samples = [SensorSample(at(10 * i), i, 10 ** 14 + i, 10 ** 15 - 1 - i,
+                                EnvReading(temp_c=t, rh_pct=rh, pressure_hpa=p))
+                   for i, (t, rh, p) in enumerate([(-5.25, 100.0, 1008.25), (-0.001, 0.0, 1.0),
+                                                   (27.0, 99.99, 1e6), (-40.0, 100.0, 999.99),
+                                                   (0.0, 5.5, 1013.0)])]
+        csv_path.write_text("".join(sample_to_csv_row(s) + "\n" for s in samples))
+        want = outcome(read_sensor_series_oracle, csv_path, column)
+        assert want[0] == "ok"
+
+        def no_call(*args):
+            raise AssertionError(args)
+
+        monkeypatch.setattr(series, "_CHUNK_ROWS", 2)
+        monkeypatch.setattr(cli, "parse_csv_row", no_call)
+        monkeypatch.setattr(sensor_codec, "_converted_rows_valid", no_call)
+        assert outcome(cli._read_sensor_series, csv_path, column) == want
 
 
 @st.composite
