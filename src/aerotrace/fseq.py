@@ -86,6 +86,10 @@ class FseqWriter:
             raise AerotraceError(f"{self.path}: wrote {actual} bytes, expected {expected}")
         return self.count
 
+    def abort(self) -> None:
+        """Close the file as it stands, its header's frame count still 0."""
+        self._fh.close()
+
 
 def write_fseq(path: str | Path, frames: Iterable[np.ndarray], fps: int) -> FseqInfo:
     """Write frames one by one as they are iterated. They must share one

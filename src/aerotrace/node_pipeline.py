@@ -20,6 +20,7 @@ on the host's speed.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import queue
@@ -407,6 +408,12 @@ class _ChunkSink:
         raise DataError(f"chunk {final.name} is already in the buffer or the store; a "
                         "replay of an earlier schedule would overwrite it")
 
+    def abort(self) -> None:
+        """Close the open chunk, if any, unsealed: it stays a ``.part``."""
+        if self.writer is not None:
+            self.writer.abort()
+            self.writer = self.part_path = self.chunk_start = None
+
     def seal(self) -> Path | None:
         if self.writer is None:
             return None
@@ -473,7 +480,13 @@ def run_node(config: NodeConfig,
     next_frame = start
     next_sweep = start + sweep_dt
 
-    try:
+    with contextlib.ExitStack() as on_exit:
+        # Also on a loop error, each runs, last first: an open chunk closes
+        # unsealed as a .part, the CSV closes, and the worker finishes its
+        # queue and its thread ends.
+        on_exit.callback(worker.drain)
+        on_exit.callback(csv_sink.seal)
+        on_exit.callback(chunk_sink.abort)
         while True:
             t = min(next_sample, next_frame)
             if t >= end:
@@ -499,9 +512,6 @@ def run_node(config: NodeConfig,
 
         summary.chunks_sealed += enqueue(chunk_sink.seal(), end)
         summary.csvs_sealed += enqueue(csv_sink.seal(), end)
-    finally:
-        # Also on a loop error: the worker finishes its queue and its thread ends.
-        worker.drain()
     summary.uploads_enqueued = worker.enqueued
     summary.uploads_confirmed = worker.confirmed
     summary.uploads_failed = worker.failed

@@ -5,7 +5,9 @@ Scene scripts are flat text. ``key=value`` lines set scene parameters
 (width, height, fps, duration, background, noise, start); each
 ``object <name> size=WxH start=X,Y velocity=VX,VY intensity=I`` line adds a
 rectangle whose top-left corner moves from (X, Y) at (VX, VY) pixels per
-second. ``#`` starts a comment.
+second. ``#`` starts a comment. Width and height are 1 to 65535, the FSEQ
+header's range; noise and intensities are 0 to 255, what a uint8 frame shows.
+A background level outside 0 to 255 is clipped, as every rendered pixel is.
 """
 from __future__ import annotations
 
@@ -42,6 +44,10 @@ class SceneObject:
     vy: float
     intensity: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.intensity <= 255:
+            raise DataError(f"object {self.name}: intensity={self.intensity} outside 0 to 255")
+
     def corner_at(self, t: float) -> tuple[float, float]:
         return (self.x0 + self.vx * t, self.y0 + self.vy * t)
 
@@ -58,6 +64,10 @@ class SceneScript:
     objects: tuple[SceneObject, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        if not (1 <= self.width <= 0xFFFF and 1 <= self.height <= 0xFFFF):
+            raise DataError(f"frame size {self.width}x{self.height} outside 1 to 65535")
+        if not 0 <= self.noise <= 255:
+            raise DataError(f"noise={self.noise} outside 0 to 255")
         if not self.duration_s * self.fps <= MAX_FRAME_COUNT:
             raise DataError(f"a {self.duration_s:g} s scene at {self.fps} fps needs more "
                             f"than {MAX_FRAME_COUNT} frames")
@@ -113,7 +123,9 @@ def parse_scene_script(text: str) -> SceneScript:
 def render_frame(script: SceneScript, frame_idx: int, seed: int = 0) -> np.ndarray:
     """Render the scene at t = frame_idx / fps. Later objects draw on top."""
     t = frame_idx / script.fps
-    frame = np.full((script.height, script.width), script.background, dtype=np.int16)
+    # Noise is at most 255, so a level past -256 or 511 renders as that bound.
+    level = min(max(script.background, -256), 511)
+    frame = np.full((script.height, script.width), level, dtype=np.int16)
     if script.noise > 0:
         rng = np.random.default_rng((seed, frame_idx))
         frame += rng.integers(-script.noise, script.noise + 1,

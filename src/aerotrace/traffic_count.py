@@ -76,6 +76,15 @@ class BackgroundModel:
     every decision reads it only as ``>= min_stability``. ``background`` is
     written only where a pixel is newly promoted: a promoted pixel that
     stays stable keeps its candidate, which already equals its background.
+
+    A strip is settled when every counter in it equals ``min_stability``
+    after its last update. A settled strip whose frame rows are all within
+    the threshold of their candidates is skipped: its mask rows are set
+    False and no state plane is written. This is exact: a counter reaches
+    ``min_stability`` only by a promotion, so a saturated pixel has a
+    background equal to its candidate, and a frame within the threshold of
+    that neither changes its state nor makes it foreground. Any other strip
+    takes the full update, which settles it again.
     """
 
     def __init__(self, width: int, height: int,
@@ -98,6 +107,7 @@ class BackgroundModel:
         self._unstable = np.empty(strip, dtype=bool)
         self._grow = np.empty(strip, dtype=bool)
         self._select = np.empty(strip, dtype=bool)
+        self._settled = [False] * -(-height // self._strip_rows)
         self._primed = False
         self._full = False  # has_background.all(), which never turns false again
 
@@ -114,31 +124,38 @@ class BackgroundModel:
         # ``_full`` changes only between frames: a model that fills during this
         # frame still ands each strip's mask with its updated has_background,
         # which is then all True.
-        for y in range(0, self.height, self._strip_rows):
+        for i, y in enumerate(range(0, self.height, self._strip_rows)):
             rows = slice(y, y + self._strip_rows)
-            self._update_strip(frame[rows], self.candidate[rows], self.stability[rows],
-                               self.background[rows], self.has_background[rows], mask[rows])
+            self._settled[i] = self._update_strip(
+                self._settled[i], frame[rows], self.candidate[rows], self.stability[rows],
+                self.background[rows], self.has_background[rows], mask[rows])
         if not self._full:
             self._full = bool(self.has_background.all())
         return mask
 
-    def _update_strip(self, f, c, s, bg, has_bg, mask) -> None:
-        """One strip of ``update``: every argument is the same rows of a plane."""
+    def _update_strip(self, settled, f, c, s, bg, has_bg, mask) -> bool:
+        """One strip of ``update``: every array is the same rows of a plane.
+        Returns whether the strip is settled afterwards."""
         n = len(f)
         diff, low = self._diff[:n], self._low[:n]
         unstable, grow, select = self._unstable[:n], self._grow[:n], self._select[:n]
         np.greater(_abs_diff(f, c, diff, low), self.pixel_threshold, out=unstable)
+        if settled and not unstable.any():
+            mask[...] = False
+            return True
         np.less(s, self.min_stability, out=grow)
         s += grow.view(np.uint8)
         np.copyto(s, 0, where=unstable)
         np.copyto(c, f, where=unstable)
         np.equal(s, self.min_stability, out=select)
+        settled = bool(select.all())
         np.logical_and(select, grow, out=select)
         np.copyto(bg, c, where=select)
         np.greater(_abs_diff(f, bg, diff, low), self.pixel_threshold, out=mask)
         if not self._full:
             has_bg |= select
             np.logical_and(mask, has_bg, out=mask)
+        return settled
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +220,9 @@ def extract_detections(mask: np.ndarray, min_area: int = 150) -> list[Detection]
     """8-connected components with at least ``min_area`` pixels, top-left order.
 
     Run-based labelling (He, Ren, Gao et al., Pattern Recognition 70, 2017)
-    that reads only the rows holding a mask pixel: one ``diff`` of those
-    rows, padded with False at both ends, gives every run's start and end,
+    that reads only the rows holding a mask pixel: the changes between
+    neighbouring pixels of those rows, with each row's first and last pixel
+    as changes from the False beyond it, give every run's start and end,
     which then carry their frame row, so runs two rows apart never join.
     ``_components`` merges the runs; components come out in the raster order
     of their first pixel, which breaks the ties of the final sort.
@@ -213,7 +231,11 @@ def extract_detections(mask: np.ndarray, min_area: int = 150) -> list[Detection]
     if rows.size == 0:
         return []
     stride = mask.shape[1] + 1
-    edges = np.flatnonzero(np.diff(mask[rows], axis=1, prepend=False, append=False))
+    band = mask[rows]
+    edges = np.empty((rows.size, stride), dtype=bool)
+    edges[:, 0], edges[:, -1] = band[:, 0], band[:, -1]
+    np.not_equal(band[:, 1:], band[:, :-1], out=edges[:, 1:-1])
+    edges = np.flatnonzero(edges)
     packed_row = edges // stride
     edges += (rows[packed_row] - packed_row) * stride
     dets = [Detection(box=(left, top, right - left, bottom - top), area=int(area))

@@ -70,7 +70,15 @@ def write_inputs(d):
                        ("far.scene", f"object car size=4x4 start=1{'0' * 400},5 "
                                      "velocity=1,0 intensity=200"),
                        ("fast.scene", f"object car size=4x4 start=0,5 "
-                                      f"velocity=0,1{'0' * 400} intensity=200")):
+                                      f"velocity=0,1{'0' * 400} intensity=200"),
+                       ("narrow.scene", "width=-5\nheight=10\nduration=1"),
+                       ("wide.scene", "width=65536\nheight=1\nduration=1"),
+                       ("flat.scene", "width=10\nheight=0\nduration=1"),
+                       ("noisy.scene", "width=10\nheight=10\nduration=1\nnoise=99999"),
+                       ("quiet.scene", "width=10\nheight=10\nduration=1\nnoise=-1"),
+                       ("bright.scene", "width=10\nheight=10\nduration=1\n"
+                                        "object car size=4x4 start=0,5 velocity=1,0 "
+                                        "intensity=99999")):
         (d / name).write_text(line + "\n")
 
 
@@ -114,6 +122,12 @@ HUGE = "1" + "0" * 30 + "d"
     "synth --script {d}/long.scene --out {d}/long.fseq",
     "synth --script {d}/far.scene --out {d}/far.fseq",
     "synth --script {d}/fast.scene --out {d}/fast.fseq",
+    "synth --script {d}/narrow.scene --out {d}/narrow.fseq",
+    "synth --script {d}/wide.scene --out {d}/wide.fseq",
+    "synth --script {d}/flat.scene --out {d}/flat.fseq",
+    "synth --script {d}/noisy.scene --out {d}/noisy.fseq",
+    "synth --script {d}/quiet.scene --out {d}/quiet.fseq",
+    "synth --script {d}/bright.scene --out {d}/bright.fseq",
 ])
 def test_out_of_range_value_exits_data_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.delenv(STORE_ROOT_ENV, raising=False)

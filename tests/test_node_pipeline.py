@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from aerotrace import node_pipeline
 from aerotrace.blob_store import BlobRef, BlobStore, UploadJob
 from aerotrace.clocks import AcceleratedClock
 from aerotrace.errors import AerotraceError, DataError
-from aerotrace.fseq import chunk_filename, iter_fseq_frames, write_fseq
+from aerotrace.fseq import HEADER_SIZE, chunk_filename, iter_fseq_frames, write_fseq
 from aerotrace.node_pipeline import (
     NodeConfig, SessionSummary, UploadWorker, daily_csv_name,
     marker_path, parse_duration, parse_node_config, read_marker, retention_sweep,
@@ -423,6 +424,29 @@ class TestRunNode:
             run(replay, AcceleratedClock(replay.start_time, 1e8), store, 60)
         assert csv.read_bytes() == before
         assert read_marker(csv) is not None
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_a_refused_session_closes_its_open_chunk(self, tmp_path):
+        """The replay opens a chunk for its first frame, then its first row is
+        refused. The chunk is left as a ``.part`` of whole frames, and no file
+        of the buffer stays open, even while the traceback holds the session."""
+        store = make_store(tmp_path)
+        config = make_config(tmp_path, frame_width=8, frame_height=8)
+        run(config, AcceleratedClock(T0, 1e8), store, 301)
+        replay = dataclasses.replace(config, start_time=T0 + timedelta(minutes=2, seconds=3))
+        with pytest.raises(DataError, match="a replay") as refused:
+            run(replay, AcceleratedClock(replay.start_time, 1e8), store, 60)
+        assert refused.traceback  # the session's frames, and so its sinks, are still alive
+        open_paths = set()
+        for fd in Path("/proc/self/fd").iterdir():
+            try:
+                open_paths.add(Path(os.readlink(fd)))
+            except OSError:  # the descriptor closed since the listing
+                pass
+        assert not [p for p in open_paths if p.parent == config.buffer_dir.resolve()]
+        (part,) = config.buffer_dir.glob("*.part")
+        assert part.name == "node-a_20220701_160203.fseq.part"
+        assert part.stat().st_size == HEADER_SIZE + 8 * 8
 
     @settings(max_examples=25, deadline=None)
     @given(offset_s=st.integers(-90, 30), duration_s=st.integers(0, 60),

@@ -150,6 +150,10 @@ class TestBackgroundModelOracle:
     @example((5, 3, [np.full((5, 3), 40, np.uint8)] * 3 + [np.full((5, 3), 90, np.uint8)] * 3),
              6, 16, 2)
     @example((4, 2, [np.arange(8, dtype=np.uint8).reshape(4, 2) * 30] * 3), 1, 0, 2)
+    # Every strip settles, then the middle one steps its level and settles again.
+    @example((6, 3, [np.full((6, 3), 40, np.uint8)] * 4
+              + [np.repeat(np.array([[40], [40], [90], [90], [40], [40]], np.uint8), 3, 1)] * 5),
+             6, 16, 2)
     def test_strips_match_where_oracle(self, run, strip_bytes, threshold, min_stability):
         h, w, frames = run
         with pytest.MonkeyPatch.context() as mp:
@@ -181,6 +185,31 @@ class TestBackgroundModelOracle:
         model = BackgroundModel(324, 182)
         assert_matches_oracle(model, BackgroundModelOracle(324, 182), scene_frames(script, seed=5))
         assert model.has_background.all() == fills
+
+    def test_settled_strips_are_skipped(self, monkeypatch):
+        """Once a static scene settles, frames within the threshold write no
+        state plane; a vehicle then entering one strip updates as the oracle."""
+        monkeypatch.setattr(traffic_count, "_STRIP_BYTES", 40)  # 2 rows of 20 per strip
+        model = BackgroundModel(20, 10, min_stability=4)
+        oracle = BackgroundModelOracle(20, 10, min_stability=4)
+        rng = np.random.default_rng(4)
+
+        def frames(n):
+            return [(50 + rng.integers(-8, 9, (10, 20))).astype(np.uint8) for _ in range(n)]
+
+        assert_matches_oracle(model, oracle, frames(5))
+        planes = (model.candidate, model.stability, model.background, model.has_background)
+        for plane in planes:
+            plane.flags.writeable = False
+        for frame in frames(6):
+            assert not model.update(frame).any()
+            oracle.update(frame)
+        for plane in planes:
+            plane.flags.writeable = True
+        passing = frames(12)
+        for x, frame in zip(range(-6, 24, 3), passing):
+            frame[4:6, max(x, 0):x + 6] = 220
+        assert_matches_oracle(model, oracle, passing)
 
     def test_mask_is_a_fresh_array(self):
         model = BackgroundModel(4, 3, min_stability=1)
