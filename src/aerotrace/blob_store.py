@@ -6,11 +6,13 @@ under a ``video/`` or ``csv/`` key, as the file ``<root>/<container>/<key>``.
 A flat-text ``<key>.meta`` sidecar beside it records the object's tier and
 upload time, so listings and tier sweeps survive process restarts. The store
 reads no clock: an upload's time comes with its job, and a tier sweep's with
-its call. Uploads and downloads copy local files by path, objects start in the
-``cool`` tier, and ``archive`` objects cannot be downloaded.
+its call. An upload hard-links the local file into the store, or copies it when
+the store is on another file system; a download always copies. Objects start
+in the ``cool`` tier, and ``archive`` objects cannot be downloaded.
 """
 from __future__ import annotations
 
+import os
 import re
 import shutil
 from dataclasses import dataclass
@@ -111,15 +113,16 @@ class BlobStore:
         return (self.root / ref.container / ref.key).is_file()
 
     def upload(self, job: UploadJob) -> UploadJob:
-        """Copy a sealed local file into its object in one attempt.
+        """Link a sealed local file into its object in one attempt.
 
-        The file is copied by path, so its contents are never held in memory.
-        The copy lands under a ``.tmp`` name, and the sidecar (tier ``cool``,
-        upload time ``job.uploaded_at``) is written before the rename, so an
-        object is never listed without its sidecar; a failed upload removes its
-        ``.tmp`` file. The stored size must then equal the file's size, or a
-        BackendError is raised. A failure is not retried here: the caller keeps
-        the file and decides when to try again.
+        The object is a hard link to the file, so the caller must never write
+        the file again; where linking fails, as across file systems, the file
+        is copied by path instead. Either lands under a ``.tmp`` name, and the
+        sidecar (tier ``cool``, upload time ``job.uploaded_at``) is written
+        before the rename, so an object is never listed without its sidecar.
+        No ``.tmp`` file outlives the call. The stored size must then equal
+        the file's size, or a BackendError is raised. A failure is not retried
+        here: the caller keeps the file and decides when to try again.
         """
         path = Path(job.local_path)
         if not path.is_file():
@@ -129,24 +132,30 @@ class BlobStore:
         obj.parent.mkdir(parents=True, exist_ok=True)
         tmp = obj.with_name(obj.name + ".tmp")
         try:
-            shutil.copyfile(path, tmp)
+            tmp.unlink(missing_ok=True)  # left by a crash, it would refuse the link
+            try:
+                os.link(path, tmp)
+            except OSError:
+                shutil.copyfile(path, tmp)
             _write_meta(obj, TIER_COOL, job.uploaded_at)
+            # Between two links to one inode, the rename does nothing.
             tmp.replace(obj)
-        except BaseException:
+        finally:
             tmp.unlink(missing_ok=True)
-            raise
         stored, size = obj.stat().st_size, path.stat().st_size
         if stored != size:
             raise BackendError(f"upload of {path} stored {stored} of {size} bytes")
         return job
 
     def download(self, ref: BlobRef, dst: Path) -> None:
-        """Copy an object to the file ``dst``; archive-tier objects are refused."""
+        """Copy (never link) an object to the file ``dst``; archive-tier objects are refused."""
         path = self._container(ref.container) / ref.key
         if not path.is_file():
             raise BackendError(f"{ref.container}/{ref.key} not found")
         if _read_meta(path)[0] == TIER_ARCHIVE:
             raise BackendError(f"{ref.container}/{ref.key} is archived and cannot be downloaded")
+        if dst.is_file() and dst.stat().st_nlink > 1:
+            dst.unlink()  # as a buffer file linked to its object: replace the name, not the inode
         shutil.copyfile(path, dst)
 
     def list_node_objects(self, node_id: str) -> list[ObjectInfo]:

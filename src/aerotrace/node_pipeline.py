@@ -9,6 +9,10 @@ confirmed and it has outlived the retention window; everything else stays on
 disk. A buffer scan re-enqueues every sealed, unconfirmed file at start and
 after each retention sweep, so a failed upload is retried within one chunk
 length; a file still unconfirmed when the session ends waits for the next one.
+The store may hold a sealed file as a hard link to its inode, so a queued file
+is never written again: chunks are written under a ``.part`` name and sealed
+by a rename, and a same-day restart gives today's CSV an inode of its own
+before it appends.
 
 Timestamps are scheduled, not measured: the k-th sample is stamped
 start + k * interval regardless of scheduling jitter or a wall clock that
@@ -25,6 +29,7 @@ import logging
 import os
 import queue
 import re
+import shutil
 import threading
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -325,14 +330,26 @@ def _last_stamp(path: Path) -> datetime | None:
         return None
 
 
+def _unshare(path: Path) -> None:
+    """Give ``path`` an inode of its own if the store links to it, so that an
+    append leaves the stored object as it is. The copy is renamed over the
+    file, so a crash mid-copy leaves the file whole."""
+    if not path.is_file() or path.stat().st_nlink == 1:
+        return
+    part = path.with_name(path.name + PART_SUFFIX)
+    shutil.copyfile(path, part)
+    part.replace(path)
+
+
 class _CsvSink:
     """Appends rows to the current UTC day's CSV, rotating at midnight.
 
     Opening a day's file removes its upload marker: the rows appended after a
-    same-day restart are not in the store yet. A restart whose first row is
-    not later than the file's last one is a replay of an earlier schedule; it
-    is refused before a byte is written. A last line whose timestamp does not
-    parse, as a row torn inside it, is no reason to refuse.
+    same-day restart are not in the store yet, and the store may hold the file
+    as a link, so it is unshared first. A restart whose first row is not later
+    than the file's last one is a replay of an earlier schedule; it is refused
+    before a byte is written. A last line whose timestamp does not parse, as a
+    row torn inside it, is no reason to refuse.
     """
 
     def __init__(self, node_id: str, buffer_dir: Path):
@@ -353,6 +370,7 @@ class _CsvSink:
             if last is not None and sample.timestamp <= last:
                 raise DataError(f"{path.name} ends at {format_utc(last)}; a replay of an "
                                 f"earlier schedule would append {format_utc(sample.timestamp)}")
+            _unshare(path)
             self.day, self.path = day, path
             self._fh = open(self.path, "a")
             marker_path(self.path).unlink(missing_ok=True)

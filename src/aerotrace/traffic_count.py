@@ -274,23 +274,21 @@ P0_MAT = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4])
 Q_MAT = np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4])
 
 
-def kf_predict(x: np.ndarray, P: np.ndarray,
-               F: np.ndarray = F_MAT, Q: np.ndarray = Q_MAT) -> tuple[np.ndarray, np.ndarray]:
+def kf_predict(x: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predict one state, or a stack of states along the leading axis."""
-    x2 = x @ F.T
-    P2 = F @ P @ F.T + Q
+    x2 = x @ F_MAT.T
+    P2 = F_MAT @ P @ F_MAT.T + Q_MAT
     return x2, (P2 + P2.swapaxes(-1, -2)) / 2.0
 
 
-def kf_update(x: np.ndarray, P: np.ndarray, z: np.ndarray,
-              H: np.ndarray = H_MAT, R: np.ndarray = R_MAT) -> tuple[np.ndarray, np.ndarray]:
+def kf_update(x: np.ndarray, P: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Update one state, or a stack of states along the leading axis, with one solve."""
-    y = z - x @ H.T
-    HP = H @ P
-    K = np.linalg.solve(HP @ H.T + R, HP).swapaxes(-1, -2)  # P H' S^-1, as P and S are symmetric
+    y = z - x @ H_MAT.T
+    HP = H_MAT @ P
+    K = np.linalg.solve(HP @ H_MAT.T + R_MAT, HP).swapaxes(-1, -2)  # P H' S^-1; P, S symmetric
     x2 = x + (K @ y[..., None])[..., 0]
-    ikh = np.eye(x.shape[-1]) - K @ H
-    P2 = ikh @ P @ ikh.swapaxes(-1, -2) + K @ R @ K.swapaxes(-1, -2)  # Joseph form keeps P PSD
+    ikh = np.eye(x.shape[-1]) - K @ H_MAT
+    P2 = ikh @ P @ ikh.swapaxes(-1, -2) + K @ R_MAT @ K.swapaxes(-1, -2)  # Joseph form keeps P PSD
     return x2, (P2 + P2.swapaxes(-1, -2)) / 2.0
 
 

@@ -1,3 +1,4 @@
+import errno
 import re
 import tempfile
 import time
@@ -30,6 +31,26 @@ def write_file(tmp_path, name, data):
     path = tmp_path / name
     path.write_bytes(data)
     return path
+
+
+def link_across_file_systems(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link", str(src), None, str(dst))
+
+
+def route_put(monkeypatch, route, put):
+    """Make ``put(src, dst)`` the upload's one write: the link itself, or the
+    copy after a link that fails across file systems."""
+    if route == "link":
+        monkeypatch.setattr(blob_store.os, "link", put)
+    else:
+        monkeypatch.setattr(blob_store.os, "link", link_across_file_systems)
+        monkeypatch.setattr(blob_store.shutil, "copyfile", put)
+
+
+def stored_files(tmp_path):
+    """Every file below the ``node-a`` container, as paths relative to it."""
+    container = tmp_path / "store" / "node-a"
+    return sorted(p.relative_to(container).as_posix() for p in container.rglob("*") if p.is_file())
 
 
 def put_bytes(store, key, data, uploaded_at, tmp_path):
@@ -138,30 +159,35 @@ class TestUploadDownload:
         assert store.list_node_objects("node-b") == []
 
 
-class TestOneAttempt:
-    def test_failing_put_is_attempted_once(self, tmp_path, monkeypatch):
-        copies = []
+ROUTES = ["link", "copy-after-exdev"]
 
-        def failing_copy(src, dst):
-            copies.append(dst)
-            raise BackendError(f"scripted failure #{len(copies)}")
+
+class TestOneAttempt:
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_failing_put_is_attempted_once(self, tmp_path, monkeypatch, route):
+        puts = []
+
+        def failing_put(src, dst):
+            puts.append(dst)
+            raise BackendError(f"scripted failure #{len(puts)}")
 
         monkeypatch.setattr(time, "sleep", lambda s: pytest.fail(f"slept {s} s"))
-        monkeypatch.setattr(blob_store.shutil, "copyfile", failing_copy)
+        route_put(monkeypatch, route, failing_put)
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
                         local_path=write_file(tmp_path, "x.bin", b"abc"), uploaded_at=T0)
         with pytest.raises(BackendError, match="^scripted failure #1$"):
             store.upload(job)
-        assert len(copies) == job.attempts == 1
+        assert len(puts) == job.attempts == 1
         assert store.list_node_objects("node-a") == []
 
-    def test_stored_size_mismatch_fails(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_stored_size_mismatch_fails(self, tmp_path, monkeypatch, route):
         store = make_store(tmp_path)
         store.ensure_node_container("node-a")
-        monkeypatch.setattr(blob_store.shutil, "copyfile",
-                            lambda src, dst: Path(dst).write_bytes(Path(src).read_bytes()[:-1]))
+        route_put(monkeypatch, route,
+                  lambda src, dst: Path(dst).write_bytes(Path(src).read_bytes()[:-1]))
         job = UploadJob(blob=BlobRef("node-a", "video/x.bin"),
                         local_path=write_file(tmp_path, "x.bin", b"abc"), uploaded_at=T0)
         with pytest.raises(BackendError, match=f"^upload of {re.escape(str(job.local_path))} "
@@ -175,6 +201,65 @@ class TestOneAttempt:
         job = UploadJob(blob=BlobRef("node-a", "video/gone.bin"), local_path=gone, uploaded_at=T0)
         with pytest.raises(DataError, match=f"^{re.escape(str(gone))} does not exist$"):
             store.upload(job)
+
+
+class TestLinkOrCopy:
+    def _upload(self, tmp_path, data=b"abc"):
+        store = make_store(tmp_path)
+        store.ensure_node_container("node-a")
+        path = write_file(tmp_path, "x.bin", data)
+        store.upload(UploadJob(blob=BlobRef("node-a", "video/x.bin"), local_path=path,
+                               uploaded_at=T0))
+        return store, path, tmp_path / "store" / "node-a" / "video" / "x.bin"
+
+    def test_upload_leaves_the_file_and_its_object_on_one_inode(self, tmp_path):
+        _, path, obj = self._upload(tmp_path)
+        assert obj.samefile(path)
+        assert stored_files(tmp_path) == ["video/x.bin", "video/x.bin.meta"]
+
+    def test_a_link_across_file_systems_falls_back_to_a_copy(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blob_store.os, "link", link_across_file_systems)
+        _, path, obj = self._upload(tmp_path, b"chunk bytes")
+        assert obj.read_bytes() == b"chunk bytes"
+        assert not obj.samefile(path)
+        assert stored_files(tmp_path) == ["video/x.bin", "video/x.bin.meta"]
+
+    def test_a_tmp_left_by_a_crash_does_not_block_the_next_upload(self, tmp_path):
+        stale = tmp_path / "store" / "node-a" / "video" / "x.bin.tmp"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"half a copy")
+        _, path, obj = self._upload(tmp_path)
+        assert obj.samefile(path) and obj.read_bytes() == b"abc"
+        assert stored_files(tmp_path) == ["video/x.bin", "video/x.bin.meta"]
+
+    def test_uploading_one_file_twice_leaves_one_object_and_its_sidecar(self, tmp_path):
+        """The second upload links the inode that already is the object, and a
+        rename between two links to one inode does nothing."""
+        store, path, obj = self._upload(tmp_path)
+        later = T0 + timedelta(hours=1)
+        store.upload(UploadJob(blob=BlobRef("node-a", "video/x.bin"), local_path=path,
+                               uploaded_at=later))
+        assert stored_files(tmp_path) == ["video/x.bin", "video/x.bin.meta"]
+        assert [o.uploaded_at for o in store.list_node_objects("node-a")] == [later]
+        assert obj.read_bytes() == b"abc"
+
+    def test_download_writes_a_file_of_its_own(self, tmp_path):
+        store, _, obj = self._upload(tmp_path)
+        out = tmp_path / "out.bin"
+        store.download(BlobRef("node-a", "video/x.bin"), out)
+        assert out.read_bytes() == b"abc"
+        assert not out.samefile(obj) and out.stat().st_nlink == 1
+
+    def test_download_over_a_linked_file_leaves_its_object_as_it_was(self, tmp_path):
+        """A buffer file and its object are one inode; a download to the
+        buffer file's name must not write the other object's bytes into both."""
+        store, path, obj = self._upload(tmp_path)
+        other = write_file(tmp_path, "y.bin", b"other bytes")
+        store.upload(UploadJob(blob=BlobRef("node-a", "video/y.bin"), local_path=other,
+                               uploaded_at=T0))
+        store.download(BlobRef("node-a", "video/y.bin"), path)
+        assert path.read_bytes() == b"other bytes"
+        assert obj.read_bytes() == b"abc"
 
 
 class TestTierPolicy:

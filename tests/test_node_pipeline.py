@@ -409,6 +409,22 @@ class TestRunNode:
         hours = [parse_csv_row(row).timestamp.hour for row in got.read_text().splitlines()]
         assert hours == [10] * 6 + [11] * 6
 
+    def test_a_same_day_append_leaves_the_stored_csv_as_it_was(self, tmp_path):
+        """The store may hold the first session's CSV as a link to the buffer
+        file. The second session appends to that file and all its uploads
+        fail, so the stored object must still hold only the first session's rows."""
+        config = make_config(tmp_path)
+        assert run(config, ScheduleClock(), make_store(tmp_path), 60).uploads_failed == 0
+        name = daily_csv_name("node-a", T0.date())
+        stored = tmp_path / "store" / "node-a" / "csv" / name
+        first = stored.read_bytes()
+        later = dataclasses.replace(config, start_time=T0 + timedelta(minutes=2))
+        failing = make_store(tmp_path, FlakyStore, fail_times=None)
+        assert run(later, ScheduleClock(), failing, 60).uploads_confirmed == 0
+        assert stored.read_bytes() == first
+        assert len(first.splitlines()) == 6
+        assert len((config.buffer_dir / name).read_bytes().splitlines()) == 12
+
     def test_restart_earlier_than_the_csv_rows_is_refused(self, tmp_path):
         """A session that starts before the daily CSV's last row raises before
         it writes a row or removes the file's upload marker."""

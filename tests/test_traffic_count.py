@@ -435,7 +435,7 @@ class TestKalman:
     def test_zero_velocity_zero_noise_predict(self):
         x = np.array([50.0, 60.0, 300.0, 1.5, 0.0, 0.0, 0.0])
         P = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        x2, P2 = kf_predict(x, P, Q=np.zeros((7, 7)))
+        x2, P2 = kf_predict_one(x, P, Q=np.zeros((7, 7)))
         assert np.array_equal(x2, x)
         assert np.array_equal(P2, P)
 
@@ -452,13 +452,13 @@ class TestKalman:
         Q = np.array([[1.0]])
         R = np.array([[1.0]])
         x, P = np.array([0.0]), np.array([[1.0]])
-        x, P = kf_predict(x, P, F=F, Q=Q)
+        x, P = kf_predict_one(x, P, F=F, Q=Q)
         assert abs(x[0] - 0.0) < 1e-12 and abs(P[0, 0] - 2.0) < 1e-12
-        x, P = kf_update(x, P, np.array([1.0]), H=H, R=R)
+        x, P = kf_update_one(x, P, np.array([1.0]), H=H, R=R)
         assert abs(x[0] - 2 / 3) < 1e-12 and abs(P[0, 0] - 2 / 3) < 1e-12
-        x, P = kf_predict(x, P, F=F, Q=Q)
+        x, P = kf_predict_one(x, P, F=F, Q=Q)
         assert abs(x[0] - 2 / 3) < 1e-12 and abs(P[0, 0] - 5 / 3) < 1e-12
-        x, P = kf_update(x, P, np.array([2.0]), H=H, R=R)
+        x, P = kf_update_one(x, P, np.array([2.0]), H=H, R=R)
         assert abs(x[0] - 1.5) < 1e-12 and abs(P[0, 0] - 5 / 8) < 1e-12
 
     def test_covariance_stays_symmetric_psd(self, rng):
