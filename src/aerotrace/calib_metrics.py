@@ -261,12 +261,6 @@ class CalibrationReport:
     lam: float
     grid_step_s: int
 
-    def __post_init__(self) -> None:
-        if self.mape_pct < 0 or self.rmse < 0:
-            raise DataError("error metrics cannot be negative")
-        if not 0.0 <= self.trend_match_pct <= 100.0:
-            raise DataError("trend_match_pct outside [0, 100]")
-
 
 def calibration_report(reference: TimeSeries, test: TimeSeries,
                        window: timedelta = timedelta(minutes=10),

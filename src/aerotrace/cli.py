@@ -168,13 +168,16 @@ def cmd_analyze_clean(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze_calibrate(args: argparse.Namespace) -> int:
+    grid_s = parse_duration(args.grid)
+    if grid_s != int(grid_s):
+        raise DataError(f"--grid must be a whole number of seconds (got {args.grid!r})")
     ref = read_csv_series(_read_input(args.ref))
     test = read_csv_series(_read_input(args.test))
     report = calibration_report(
         ref, test,
         window=timedelta(seconds=parse_duration(args.window)),
         lam=args.lam,
-        grid_step_s=int(parse_duration(args.grid)))
+        grid_step_s=int(grid_s))
     _emit(format_report(report), args.out)
     return EXIT_OK
 

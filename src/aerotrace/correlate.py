@@ -22,8 +22,6 @@ class JoinedSeries:
     pm25: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.epoch.size == self.vehicles.size == self.pm25.size):
-            raise DataError("joined series lengths differ")
         gaps = np.flatnonzero(np.diff(self.epoch) != HOUR_S)
         if gaps.size:
             a, b = (utc_datetime(s) for s in self.epoch[gaps[0]:gaps[0] + 2].tolist())
@@ -68,12 +66,6 @@ class LagCorrelation:
     lag: int   # hours the pm25 series trails the vehicle series
     r: float
     n: int
-
-    def __post_init__(self) -> None:
-        if abs(self.r) > 1.0 + 1e-12:
-            raise DataError(f"|r|={self.r} exceeds 1")
-        if self.n < 3:
-            raise DataError("a reported correlation needs n >= 3")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .blob_store import BlobRef, BlobStore, UploadJob, validate_node_id
 from .errors import AerotraceError, DataError
 from .fseq import MAX_FRAME_COUNT, FseqWriter, chunk_filename
 from .sensor_codec import SensorSample, sample_to_csv_row
-from .series import as_utc, decode_utf8, floor_to, format_utc, parse_utc
+from .series import EPOCH, as_utc, decode_utf8, floor_to, format_utc, parse_utc
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +99,13 @@ class NodeConfig:
                             f"needs more than {MAX_FRAME_COUNT} frames")
         if self.frame_width < 1 or self.frame_height < 1:
             raise DataError("frame dimensions must be positive")
+        # The synthetic sources seed numpy with the seed and each epoch second,
+        # which must not be negative.
+        if self.seed < 0:
+            raise DataError(f"seed={self.seed} must not be negative")
+        if self.start_time is not None and self.start_time < EPOCH:
+            raise DataError(f"start_time={format_utc(self.start_time)} is before "
+                            f"{format_utc(EPOCH)}")
 
 
 CONFIG_KEYS = {

@@ -16,10 +16,10 @@ class CleanConfig:
     stddev_k: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.hw_error_threshold <= 0:
-            raise DataError("hw_error_threshold must be positive")
-        if self.stddev_k <= 0:
-            raise DataError("stddev_k must be positive")
+        if not self.hw_error_threshold > 0:
+            raise DataError(f"hw_error_threshold must be positive, got {self.hw_error_threshold}")
+        if not self.stddev_k > 0:
+            raise DataError(f"stddev_k must be positive, got {self.stddev_k}")
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,6 @@ class NormalizationParams:
     x_min: float
     x_max: float
     constant: bool = False
-
-    def __post_init__(self) -> None:
-        if self.x_min > self.x_max:
-            raise DataError(f"x_min={self.x_min} > x_max={self.x_max}")
 
 
 @dataclass(frozen=True)

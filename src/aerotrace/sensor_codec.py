@@ -4,8 +4,9 @@ A ``SensorSample`` is one 10-second reading: the PM1.0, PM2.5 and PM10
 concentrations of a PMS7003-style particulate sensor and the temperature,
 humidity and pressure of the environmental sensor (``EnvReading``). The node
 writes each sample as one CSV row (``sample_to_csv_row``). The analytics read
-a row back with ``parse_csv_row``, or one column of a whole file from its bytes
-with ``parse_csv_columns``.
+one column of a whole file from its bytes with ``parse_csv_columns`` when
+every row is in the form the node writes, and any other file row by row with
+``parse_csv_row``.
 
 The CSV row format is ``timestamp,pm1_0,pm2_5,pm10,temp_c,rh_pct,pressure_hpa``
 with the timestamp in ISO-8601 UTC (``Z`` suffix, whole seconds), PM values as
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DataError
 from .series import (
-    UTC, as_utc, cast_field, field_bytes, format_utc, parse_columns, parse_utc)
+    UTC, as_utc, cast_field, format_utc, parse_columns, parse_utc)
 
 CSV_FIELDS = ("pm1_0", "pm2_5", "pm10", "temp_c", "rh_pct", "pressure_hpa")
 _ZERO, _ONE, _DOT, _MINUS = b"01.-"
@@ -125,25 +126,25 @@ def parse_csv_row(line: str) -> SensorSample:
 
 def parse_csv_columns(data: bytes, column: str) -> tuple[np.ndarray, np.ndarray] | None:
     """Epoch seconds and the ``column`` values of a telemetry file's bytes, equal
-    to what ``parse_csv_row`` gives for each non-empty row. None unless
-    ``series.parse_columns`` takes the file and every row passes the checks
-    of ``parse_csv_row``.
+    to what ``parse_csv_row`` gives for each non-empty row. None, for the
+    caller's row parser, unless ``series.parse_columns`` takes the file and
+    every row is in the node's own form.
 
     Only ``column`` is converted. The other fields are checked from the bytes
-    of each chunk of rows (``_node_shape``); a chunk whose rows are not all in
-    the node's own form has its PM fields checked for plain digits and its
-    environmental fields converted and checked as ``parse_csv_row`` does.
+    of each chunk of rows (``_node_shape``). A chunk with one row outside the
+    node's form, even one that ``parse_csv_row`` accepts (a ``nan`` pressure),
+    declines the byte parse, and the whole file goes to the row parser.
     """
     index = CSV_FIELDS.index(column) + 1
     return parse_columns(data, 7, lambda buf, edges: _column_values(buf, edges, index))
 
 
 def _column_values(buf: np.ndarray, edges: np.ndarray, index: int) -> np.ndarray | None:
-    """The values of field ``index`` of a chunk's rows, or None unless
-    ``parse_csv_row`` accepts each row."""
-    if _node_shape(buf, edges):
-        return _pm_values(buf, edges, index) if index <= 3 else cast_field(buf, edges, index)
-    return cast_field(buf, edges, index) if _converted_rows_valid(buf, edges) else None
+    """The values of field ``index`` of a chunk's rows, or None unless each row
+    is in the node's own form."""
+    if not _node_shape(buf, edges):
+        return None
+    return _pm_values(buf, edges, index) if index <= 3 else cast_field(buf, edges, index)
 
 
 def _pm_values(buf: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray:
@@ -186,20 +187,3 @@ def _node_shape(buf: np.ndarray, edges: np.ndarray) -> bool:
     digits = np.count_nonzero(buf[edges[0, 0] + 1:edges[-1, -1]] - _ZERO < 10)
     # A stamp holds 6 bytes other than digits, and the environmental fields 3 dots.
     return bool(digits == lengths.sum() - 9 * lengths.shape[0] - signs)
-
-
-def _converted_rows_valid(buf: np.ndarray, edges: np.ndarray) -> bool:
-    """Whether ``parse_csv_row`` accepts each row, by the PM fields' digits and
-    the environmental fields converted with ``float()``."""
-    for i in (1, 2, 3):
-        pm = field_bytes(buf, edges, i)
-        if pm is None or pm.itemsize > 15:
-            return False
-        octets = pm.view(np.uint8)
-        if ((octets - _ZERO >= 10) & (octets != 0)).any():
-            return False
-    env = [cast_field(buf, edges, i) for i in (4, 5, 6)]
-    if any(values is None for values in env):
-        return False
-    _, rh_pct, pressure_hpa = env
-    return bool(((rh_pct >= 0.0) & (rh_pct <= 100.0) & ~(pressure_hpa <= 0)).all())

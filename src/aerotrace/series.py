@@ -7,13 +7,14 @@ A CSV reader parses its file's bytes column by column first (``parse_columns``).
 numpy finds every line end and comma in one pass and checks each timestamp's
 shape at fixed offsets. The reader then converts the one field it wants, a
 chunk of rows at a time, usually by gathering it into one fixed-width bytes
-array and converting that with one cast (``cast_field``); the fields it does
+array and converting that with one cast (``cast_field``). The fields it does
 not convert it may check from their bytes, as ``sensor_codec`` does for node
 rows. The cast's values are exact because numpy's cast from bytes to float64
 converts each element with Python's ``float()``, as the row parsers do; the
 oracle tests in ``tests/test_csv_readers.py`` check this on numpy 2.4.6. A file
 that this parse declines (not ASCII, a line break it does not split at, a row
-of another shape) is decoded as UTF-8 (``read_rows``) and walked with the
+of another shape, or for ``sensor_codec`` a chunk with a row outside the
+node's own form) is decoded as UTF-8 (``read_rows``) and walked with the
 reader's row parser, which returns the same values for odd but valid rows and
 raises the ``path:lineno: ...`` error of the first bad one.
 """
@@ -227,28 +228,24 @@ def _parse_chunk(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: i
     return epoch.astype(np.int64), values
 
 
-def field_bytes(buf: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray | None:
-    """Field ``i`` of each row of ``edges`` (see ``parse_columns``) as one
-    fixed-width bytes array, or None if one of them is empty."""
+def cast_field(buf: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray | None:
+    """The float64 values of field ``i`` of each row of ``edges`` (see
+    ``parse_columns``), counted from the end if negative, converted by numpy's
+    bytes cast, which calls ``float()`` on each field; None if the rows have no
+    field ``i`` or ``float()`` rejects one of them."""
+    width = edges.shape[1] - 1
+    if not -width <= i < width:
+        return None
+    i %= width
     lengths = edges[:, i + 1] - edges[:, i] - 1
-    if lengths.min() < 1:  # float() and int() reject an empty field
+    if lengths.min() < 1:  # float() rejects an empty field
         return None
     # Each field's bytes as one row, then zeros, which the bytes dtype drops.
     at = np.arange(lengths.max())
     octets = np.take(buf, edges[:, i, None] + 1 + at, mode="clip")
     octets[at >= lengths[:, None]] = 0
-    return octets.view(f"S{at.size}")[:, 0]
-
-
-def cast_field(buf: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray | None:
-    """The float64 values of field ``i`` of each row of ``edges``, counted from
-    the end if negative, converted by numpy's bytes cast, which calls
-    ``float()`` on each field; None if the rows have no field ``i`` or
-    ``float()`` rejects one of them."""
-    width = edges.shape[1] - 1
-    field = field_bytes(buf, edges, i % width) if -width <= i < width else None
     try:
-        return None if field is None else field.astype(np.float64)
+        return octets.view(f"S{at.size}")[:, 0].astype(np.float64)
     except ValueError:
         return None
 

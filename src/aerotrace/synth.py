@@ -149,6 +149,8 @@ def scene_frames(script: SceneScript, seed: int = 0) -> Iterator[np.ndarray]:
 def write_scene_fseq(script: SceneScript, path: str | Path, seed: int = 0) -> FseqInfo:
     if script.frame_count < 1:
         raise DataError("scene duration renders zero frames")
+    if seed < 0:  # numpy seeds no generator with a negative entry
+        raise DataError(f"seed={seed} must not be negative")
     return write_fseq(path, scene_frames(script, seed), fps=script.fps)
 
 

@@ -1,14 +1,19 @@
+import contextlib
+import io
+import re
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aerotrace.blob_store import BlobRef, BlobStore, UploadJob
 from aerotrace.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, STORE_ROOT_ENV, main
 from aerotrace.fseq import write_fseq
 from aerotrace.sensor_codec import parse_csv_row, sample_to_csv_row
 from aerotrace.series import format_csv_series
-from aerotrace.synth import synthetic_sample_source
+from aerotrace.synth import parse_scene_script, synthetic_sample_source, write_scene_fseq
 
 from conftest import T0, at, make_series
 
@@ -62,6 +67,8 @@ def write_inputs(d):
     for name, line in (("slow.conf", "sample_interval=3000000d"),
                        ("long-chunk.conf", "video_chunk_len=3000000d"),
                        ("late.conf", "start_time=9999-12-31T23:59:00Z"),
+                       ("early.conf", "start_time=1969-12-31T23:59:30Z"),
+                       ("negative-seed.conf", "seed=-3"),
                        ("many-frames.conf", "video_chunk_len=20000000\nvideo_fps=255\n"
                                             "frame_width=8\nframe_height=8")):
         (d / name).write_text((d / "node.conf").read_text() + line + "\n")
@@ -76,6 +83,7 @@ def write_inputs(d):
                        ("flat.scene", "width=10\nheight=0\nduration=1"),
                        ("noisy.scene", "width=10\nheight=10\nduration=1\nnoise=99999"),
                        ("quiet.scene", "width=10\nheight=10\nduration=1\nnoise=-1"),
+                       ("grainy.scene", "width=10\nheight=10\nduration=1\nnoise=5"),
                        ("bright.scene", "width=10\nheight=10\nduration=1\n"
                                         "object car size=4x4 start=0,5 velocity=1,0 "
                                         "intensity=99999")):
@@ -84,6 +92,20 @@ def write_inputs(d):
 
 # A duration longer than ``timedelta.max``: 10**30 days.
 HUGE = "1" + "0" * 30 + "d"
+# Values refused with the whole message below, before any file is written.
+NAMED_VALUES = {
+    "analyze clean --in {d}/raw.csv --threshold nan":
+        "hw_error_threshold must be positive, got nan",
+    "analyze clean --in {d}/raw.csv --stddev-k nan": "stddev_k must be positive, got nan",
+    "analyze calibrate --ref {d}/ref.csv --test {d}/test.csv --grid 90.5s":
+        "--grid must be a whole number of seconds (got '90.5s')",
+    "synth --script {d}/grainy.scene --out {d}/grainy.fseq --seed -1":
+        "seed=-1 must not be negative",
+    "node run --config {d}/node.conf --duration 1s --seed -3": "seed=-3 must not be negative",
+    "node run --config {d}/negative-seed.conf --duration 1s": "seed=-3 must not be negative",
+    "node run --config {d}/early.conf --duration 20s":
+        "start_time=1969-12-31T23:59:30Z is before 1970-01-01T00:00:00Z",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -128,16 +150,21 @@ HUGE = "1" + "0" * 30 + "d"
     "synth --script {d}/noisy.scene --out {d}/noisy.fseq",
     "synth --script {d}/quiet.scene --out {d}/quiet.fseq",
     "synth --script {d}/bright.scene --out {d}/bright.fseq",
+    *NAMED_VALUES,
 ])
 def test_out_of_range_value_exits_data_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.delenv(STORE_ROOT_ENV, raising=False)
     write_inputs(tmp_path)
+    before = sorted(tmp_path.iterdir())
     assert main(argv.format(d=tmp_path).split()) == EXIT_DATA
     err = capsys.readouterr().err
     assert "aerotrace: data error: " in err
     assert "Traceback" not in err
     if "no-store.conf" in argv:
         assert "store_root" in err and "--root" not in err
+    if argv in NAMED_VALUES:
+        assert err == f"aerotrace: data error: {NAMED_VALUES[argv]}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -220,3 +247,83 @@ def test_tier_sweep_after_an_accelerated_session_uses_scheduled_upload_times(
     assert main(["store", "tier-sweep", "--root", root, "--node", "node-a",
                  "--archive-after", "30d", "--now", "2022-08-01T16:00:11Z"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == [key for key, *_ in listing]
+
+
+# -- Every command that reads a file ends in 0, 2 or 3 on a damaged copy ------
+
+FUZZ_COMMANDS = [
+    ("analyze clean --in {f} --out {d}/clean.csv", "raw.csv"),
+    ("analyze clean --in {f} --column pressure_hpa --out {d}/clean.csv", "raw.csv"),
+    ("analyze calibrate --ref {f} --test {d}/test.csv --out {d}/report.txt", "ref.csv"),
+    ("analyze calibrate --ref {d}/ref.csv --test {f} --out {d}/report.txt", "test.csv"),
+    ("correlate --vehicles {f} --pm25 {d}/pm.csv --max-lag 2 --out-dir {d}/corr", "veh.csv"),
+    ("correlate --vehicles {d}/veh.csv --pm25 {f} --max-lag 2 --out-dir {d}/corr", "pm.csv"),
+    ("count --in {f} --line 8,0,8,12 --min-area 1 --out {d}/counts.csv", "scene.fseq"),
+]
+# Bytes to insert or write over: not ASCII, NUL and other control bytes, and
+# line and field breaks; and values for a whole field, at the edges of what a
+# number or a stamp holds.
+FUZZ_BYTES = [b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x80\xa8", b"\x85", b"\x1c", b"\x0b",
+              b"\r", b"\n", b",", b"-", b"\xff\xff\xff\xff", b"\x00\x00\x00\x00"]
+FUZZ_FIELDS = [b"9" * 400, b"nan", b"-inf", b"1e308", b"-1e308", b"4.9e-324",
+               b"18446744073709551616", b"-0", b"", b"2022-01-01T00:00:00Z",
+               b"2022-12-31T23:59:59Z"]
+# Where to change a file: mostly near its start, where the headers are.
+fuzz_offsets = st.one_of(st.integers(0, 40), st.integers(0, 4000))
+fuzz_edits = st.lists(st.one_of(
+    st.tuples(st.just("flip"), fuzz_offsets, st.integers(1, 255)),
+    st.tuples(st.just("delete"), fuzz_offsets, st.integers(1, 30)),
+    st.tuples(st.just("truncate"), fuzz_offsets),
+    st.tuples(st.just("insert"), fuzz_offsets, st.sampled_from(FUZZ_BYTES)),
+    st.tuples(st.just("overwrite"), fuzz_offsets, st.sampled_from(FUZZ_BYTES)),
+    st.tuples(st.just("field"), fuzz_offsets, st.sampled_from(FUZZ_FIELDS))),
+    min_size=1, max_size=3)
+
+
+def damage(data, edits):
+    for kind, at, *arg in edits:
+        at = min(at, len(data))
+        if kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ arg[0]]) + data[at + 1:]
+        elif kind == "delete":
+            data = data[:at] + data[at + arg[0]:]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind == "insert":
+            data = data[:at] + arg[0] + data[at:]
+        elif kind == "overwrite":
+            data = data[:at] + arg[0] + data[at + len(arg[0]):]
+        elif kind == "field":  # the field numbered ``at``, counting through the file
+            fields = [m.span() for m in re.finditer(rb"[^,\r\n]+", data)]
+            if fields:
+                a, b = fields[at % len(fields)]
+                data = data[:a] + arg[0] + data[b:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_inputs(d)
+    script = parse_scene_script("width=16\nheight=12\nfps=5\nduration=2\nnoise=3\n"
+                                "object car size=4x4 start=0,4 velocity=8,0 intensity=200\n")
+    write_scene_fseq(script, d / "scene.fseq", seed=1)
+    return d
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS), fuzz_edits)
+def test_a_damaged_input_ends_in_an_exit_code_and_one_message(fuzz_dir, command, edits):
+    argv, name = command
+    data = damage((fuzz_dir / name).read_bytes(), edits)
+    # Rows that stay years apart resample onto millions of buckets, which takes
+    # memory in proportion; keep every stamp in the inputs' own year.
+    assume(name.endswith(".fseq") or set(re.findall(rb"(\d{4})-", data)) <= {b"2022"})
+    f = fuzz_dir / f"damaged-{name}"
+    f.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.format(d=fuzz_dir, f=f).split())
+    assert code in (EXIT_OK, EXIT_DATA, EXIT_BACKEND)
+    if code != EXIT_OK:
+        assert err.getvalue().splitlines()[-1].startswith("aerotrace:")

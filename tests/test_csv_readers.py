@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from aerotrace import cli, sensor_codec, series
+from aerotrace import cli, series
 from aerotrace.errors import DataError
 from aerotrace.sensor_codec import (
     CSV_FIELDS, EnvReading, SensorSample, parse_csv_row, sample_to_csv_row)
@@ -246,7 +246,7 @@ class TestSensorReader:
         assert outcome(cli._read_sensor_series, csv_path, "pm2_5") == want
 
     def test_plain_file_skips_the_row_parser(self, csv_path, monkeypatch):
-        csv_path.write_text("2022-07-01T16:00:00Z,5,12,15,27.00,65.50,nan\n\n"
+        csv_path.write_text("2022-07-01T16:00:00Z,5,12,15,27.00,65.50,1008.25\n\n"
                             "2022-07-01T16:00:10Z,6,13,16,27.10,65.40,1008.20\n")
 
         def no_rows(line):
@@ -349,7 +349,6 @@ class TestNodeRowShape:
 
         monkeypatch.setattr(series, "_CHUNK_ROWS", 2)
         monkeypatch.setattr(cli, "parse_csv_row", no_call)
-        monkeypatch.setattr(sensor_codec, "_converted_rows_valid", no_call)
         assert outcome(cli._read_sensor_series, csv_path, column) == want
 
 
