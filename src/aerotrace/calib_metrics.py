@@ -10,9 +10,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError
-from .series import TimeSeries, bucket_resample
+from .series import TimeSeries, bucket_resample, overflow_as_data_error
 
 WarpPath = list[tuple[int, int]]
+# The most cells ``dtw`` fills, an 800 MB table: 48 times the 1441 x 1441 of a
+# day at 60 s.
+MAX_DTW_CELLS = 10**8
 
 
 def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpPath]:
@@ -34,7 +37,8 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
     are computed in its own cells. Every cell gets the same ``cost + min`` of the
     same three values as in a row-by-row fill, so the result is
     bit-identical to it. Non-finite input raises ``DataError``, because with
-    a NaN that minimum would depend on argument order.
+    a NaN that minimum would depend on argument order, and so does a table
+    of more than ``MAX_DTW_CELLS`` cells, before it is allocated.
     """
     a = np.asarray(reference, dtype=float)
     b = np.asarray(test, dtype=float)
@@ -43,6 +47,9 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("dtw needs finite values")
     n, m = a.size, b.size
+    if n * m > MAX_DTW_CELLS:
+        raise DataError(f"dtw of {n} x {m} points needs {n * m} cells, "
+                        f"over the limit of {MAX_DTW_CELLS}")
     # Diagonal k holds padded rows max(0, k - m) to min(n, k).
     diagonals = np.arange(n + m + 1)
     first = np.maximum(0, diagonals - m)
@@ -149,7 +156,8 @@ def mape(reference: Sequence[float], test: Sequence[float]) -> MapeResult:
     skipped = int((~usable).sum())
     if not usable.any():
         raise DataError("every reference value is zero")
-    pct = float(np.mean(np.abs(b[usable] - a[usable]) / np.abs(a[usable]))) * 100.0
+    with overflow_as_data_error(f"mape of {a.size} points"):
+        pct = float(np.mean(np.abs(b[usable] - a[usable]) / np.abs(a[usable])) * 100.0)
     return MapeResult(pct=pct, skipped=skipped)
 
 
@@ -160,7 +168,8 @@ def rmse(reference: Sequence[float], test: Sequence[float]) -> float:
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size == 0:
         raise DataError("rmse needs at least one point")
-    return float(np.sqrt(np.mean((b - a) ** 2)))
+    with overflow_as_data_error(f"rmse of {a.size} points"):
+        return float(np.sqrt(np.mean((b - a) ** 2)))
 
 
 # 1 + 16 * lam bounds the condition number of I + lam * D'D, since 16 bounds

@@ -25,7 +25,7 @@ from .pm_clean import CleanConfig, clean_pipeline
 from .sensor_codec import CSV_FIELDS, parse_csv_columns, parse_csv_row
 from .series import (
     UTC, TimeSeries, decode_utf8, format_csv_series, format_utc, parse_utc, read_csv_series,
-    read_rows)
+    read_series)
 from .synth import moving_block_frame_source, parse_scene_script, synthetic_sample_source, write_scene_fseq
 from .traffic_count import CountLine, CountParams, count_video
 
@@ -76,26 +76,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_sensor_series(path: Path, column: str) -> TimeSeries:
-    data = path.read_bytes()
-    parsed = parse_csv_columns(data, column)
-    if parsed is not None:
-        return TimeSeries(*parsed)
-    linenos, lines = read_rows(path, data)
-    if not lines:
-        raise DataError(f"{path}: no rows")
-    epoch, values = [], []
-    for lineno, line in zip(linenos, lines):
+    def parse_line(line: str) -> tuple[int, float]:
+        sample = parse_csv_row(line)
         try:
-            sample = parse_csv_row(line)
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-        source = sample if column in ("pm1_0", "pm2_5", "pm10") else sample.env
-        epoch.append(int(sample.timestamp.timestamp()))
-        try:
-            values.append(float(getattr(source, column)))
+            return int(sample.timestamp.timestamp()), float(getattr(sample, column))
         except OverflowError:
-            raise DataError(f"{path}:{lineno}: {column} too large for a float") from None
-    return TimeSeries(epoch, values)
+            raise DataError(f"{column} too large for a float") from None
+
+    return read_series(path, lambda data: parse_csv_columns(data, column), parse_line,
+                       header=False)
 
 
 def cmd_node_run(args: argparse.Namespace) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .chart import render_dual_axis_chart
 from .errors import AerotraceError, DataError
-from .series import HOUR_S, TimeSeries, format_utc, utc_datetime
+from .series import HOUR_S, TimeSeries, format_utc, overflow_as_data_error, utc_datetime
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +56,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise DataError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 3:
         raise DataError("pearson needs at least 3 points")
-    if a.std() == 0 or b.std() == 0:
-        raise DataError("pearson is undefined for a constant input")
-    return float(np.corrcoef(a, b)[0, 1])
+    with overflow_as_data_error(f"pearson r of {a.size} points"):
+        if a.std() == 0 or b.std() == 0:
+            raise DataError("pearson is undefined for a constant input")
+        return float(np.corrcoef(a, b)[0, 1])
 
 
 @dataclass(frozen=True)

@@ -148,8 +148,12 @@ def chunk_filename(node_id: str, start: datetime) -> str:
 
 
 def parse_chunk_start(name: str) -> datetime | None:
-    """Recover the chunk start time from a ``<node>_YYYYMMDD_HHMMSS.fseq`` name."""
+    """Recover the chunk start time from a ``<node>_YYYYMMDD_HHMMSS.fseq`` name;
+    None for any other name, or one with an impossible time."""
     m = _CHUNK_NAME_RE.match(Path(name).name)
     if not m:
         return None
-    return datetime.strptime(m.group("stamp"), "%Y%m%d_%H%M%S").replace(tzinfo=UTC)
+    try:
+        return datetime.strptime(m.group("stamp"), "%Y%m%d_%H%M%S").replace(tzinfo=UTC)
+    except ValueError:  # a well-formed name with an impossible time, such as 20221399
+        return None

@@ -40,7 +40,7 @@ import numpy as np
 
 from .blob_store import BlobRef, BlobStore, UploadJob, validate_node_id
 from .errors import AerotraceError, DataError
-from .fseq import MAX_FRAME_COUNT, FseqWriter, chunk_filename
+from .fseq import MAX_FRAME_COUNT, FseqWriter, chunk_filename, parse_chunk_start
 from .sensor_codec import SensorSample, sample_to_csv_row
 from .series import EPOCH, as_utc, decode_utf8, floor_to, format_utc, parse_utc
 
@@ -233,18 +233,22 @@ def retention_sweep(buffer_dir: str | Path, now: datetime,
 
 
 def scan_unconfirmed(buffer_dir: Path, node_id: str, today: date) -> list[Path]:
-    """Sealed-but-unconfirmed files to re-enqueue at start and after each sweep.
+    """Sealed-but-unconfirmed files of node ``node_id`` to re-enqueue at start
+    and after each sweep.
 
-    Any ``.fseq`` without a marker is sealed. A daily CSV without a marker is
-    sealed once its date is in the past; the current day's file may still be
-    growing.
+    A chunk of this node without a marker is sealed. A daily CSV of this node
+    without a marker is sealed once its date is in the past; the current
+    day's file may still be growing. Any other file is not this node's to
+    upload.
     """
     found: list[Path] = []
     for path in sorted(buffer_dir.iterdir()):
         if path.is_dir() or read_marker(path) is not None:
             continue
+        own = path.name.startswith(f"{node_id}_")  # a node id holds no "_"
         csv = _parse_csv_name(path.name)
-        if path.suffix == ".fseq" or (csv is not None and csv[0] == node_id and csv[1] < today):
+        if own and (parse_chunk_start(path.name) is not None
+                    or (csv is not None and csv[1] < today)):
             found.append(path)
     return found
 

@@ -1,17 +1,18 @@
 """Sensor readings and the node CSV row format.
 
-A ``SensorSample`` is one 10-second reading: the PM1.0, PM2.5 and PM10
+A ``SensorSample`` is one 10-second reading, as flat as its CSV row: a
+timestamp and the six ``CSV_FIELDS``, the PM1.0, PM2.5 and PM10
 concentrations of a PMS7003-style particulate sensor and the temperature,
-humidity and pressure of the environmental sensor (``EnvReading``). The node
-writes each sample as one CSV row (``sample_to_csv_row``). The analytics read
-one column of a whole file from its bytes with ``parse_csv_columns`` when
-every row is in the form the node writes, and any other file row by row with
-``parse_csv_row``.
+humidity and pressure of a BME280-style environmental sensor. Each field's
+range rule is written once, in ``_check_field``. The node writes each sample
+as one CSV row (``sample_to_csv_row``). The analytics read one column of a
+whole file from its bytes with ``parse_csv_columns`` when every row is in the
+form the node writes, and any other file row by row with ``parse_csv_row``
+(``series.read_series``).
 
 The CSV row format is ``timestamp,pm1_0,pm2_5,pm10,temp_c,rh_pct,pressure_hpa``
 with the timestamp in ISO-8601 UTC (``Z`` suffix, whole seconds), PM values as
-integers, and the environmental floats rendered with two decimals. Its field
-names after the timestamp are ``CSV_FIELDS``.
+integers, and the environmental floats rendered with two decimals.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .series import (
     UTC, as_utc, cast_field, format_utc, parse_columns, parse_utc)
 
 CSV_FIELDS = ("pm1_0", "pm2_5", "pm10", "temp_c", "rh_pct", "pressure_hpa")
+_PM_FIELDS = CSV_FIELDS[:3]
 _ZERO, _ONE, _DOT, _MINUS = b"01.-"
 _HUNDRED = np.frombuffer(b"100.00", np.uint8)
 
@@ -33,52 +35,49 @@ def _unparsable(parts: list[str], index: int) -> str:
     return f"field {index} unparsable: {parts[index]!r}"
 
 
-@dataclass(frozen=True)
-class EnvReading:
-    """Temperature, relative humidity, and pressure from the environmental sensor."""
-
-    temp_c: float
-    rh_pct: float
-    pressure_hpa: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rh_pct <= 100.0:
-            raise DataError(f"rh_pct={self.rh_pct} outside [0, 100]")
-        if self.pressure_hpa <= 0:
-            raise DataError(f"pressure_hpa={self.pressure_hpa} must be positive")
+def _check_field(name: str, value) -> None:
+    """Raise a DataError unless ``value`` may be field ``name`` of a sample."""
+    if name in _PM_FIELDS:
+        if not isinstance(value, int) or value < 0:
+            raise DataError(f"{name}={value!r} must be a non-negative integer")
+    elif name == "rh_pct":
+        if not 0.0 <= value <= 100.0:
+            raise DataError(f"rh_pct={value} outside [0, 100]")
+    elif name == "pressure_hpa" and value <= 0:  # so a nan pressure is valid
+        raise DataError(f"pressure_hpa={value} must be positive")
 
 
 @dataclass(frozen=True)
 class SensorSample:
-    """One 10-second reading: PM concentrations plus the environmental block."""
+    """One 10-second reading: a UTC timestamp in whole seconds and ``CSV_FIELDS``."""
 
     timestamp: datetime
     pm1_0: int
     pm2_5: int
     pm10: int
-    env: EnvReading
+    temp_c: float
+    rh_pct: float
+    pressure_hpa: float
 
     def __post_init__(self) -> None:
         ts = as_utc(self.timestamp)
         if ts.microsecond != 0:
             raise DataError(f"timestamp must have whole-second resolution: {ts}")
         object.__setattr__(self, "timestamp", ts)
-        for name in ("pm1_0", "pm2_5", "pm10"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise DataError(f"{name}={v!r} must be a non-negative integer")
+        for name in CSV_FIELDS:
+            _check_field(name, getattr(self, name))
 
 
 def sample_to_csv_row(sample: SensorSample) -> str:
-    env = sample.env
     return (
         f"{format_utc(sample.timestamp)},{sample.pm1_0},{sample.pm2_5},{sample.pm10},"
-        f"{env.temp_c:.2f},{env.rh_pct:.2f},{env.pressure_hpa:.2f}"
+        f"{sample.temp_c:.2f},{sample.rh_pct:.2f},{sample.pressure_hpa:.2f}"
     )
 
 
 def parse_csv_row(line: str) -> SensorSample:
-    """Parse one CSV telemetry row; exact inverse of sample_to_csv_row on its output."""
+    """Parse one CSV telemetry row; exact inverse of sample_to_csv_row on its output.
+    A bad row raises ``field i unparsable`` for its leftmost bad field."""
     parts = line.strip().split(",")
     if len(parts) != 7:
         raise DataError(f"expected 7 fields, got {len(parts)}")
@@ -93,35 +92,21 @@ def parse_csv_row(line: str) -> SensorSample:
             parsed = datetime.fromisoformat(ts_text)
         except ValueError:
             raise DataError(_unparsable(parts, 0)) from None
-        if parsed.tzinfo is not None and parsed.utcoffset().total_seconds() == 0:
-            ts = parsed.astimezone(UTC)
-        else:
+        if parsed.tzinfo is None or parsed.utcoffset().total_seconds() != 0:
             raise DataError(f"timestamp is not UTC: {ts_text!r}") from None
+        if parsed.microsecond != 0:
+            raise DataError(_unparsable(parts, 0)) from None
+        ts = parsed.astimezone(UTC)
 
-    ints = []
-    for i in (1, 2, 3):
+    values = []
+    for i, name in enumerate(CSV_FIELDS, start=1):
         try:
-            ints.append(int(parts[i]))
-        except ValueError:
+            value = (int if name in _PM_FIELDS else float)(parts[i])
+            _check_field(name, value)
+        except (ValueError, DataError):
             raise DataError(_unparsable(parts, i)) from None
-    floats = []
-    for i in (4, 5, 6):
-        try:
-            floats.append(float(parts[i]))
-        except ValueError:
-            raise DataError(_unparsable(parts, i)) from None
-
-    try:
-        env = EnvReading(temp_c=floats[0], rh_pct=floats[1], pressure_hpa=floats[2])
-    except DataError:
-        bad = 5 if not 0.0 <= floats[1] <= 100.0 else 6
-        raise DataError(_unparsable(parts, bad)) from None
-    try:
-        return SensorSample(timestamp=ts, pm1_0=ints[0], pm2_5=ints[1], pm10=ints[2], env=env)
-    except DataError:
-        # A negative PM, or else a sub-second timestamp in a zero-offset form.
-        bad = next((i for i, v in zip((1, 2, 3), ints) if v < 0), 0)
-        raise DataError(_unparsable(parts, bad)) from None
+        values.append(value)
+    return SensorSample(ts, *values)
 
 
 def parse_csv_columns(data: bytes, column: str) -> tuple[np.ndarray, np.ndarray] | None:

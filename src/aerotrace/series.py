@@ -3,24 +3,27 @@
 A ``TimeSeries`` is two read-only numpy arrays, int64 epoch seconds and float64
 values; datetimes are built only where text is written.
 
-A CSV reader parses its file's bytes column by column first (``parse_columns``).
-numpy finds every line end and comma in one pass and checks each timestamp's
-shape at fixed offsets. The reader then converts the one field it wants, a
-chunk of rows at a time, usually by gathering it into one fixed-width bytes
-array and converting that with one cast (``cast_field``). The fields it does
-not convert it may check from their bytes, as ``sensor_codec`` does for node
-rows. The cast's values are exact because numpy's cast from bytes to float64
-converts each element with Python's ``float()``, as the row parsers do; the
-oracle tests in ``tests/test_csv_readers.py`` check this on numpy 2.4.6. A file
-that this parse declines (not ASCII, a line break it does not split at, a row
-of another shape, or for ``sensor_codec`` a chunk with a row outside the
-node's own form) is decoded as UTF-8 (``read_rows``) and walked with the
-reader's row parser, which returns the same values for odd but valid rows and
-raises the ``path:lineno: ...`` error of the first bad one.
+Both CSV readers, ``read_csv_series`` here and the sensor reader of the
+CLI, are ``read_series`` with a byte parse and a row parser. The byte parse
+goes first, column by column (``parse_columns``). numpy finds every line end
+and comma in one pass and checks each timestamp's shape at fixed offsets. The
+reader then converts the one field it wants, a chunk of rows at a time,
+usually by gathering it into one fixed-width bytes array and converting that
+with one cast (``cast_field``). The fields it does not convert it may check
+from their bytes, as ``sensor_codec`` does for node rows. The cast's values
+are exact because numpy's cast from bytes to float64 converts each element
+with Python's ``float()``, as the row parsers do; the oracle tests in
+``tests/test_csv_readers.py`` check this on numpy 2.4.6. A file that this
+parse declines (not ASCII, a line break it does not split at, a row of
+another shape, or for ``sensor_codec`` a chunk with a row outside the node's
+own form) is decoded as UTF-8, and ``read_series`` walks its non-blank lines
+with the row parser, which returns the same values for odd but valid rows,
+and raises the ``path:lineno: ...`` error of the first bad one.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -44,6 +47,9 @@ _DIGITS_AS_ZERO = np.frombuffer(bytes.maketrans(b"123456789", b"0" * 9), np.uint
 _YEAR_1 = np.datetime64("0001-01-01T00:00:00", "s")
 # Rows parsed at a time, so that the gather indices grow with the chunk, not the file.
 _CHUNK_ROWS = 4096
+# The most buckets ``bucket_resample`` builds: 69 days at 60 s, or 11 years at one
+# hour. A day at 60 s (calibrate) needs 1,440, and a week of hours (clean) 168.
+MAX_BUCKETS = 100_000
 
 
 def as_utc(ts: datetime) -> datetime:
@@ -61,6 +67,16 @@ def format_utc(ts: datetime) -> str:
 def parse_utc(text: str) -> datetime:
     """Parse an ISO-8601 UTC timestamp with a trailing ``Z``. Raises ValueError."""
     return datetime.strptime(text, TIMESTAMP_FMT).replace(tzinfo=UTC)
+
+
+@contextmanager
+def overflow_as_data_error(what: str) -> Iterator[None]:
+    """Raise a DataError naming ``what`` where the block overflows float64."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise DataError(f"{what} overflows: values too large for float64") from None
 
 
 def floor_to(ts: datetime, step_s: int) -> datetime:
@@ -115,7 +131,8 @@ def bucket_resample(series: TimeSeries, bucket_s: int) -> TimeSeries:
     Each non-empty bucket becomes its points' arithmetic mean, stamped at the
     bucket start. Interior empty buckets are filled by linear interpolation
     between the nearest non-empty buckets; the grid starts and ends at the
-    first/last non-empty bucket, so nothing is extrapolated.
+    first/last non-empty bucket, so nothing is extrapolated. A grid of more
+    than ``MAX_BUCKETS`` buckets raises DataError before it is built.
     """
     if len(series) == 0:
         raise DataError("cannot resample an empty series")
@@ -123,6 +140,10 @@ def bucket_resample(series: TimeSeries, bucket_s: int) -> TimeSeries:
         raise DataError(f"bucket length must be at least 1 s, got {bucket_s}")
     idx = series.epoch // bucket_s
     b0, n = idx[0], idx[-1] - idx[0] + 1
+    if n > MAX_BUCKETS:
+        first, last = (format_utc(utc_datetime(int(b) * bucket_s)) for b in (idx[0], idx[-1]))
+        raise DataError(f"the series spans {n} buckets of {bucket_s} s, from {first} to "
+                        f"{last}, over the limit of {MAX_BUCKETS}")
     offsets = idx - b0
     # bincount adds in input order, as a per-point loop would.
     sums = np.bincount(offsets, weights=series.values, minlength=n)
@@ -144,14 +165,6 @@ def decode_utf8(path: str | Path, data: bytes) -> str:
         return data.decode()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte {exc.start} is not UTF-8") from None
-
-
-def read_rows(path: str | Path, data: bytes) -> tuple[list[int], list[str]]:
-    """The 1-based physical line numbers and the text of the non-blank lines of
-    ``data``, the bytes of the file at ``path``."""
-    lines = decode_utf8(path, data).splitlines()
-    linenos = [lineno for lineno, line in enumerate(lines, start=1) if line.strip()]
-    return linenos, [lines[lineno - 1] for lineno in linenos]
 
 
 def parse_columns(data: bytes, width: int | None,
@@ -250,28 +263,49 @@ def cast_field(buf: np.ndarray, edges: np.ndarray, i: int) -> np.ndarray | None:
         return None
 
 
-def read_csv_series(path: str | Path, value_col: int = 1) -> TimeSeries:
-    """Read a headered CSV whose first column is an ISO UTC timestamp."""
+def read_series(path: str | Path,
+                parse_bytes: Callable[[bytes], tuple[np.ndarray, np.ndarray] | None],
+                parse_line: Callable[[str], tuple[int, float]], *, header: bool) -> TimeSeries:
+    """The series in the CSV file at ``path``.
+
+    ``parse_bytes`` gives the epoch seconds and values of the file's bytes, or
+    None to decline the file. A declined file is decoded as UTF-8, and each
+    non-blank line, after a header line if ``header``, goes to
+    ``parse_line``, which returns its ``(epoch, value)``; a DataError or
+    ValueError it raises becomes the DataError ``path:lineno: message``.
+    """
     data = Path(path).read_bytes()
-    columns = parse_columns(data, None, lambda buf, edges: cast_field(buf, edges, value_col))
+    columns = parse_bytes(data)
     if columns is not None:
         return TimeSeries(*columns)
-    linenos, lines = read_rows(path, data)
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    linenos, lines = linenos[1:], lines[1:]
-    if not lines:
-        raise DataError(f"{path}: no data rows")
+    lines = decode_utf8(path, data).splitlines()
+    numbered = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    if header:
+        if not numbered:
+            raise DataError(f"{path}: empty file")
+        numbered = numbered[1:]
+    if not numbered:
+        raise DataError(f"{path}: {'no data rows' if header else 'no rows'}")
     epoch, values = [], []
-    for lineno, line in zip(linenos, lines):
-        fields = line.split(",")
-        if value_col >= len(fields):
-            raise DataError(f"{path}:{lineno}: expected at least {value_col + 1} columns")
+    for lineno, line in numbered:
         try:
-            t = parse_utc(fields[0])
-            v = float(fields[value_col])
-        except ValueError as exc:
+            t, v = parse_line(line)
+        except (DataError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        epoch.append(int(t.timestamp()))
+        epoch.append(t)
         values.append(v)
     return TimeSeries(epoch, values)
+
+
+def read_csv_series(path: str | Path, value_col: int = 1) -> TimeSeries:
+    """Read a headered CSV whose first column is an ISO UTC timestamp."""
+    def parse_line(line: str) -> tuple[int, float]:
+        fields = line.split(",")
+        if value_col >= len(fields):
+            raise DataError(f"expected at least {value_col + 1} columns")
+        return int(parse_utc(fields[0]).timestamp()), float(fields[value_col])
+
+    return read_series(
+        path,
+        lambda data: parse_columns(data, None, lambda buf, edges: cast_field(buf, edges, value_col)),
+        parse_line, header=True)

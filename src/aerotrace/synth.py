@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError
 from .fseq import MAX_FRAME_COUNT, FseqInfo, write_fseq
-from .sensor_codec import EnvReading, SensorSample
+from .sensor_codec import SensorSample
 from .series import UTC, parse_utc
 
 _OBJECT_RE = re.compile(
@@ -164,12 +164,11 @@ def synthetic_sample_source(seed: int = 0):
         pm2_5 = max(0, int(round(12 + 6 * diurnal + rng.normal(0, 1.0))))
         pm1_0 = max(0, pm2_5 - int(rng.integers(2, 6)))
         pm10 = pm2_5 + int(rng.integers(1, 5))
-        env = EnvReading(
+        return SensorSample(
+            timestamp=ts, pm1_0=pm1_0, pm2_5=pm2_5, pm10=pm10,
             temp_c=round(27.0 + 3.0 * diurnal + rng.normal(0, 0.2), 2),
             rh_pct=round(min(100.0, max(0.0, 65.0 - 5.0 * diurnal + rng.normal(0, 1.0))), 2),
-            pressure_hpa=round(1008.0 + rng.normal(0, 0.5), 2),
-        )
-        return SensorSample(timestamp=ts, pm1_0=pm1_0, pm2_5=pm2_5, pm10=pm10, env=env)
+            pressure_hpa=round(1008.0 + rng.normal(0, 0.5), 2))
 
     return source
 

@@ -437,13 +437,20 @@ def scan_crossings(history: Sequence[tuple[float, float]], line: CountLine,
                    start: int, counted: set[int]) -> list[tuple[int, int]]:
     """New crossing events on the path steps ending at ``start`` and later.
 
-    Events are (step index, direction) pairs. A direction already in
-    ``counted`` is skipped and every reported one is added to it, so scanning
-    a growing path piece by piece finds the same events as one whole scan.
+    A step crosses when the chord from the path's last point before it that
+    lies off the line to its own end point crosses the segment, so a path
+    through a point exactly on the line crosses once, on the step that leaves
+    it, and one that touches the line and turns back does not cross. Events
+    are (step index, direction) pairs. A direction already in ``counted`` is
+    skipped and every reported one is added to it, so scanning a growing path
+    piece by piece finds the same events as one whole scan.
     """
     events: list[tuple[int, int]] = []
     for i in range(max(start, 1), len(history)):
-        d = segment_crossing(line, history[i - 1], history[i])
+        j = i - 1
+        while j > 0 and line.side(history[j]) == 0:
+            j -= 1
+        d = segment_crossing(line, history[j], history[i])
         if d is not None and d not in counted:
             counted.add(d)
             events.append((i, d))

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 from datetime import timedelta
 
@@ -168,6 +169,18 @@ class TestDtw:
         with pytest.raises(DataError, match="^dtw needs two non-empty sequences$"):
             dtw([], [1.0])
 
+    def test_a_table_over_the_limit_is_refused_before_it_is_allocated(self):
+        a, b = np.zeros(calib_metrics.MAX_DTW_CELLS // 1000 + 1), np.zeros(1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"^dtw of 100001 x 1000 points needs 100001000 "
+                                                r"cells, over the limit of 100000000$"):
+                dtw(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_path_invariants_random(self):
         rnd = random.Random(31)
         for _ in range(100):
@@ -280,6 +293,14 @@ class TestErrorMetrics:
         assert result.pct == 0.0
         assert result.skipped == 1
 
+    @pytest.mark.parametrize("a, b", [([1e-300, 1.0], [1e10, 1.0]), ([1.0, -1e308], [1.0, 1e308])])
+    def test_mape_overflow_is_a_data_error(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^mape of 2 points overflows: values too large "
+                                                "for float64$"):
+                mape(a, b)
+
     def test_mape_all_zero_reference(self):
         with pytest.raises(DataError, match="^every reference value is zero$"):
             mape([0, 0], [1, 2])
@@ -289,6 +310,14 @@ class TestErrorMetrics:
 
     def test_rmse_hand_case(self):
         assert rmse([0, 0], [3, 4]) == pytest.approx(math.sqrt(12.5))
+
+    @pytest.mark.parametrize("a, b", [([0.0, 0.0], [1e200, 0.0]), ([-1e308, 0.0], [1e308, 0.0])])
+    def test_rmse_overflow_is_a_data_error(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^rmse of 2 points overflows: values too large "
+                                                "for float64$"):
+                rmse(a, b)
 
     def test_rmse_homogeneity(self):
         rnd = random.Random(6)

@@ -1,11 +1,12 @@
 import contextlib
 import io
 import re
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aerotrace.blob_store import BlobRef, BlobStore, UploadJob
@@ -54,6 +55,8 @@ def write_inputs(d):
                                        for i in range(60)))
     (d / "subsecond.csv").write_text("2022-07-01T16:00:00.500+00:00,5,12,15,27.00,65.50,1008.25\n")
     (d / "huge.csv").write_text(f"2022-07-01T16:00:00Z,5,1{'0' * 400},15,27.00,65.50,1008.25\n")
+    (d / "ages.csv").write_text("0001-01-01T00:00:00Z,5,12,15,27.00,65.50,1008.25\n"
+                                "9999-12-31T23:59:59Z,5,12,15,27.00,65.50,1008.25\n")
     write_fseq(d / "minute.fseq", np.zeros((60, 6, 8), dtype=np.uint8), fps=1)
     for name, series in (("ref.csv", make_series([10 + i % 7 for i in range(60)])),
                          ("test.csv", make_series([11 + i % 5 for i in range(60)])),
@@ -105,6 +108,9 @@ NAMED_VALUES = {
     "node run --config {d}/negative-seed.conf --duration 1s": "seed=-3 must not be negative",
     "node run --config {d}/early.conf --duration 20s":
         "start_time=1969-12-31T23:59:30Z is before 1970-01-01T00:00:00Z",
+    "analyze clean --in {d}/ages.csv --out {d}/clean.csv":
+        "the series spans 87649416 buckets of 3600 s, from 0001-01-01T00:00:00Z to "
+        "9999-12-31T23:00:00Z, over the limit of 100000",
 }
 
 
@@ -165,6 +171,23 @@ def test_out_of_range_value_exits_data_error(tmp_path, capsys, monkeypatch, argv
     if argv in NAMED_VALUES:
         assert err == f"aerotrace: data error: {NAMED_VALUES[argv]}\n"
         assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_month_at_60_s_is_refused_before_the_dtw_table_is_allocated(tmp_path, capsys):
+    for name, values in (("ref.csv", [10 + i % 7 for i in range(30 * 1440)]),
+                         ("test.csv", [11 + i % 5 for i in range(30 * 1440)])):
+        (tmp_path / name).write_text(format_csv_series(make_series(values, step_s=60),
+                                                       "minute,value"))
+    argv = f"analyze calibrate --ref {tmp_path}/ref.csv --test {tmp_path}/test.csv"
+    tracemalloc.start()
+    try:
+        assert main(argv.split()) == EXIT_DATA
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == ("aerotrace: data error: dtw of 43200 x 43200 points "
+                                       "needs 1866240000 cells, over the limit of 100000000\n")
+    assert peak < 64 << 20
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -316,9 +339,6 @@ def fuzz_dir(tmp_path_factory):
 def test_a_damaged_input_ends_in_an_exit_code_and_one_message(fuzz_dir, command, edits):
     argv, name = command
     data = damage((fuzz_dir / name).read_bytes(), edits)
-    # Rows that stay years apart resample onto millions of buckets, which takes
-    # memory in proportion; keep every stamp in the inputs' own year.
-    assume(name.endswith(".fseq") or set(re.findall(rb"(\d{4})-", data)) <= {b"2022"})
     f = fuzz_dir / f"damaged-{name}"
     f.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,35 @@ def test_pearson_agrees_with_corrcoef(rng, n):
 def test_constant_input_rejected():
     with pytest.raises(DataError, match="^pearson is undefined for a constant input$"):
         pearson([1.0, 2.0, 3.0, 4.0], [5.0] * 4)
+
+
+@pytest.mark.parametrize("big", [1e155, 1e200, -1e308])
+def test_overflow_is_a_data_error(big):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^pearson r of 5 points overflows: values too large "
+                                            "for float64$"):
+            pearson([1.0, 2.0, big, 4.0, 5.0], [2.0, 1.0, 4.0, 3.0, 5.0])
+
+
+def test_large_values_short_of_overflow_still_correlate():
+    assert pearson([1e150, 2e150, 3e150], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
+
+
+def test_an_hour_at_1e200_exits_data_error_and_writes_nothing(tmp_path, capsys):
+    values = [float(v) for v in (5, 3, 8, 1, 9, 2, 7, 4, 6, 0)]
+    (tmp_path / "veh.csv").write_text(format_csv_series(hourly(values[:4] + [1e200] + values[5:]),
+                                                        "hour_start,value"))
+    (tmp_path / "pm.csv").write_text(format_csv_series(hourly(values), "hour_start,value"))
+    out = tmp_path / "corr"
+    argv = ["correlate", "--vehicles", str(tmp_path / "veh.csv"),
+            "--pm25", str(tmp_path / "pm.csv"), "--max-lag", "2", "--out-dir", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == ("aerotrace: data error: pearson r of 10 points overflows: "
+                                       "values too large for float64\n")
+    assert not out.exists()
 
 
 def test_missing_hour_exits_data_error_and_writes_nothing(tmp_path, capsys):

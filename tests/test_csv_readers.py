@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from aerotrace import cli, series
 from aerotrace.errors import DataError
 from aerotrace.sensor_codec import (
-    CSV_FIELDS, EnvReading, SensorSample, parse_csv_row, sample_to_csv_row)
+    CSV_FIELDS, SensorSample, parse_csv_row, sample_to_csv_row)
 from aerotrace.series import as_utc, parse_utc, read_csv_series, utc_datetime
 
 from conftest import E0, at
@@ -74,11 +74,7 @@ def read_sensor_series_oracle(path, column):
             sample = parse_csv_row(line)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from exc
-        if column in ("pm1_0", "pm2_5", "pm10"):
-            value = float(getattr(sample, column))
-        else:
-            value = float(getattr(sample.env, column))
-        points.append((sample.timestamp, value))
+        points.append((sample.timestamp, float(getattr(sample, column))))
     if not points:
         raise DataError(f"{path}: no rows")
     return oracle_series(points)
@@ -336,7 +332,7 @@ class TestNodeRowShape:
     @pytest.mark.parametrize("column", CSV_FIELDS)
     def test_node_rows_skip_every_cast_but_the_column(self, csv_path, monkeypatch, column):
         samples = [SensorSample(at(10 * i), i, 10 ** 14 + i, 10 ** 15 - 1 - i,
-                                EnvReading(temp_c=t, rh_pct=rh, pressure_hpa=p))
+                                temp_c=t, rh_pct=rh, pressure_hpa=p)
                    for i, (t, rh, p) in enumerate([(-5.25, 100.0, 1008.25), (-0.001, 0.0, 1.0),
                                                    (27.0, 99.99, 1e6), (-40.0, 100.0, 999.99),
                                                    (0.0, 5.5, 1013.0)])]

@@ -150,3 +150,6 @@ class TestChunkNames:
 
     def test_unparsable_name(self):
         assert parse_chunk_start("scene.fseq") is None
+
+    def test_impossible_date_is_unparsable(self):
+        assert parse_chunk_start("node-a_20221399_000000.fseq") is None

@@ -258,6 +258,28 @@ class TestRestartScan:
         (tmp_path / "node-a_2022-13-45.csv").write_text("row\n")
         assert scan_unconfirmed(tmp_path, "node-a", today=T0.date()) == []
 
+    def test_only_this_nodes_files_are_found(self, tmp_path):
+        for name in ("node-b_20220701_150000.fseq", "node-ab_20220701_150000.fseq",
+                     "notes.fseq", "node-a_20221399_000000.fseq", "node-a_2022-06-30.fseq",
+                     "node-a_20220701_150000.fseq.bak", "node-b_2022-06-30.csv"):
+            (tmp_path / name).write_bytes(b"x")
+        own = tmp_path / "node-a_20220701_150000.fseq"
+        own.write_bytes(b"v")
+        assert scan_unconfirmed(tmp_path, "node-a", today=T0.date()) == [own]
+
+    def test_a_session_leaves_other_files_unstored_and_unmarked(self, tmp_path):
+        config = make_config(tmp_path)
+        config.buffer_dir.mkdir()
+        foreign = [config.buffer_dir / name for name in (
+            "node-b_20220701_150000.fseq", "notes.fseq", "node-b_2022-06-30.csv")]
+        for path in foreign:
+            path.write_bytes(b"x")
+        store = make_store(tmp_path)
+        run(config, AcceleratedClock(start=T0, accel=40000.0), store, 20)
+        keys = [o.key for o in store.list_node_objects("node-a")]
+        assert keys == ["csv/node-a_2022-07-01.csv", "video/node-a_20220701_160000.fseq"]
+        assert all(path.exists() and read_marker(path) is None for path in foreign)
+
 
 class TestChunkSink:
     @pytest.mark.parametrize("suffix", ["", ".part", ".uploaded", "stored"])

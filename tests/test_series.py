@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import datetime, timezone
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from aerotrace.errors import DataError
 from aerotrace.series import (
-    TimeSeries, bucket_resample, floor_to, format_csv_series, format_utc, parse_utc,
+    MAX_BUCKETS, TimeSeries, bucket_resample, floor_to, format_csv_series, format_utc, parse_utc,
     read_csv_series)
 
 from conftest import E0, T0, at, make_series, same_series
@@ -92,6 +93,25 @@ class TestBucketResample:
         out = bucket_resample(s, 3600)
         assert out.values.tolist() == [10.0, 20.0, 30.0]
         assert out.epoch.tolist() == [E0, E0 + 3600, E0 + 7200]
+
+    def test_a_grid_over_the_limit_is_refused_before_it_is_built(self):
+        s = TimeSeries([-62135596800, 253402300799], [1.0, 2.0])  # years 0001 and 9999
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=(
+                    r"^the series spans 87649416 buckets of 3600 s, from 0001-01-01T00:00:00Z "
+                    r"to 9999-12-31T23:00:00Z, over the limit of 100000$")):
+                bucket_resample(s, 3600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_grid_at_the_limit_is_built(self):
+        last = E0 + (MAX_BUCKETS - 1) * 60
+        assert len(bucket_resample(TimeSeries([E0, last], [1.0, 2.0]), 60)) == MAX_BUCKETS
+        with pytest.raises(DataError, match=f"spans {MAX_BUCKETS + 1} buckets"):
+            bucket_resample(TimeSeries([E0, last + 60], [1.0, 2.0]), 60)
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(0, 20_000), min_size=1, max_size=200, unique=True),

@@ -26,8 +26,9 @@ T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
 # Scenes follow two safety rules: objects enter the frame only after the
 # background has converged (t > min_stability / fps), and they move fast
 # enough that no pixel stays covered for min_stability frames even at double
-# frame rate. Even object widths keep detected centers at half-integer x,
-# so they can never land exactly on an integer-x counting line.
+# frame rate. Most use even object widths, whose detected centers sit at
+# half-integer x; the phase table in ``TestSceneCounting`` puts odd-width
+# centers exactly on an integer-x counting line.
 LINE_324 = CountLine(p1=(162.0, 0.0), p2=(162.0, 181.0))  # left side is positive
 
 
@@ -754,6 +755,25 @@ class TestCrossings:
     def test_touch_does_not_count(self):
         assert segment_crossing(self.line, (8.5, 5.0), (10.0, 5.0)) is None
 
+    @pytest.mark.parametrize("path", [
+        [(8.5, 5.0), (10.0, 5.0), (8.5, 5.0)],
+        [(8.0, 5.0), (10.0, 5.0), (10.0, 6.0), (10.0, 4.0), (9.0, 7.0)],
+        [(10.0, 5.0), (11.5, 5.0), (10.0, 5.0), (11.5, 6.0)],
+    ])
+    def test_touch_and_back_counts_zero(self, path):
+        assert count_crossings(path, self.line) == []
+
+    @pytest.mark.parametrize("path, event", [
+        ([(8.5, 5.0), (10.0, 5.0), (11.5, 5.0)], (2, DIR_DOWN)),
+        ([(11.5, 5.0), (10.0, 5.0), (10.0, 6.0), (8.5, 7.0)], (3, DIR_UP)),
+        ([(10.0, 5.0), (8.5, 5.0), (10.0, 5.0), (11.5, 5.0)], (3, DIR_DOWN)),
+    ])
+    def test_a_point_on_the_line_still_crosses(self, path, event):
+        assert count_crossings(path, self.line) == [event]
+
+    def test_a_point_on_the_line_beyond_the_segment_does_not_cross(self):
+        assert count_crossings([(8.5, 25.0), (10.0, 25.0), (11.5, 25.0)], self.line) == []
+
     @pytest.mark.parametrize("p1, p2", [((math.nan, 0.0), (math.nan, 182.0)),
                                         ((0.0, math.inf), (8.0, 6.0)),
                                         ((0.0, 0.0), (-math.inf, 6.0)),
@@ -808,6 +828,24 @@ class TestScanCrossingsProperties:
                 events += scan_crossings(path[:n], self.line, n - 1, counted)
         assert events == whole
 
+    lines = st.sampled_from([CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0)),
+                             CountLine(p1=(0.0, 0.0), p2=(20.0, 20.0)),
+                             CountLine(p1=(17.0, 2.0), p2=(3.0, 19.0))])
+    point = st.tuples(st.integers(-5, 25), st.integers(-5, 25))
+
+    @given(lines, point, point, st.integers(1, 12))
+    @example(CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0)), (6, 5), (14, 5), 4)
+    @example(CountLine(p1=(0.0, 0.0), p2=(20.0, 20.0)), (4, 8), (8, 4), 2)
+    def test_straight_path_through_the_segment_counts_once(self, line, a, b, n):
+        # A path from a to b in n equal steps; with integer ends, some of its
+        # points land exactly on the line.
+        direction = segment_crossing(line, a, b)
+        assume(direction is not None)
+        path = [(a[0] + (b[0] - a[0]) * k / n, a[1] + (b[1] - a[1]) * k / n)
+                for k in range(n + 1)]
+        events = count_crossings(path, line)
+        assert [d for _, d in events] == [direction]
+
 
 def run_scene(script, params=CountParams()):
     return count_frames(scene_frames(script), LINE_324, start=script.start,
@@ -815,6 +853,23 @@ def run_scene(script, params=CountParams()):
 
 
 class TestSceneCounting:
+    @pytest.mark.parametrize("width", [19, 30])
+    @pytest.mark.parametrize("speed", [24, 32, 48, 96])
+    def test_every_start_phase_counts_the_car_once(self, width, speed):
+        # An odd-width car has an integer centre, which lands exactly on the
+        # integer-x line in some phases; each phase shifts the start by a
+        # tenth of a frame step.
+        line = CountLine(p1=(160.0, 0.0), p2=(160.0, 119.0))
+        counted = []
+        for phase in range(10):
+            x0 = -width - 2.0 * speed - phase * speed / 100
+            car = SceneObject("car", width, 14, x0, 50.0, float(speed), 0.0, 220)
+            script = scene([car], duration=math.ceil((200 - x0) / speed), width=320,
+                           height=120)
+            counts = count_frames(scene_frames(script), line, start=T0, fps=10)
+            counted.append((sum(counts.down), sum(counts.up)))
+        assert counted == [(1, 0)] * 10
+
     def test_empty_scene_counts_zero(self):
         counts = run_scene(scene([], duration=5))
         assert counts.up == (0,) and counts.down == (0,)
