@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import DataError
 
+# A pair is tight when its reduced cost is within TIE_TOL per unit of the
+# assignment's total cost.
+TIE_TOL = 1e-11
+
 
 def _jv(cost: list[list[float]]) -> tuple[list[float], list[float], list[int]]:
     """Solve a square matrix: row potentials, column potentials, row of each column."""
@@ -98,7 +102,7 @@ def hungarian(cost: Sequence[Sequence[float]] | np.ndarray) -> list[tuple[int, i
     square[:n, :m] = a
     u, v, row_of = _jv(square.tolist())
     col = np.argsort(row_of).tolist()
-    tol = 1e-11 * max(1.0, abs(float(square[row_of, range(size)].sum())))
+    tol = TIE_TOL * max(1.0, abs(float(square[row_of, range(size)].sum())))
     rows, cols = np.nonzero(np.abs(square - np.add.outer(u, v)) <= tol)
     tight: list[list[int]] = [[] for _ in range(size)]
     for r, c in zip(rows.tolist(), cols.tolist()):  # row-major: each row's columns ascend

@@ -37,8 +37,9 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
     are computed in its own cells. Every cell gets the same ``cost + min`` of the
     same three values as in a row-by-row fill, so the result is
     bit-identical to it. Non-finite input raises ``DataError``, because with
-    a NaN that minimum would depend on argument order, and so does a table
-    of more than ``MAX_DTW_CELLS`` cells, before it is allocated.
+    a NaN that minimum would depend on argument order, and so do a table
+    of more than ``MAX_DTW_CELLS`` cells, before it is allocated, and a fill
+    in which any cost or sum overflows float64, even off the best path.
     """
     a = np.asarray(reference, dtype=float)
     b = np.asarray(test, dtype=float)
@@ -61,18 +62,19 @@ def dtw(reference: Sequence[float], test: Sequence[float]) -> tuple[float, WarpP
     # which rises with i.
     b_rev = b[::-1]
     scratch = np.empty(min(n, m))
-    for k in range(2, n + m + 1):
-        lo, hi = max(1, k - m), min(n, k - 1)
-        size = hi - lo + 1
-        cells, least = flat[base[k] + lo:base[k] + lo + size], scratch[:size]
-        # The cells' (i - 1, j - 1) start at d2, their (i - 1, j) at d1 and
-        # their (i, j - 1) at d1 + 1.
-        d2, d1 = base[k - 2] + lo - 1, base[k - 1] + lo - 1
-        np.subtract(a[lo - 1:hi], b_rev[m - k + lo:m - k + hi + 1], out=cells)
-        np.abs(cells, out=cells)
-        np.minimum(flat[d2:d2 + size], flat[d1:d1 + size], out=least)
-        np.minimum(least, flat[d1 + 1:d1 + 1 + size], out=least)
-        np.add(cells, least, out=cells)
+    with overflow_as_data_error(f"dtw of {n} x {m} points"):
+        for k in range(2, n + m + 1):
+            lo, hi = max(1, k - m), min(n, k - 1)
+            size = hi - lo + 1
+            cells, least = flat[base[k] + lo:base[k] + lo + size], scratch[:size]
+            # The cells' (i - 1, j - 1) start at d2, their (i - 1, j) at d1 and
+            # their (i, j - 1) at d1 + 1.
+            d2, d1 = base[k - 2] + lo - 1, base[k - 1] + lo - 1
+            np.subtract(a[lo - 1:hi], b_rev[m - k + lo:m - k + hi + 1], out=cells)
+            np.abs(cells, out=cells)
+            np.minimum(flat[d2:d2 + size], flat[d1:d1 + size], out=least)
+            np.minimum(least, flat[d1 + 1:d1 + 1 + size], out=least)
+            np.add(cells, least, out=cells)
 
     def D(i: int, j: int) -> float:
         return flat[base[i + j + 2] + i + 1]
@@ -114,7 +116,11 @@ def warp_onto_reference(test: Sequence[float], path: WarpPath, n_ref: int) -> np
 
 
 def moving_average(series: TimeSeries, window: timedelta = timedelta(minutes=10)) -> TimeSeries:
-    """Trailing time-based mean: value at t = mean of points in (t - window, t]."""
+    """Trailing time-based mean: value at t = mean of points in (t - window, t].
+
+    A running sum that overflows float64 stays non-finite, so one check of
+    the output after the loop finds it and raises ``DataError``.
+    """
     if len(series) == 0:
         raise DataError("moving_average needs a non-empty series")
     w = window.total_seconds()
@@ -132,6 +138,9 @@ def moving_average(series: TimeSeries, window: timedelta = timedelta(minutes=10)
             acc -= vals[left]
             left += 1
         out.append(acc / (i - left + 1))
+    if not np.isfinite(out).all():
+        raise DataError(f"moving average of {len(out)} points overflows: "
+                        "values too large for float64")
     return series.with_values(out)
 
 

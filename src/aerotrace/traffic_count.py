@@ -5,6 +5,8 @@ foreground mask; 8-connected components become detections (tight box +
 center); a constant-velocity Kalman tracker with IOU-gated Hungarian
 association follows each object; a track is counted when its center path
 properly crosses the virtual counting line, at most once per direction.
+Where no detection overlaps two predicted boxes and no predicted box two
+detections, the overlapping pairs are the assignment, and no solve runs.
 
 The tracker stacks the Kalman states of its live tracks, one row per track
 in track order, so each frame costs one predict over every track and one
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .assignment import hungarian
+from .assignment import TIE_TOL, hungarian
 from .errors import AerotraceError, DataError
 from .fseq import iter_fseq_frames, parse_chunk_start
 from .series import HOUR_S, UTC, floor_to, format_utc
@@ -324,13 +326,35 @@ class Track:
         self.pending: list[tuple[int, int]] = []  # (frame index, direction)
 
 
+def associate(iou: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """The (detection, track) pairs of ``hungarian(1 - iou)`` whose IOU is at
+    least ``gate``, sorted by detection.
+
+    When no row and no column of ``iou`` has two positive entries, every
+    minimum-cost assignment holds all the positive pairs, since leaving one
+    out raises the cost by its IOU. The solver settles ties within ``TIE_TOL``
+    per unit of total cost on each of the ``size`` pairs of its square matrix,
+    so its answer holds every positive pair of IOU over ``TIE_TOL * size**2``.
+    For a gate above twice that, the gated positive pairs in row-major order
+    are then its gated pairs, and no solve runs. Any other matrix, and any
+    lower gate, under which pairs of no overlap may pass, takes the solve.
+    """
+    d, t = np.nonzero(iou > 0)
+    rows, cols = d.tolist(), t.tolist()
+    size = max(iou.shape)
+    if gate > 2 * TIE_TOL * size * size and len(set(rows)) == len(rows) == len(set(cols)):
+        return [(r, c) for r, c, v in zip(rows, cols, iou[d, t].tolist()) if v >= gate]
+    return [(r, c) for r, c in hungarian(1.0 - iou) if iou[r, c] >= gate]
+
+
 class SortTracker:
     """Tracking-by-detection: predict, associate by IOU, update, age out.
 
     The Kalman states of all live tracks are stacked: row i of ``x`` (n, 7)
     and ``P`` (n, 7, 7) belongs to ``tracks[i]``, and rows are dropped and
     appended together with the track list. Each step predicts every row at
-    once and updates the matched rows at once.
+    once and updates the matched rows at once. Association (``associate``)
+    matches disjoint overlaps without a solve.
     """
 
     def __init__(self, params: CountParams = CountParams()):
@@ -356,9 +380,7 @@ class SortTracker:
         boxes = np.array([d.box for d in detections], dtype=float).reshape(-1, 4)
         matches: list[tuple[int, int]] = []
         if detections and self.tracks:
-            iou_mat = iou_matrix(boxes, boxes_from_states(x))
-            pairs = hungarian(1.0 - iou_mat)
-            matches = [(d, t) for d, t in pairs if iou_mat[d, t] >= self.params.iou_gate]
+            matches = associate(iou_matrix(boxes, boxes_from_states(x)), self.params.iou_gate)
 
         states = states_from_boxes(boxes)
         d_rows, t_rows = [d for d, _ in matches], [t for _, t in matches]

@@ -107,7 +107,7 @@ def sequence_pairs(elements):
     return st.tuples(seq, seq)
 
 
-# Tie-heavy integers, moderate reals, and full-range reals whose costs overflow to inf.
+# Tie-heavy integers, moderate reals, and full-range reals whose costs may overflow.
 DTW_PAIRS = st.one_of(sequence_pairs(st.sampled_from([0.0, 1.0, 2.0])),
                       sequence_pairs(st.floats(-1e6, 1e6)),
                       sequence_pairs(st.floats(allow_nan=False, allow_infinity=False)))
@@ -121,9 +121,16 @@ class TestDtw:
     @example((np.array([1.0]), np.array([1.0])))
     def test_matches_row_by_row_oracle(self, pair):
         a, b = pair
+        try:
+            with np.errstate(over="raise"):
+                expected_dist, expected_path = dtw_oracle(a, b)
+        except FloatingPointError:  # the same cells overflow in both fills
+            with pytest.raises(DataError, match=f"^dtw of {a.size} x {b.size} points "
+                                                "overflows: values too large for float64$"):
+                dtw(a, b)
+            return
+        dist, path = dtw(a, b)
         with np.errstate(over="ignore"):
-            dist, path = dtw(a, b)
-            expected_dist, expected_path = dtw_oracle(a, b)
             warped = warp_onto_reference(b, path, a.size)
             expected_warped = warp_oracle(b, path, a.size)
         assert np.float64(dist).tobytes() == np.float64(expected_dist).tobytes()
@@ -168,6 +175,17 @@ class TestDtw:
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="^dtw needs two non-empty sequences$"):
             dtw([], [1.0])
+
+    @pytest.mark.parametrize("a, b", [
+        ([1e308, -1e308], [-1e308, 1e308]),  # a cost overflows
+        ([0.0, 1.7e308, 1.7e308], [0.0, 1.7e308, 1.7e308]),  # a sum off the best path does
+    ])
+    def test_overflow_is_a_data_error(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^dtw of {len(a)} x {len(b)} points overflows: "
+                                                "values too large for float64$"):
+                dtw(a, b)
 
     def test_a_table_over_the_limit_is_refused_before_it_is_allocated(self):
         a, b = np.zeros(calib_metrics.MAX_DTW_CELLS // 1000 + 1), np.zeros(1000)
@@ -269,6 +287,14 @@ class TestMovingAverage:
         s = make_series([0, 100], step_s=60)
         out = moving_average(s, timedelta(minutes=10))
         assert out.values[0] == 0.0
+
+    def test_overflow_is_a_data_error(self):
+        s = make_series([1e308, 1.7e308, 1e308, 5.0], step_s=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^moving average of 4 points overflows: "
+                                                "values too large for float64$"):
+                moving_average(s, timedelta(minutes=2))
 
     def test_bounded_by_input(self):
         rnd = random.Random(2)

@@ -58,6 +58,9 @@ def write_inputs(d):
     (d / "ages.csv").write_text("0001-01-01T00:00:00Z,5,12,15,27.00,65.50,1008.25\n"
                                 "9999-12-31T23:59:59Z,5,12,15,27.00,65.50,1008.25\n")
     write_fseq(d / "minute.fseq", np.zeros((60, 6, 8), dtype=np.uint8), fps=1)
+    for name, values in (("rising-1e308.csv", [1e308 + i * 1e306 for i in range(60)]),
+                         ("flat-1e308.csv", [1.5e308] * 60)):
+        (d / name).write_text(format_csv_series(make_series(values, step_s=60), "minute,value"))
     for name, series in (("ref.csv", make_series([10 + i % 7 for i in range(60)])),
                          ("test.csv", make_series([11 + i % 5 for i in range(60)])),
                          ("veh.csv", make_series(range(10), step_s=3600)),
@@ -105,6 +108,12 @@ NAMED_VALUES = {
     "synth --script {d}/grainy.scene --out {d}/grainy.fseq --seed -1":
         "seed=-1 must not be negative",
     "node run --config {d}/node.conf --duration 1s --seed -3": "seed=-3 must not be negative",
+    # Near the float64 limit: every cost is small, but sums of costs (dtw) or of
+    # values (the moving average) overflow.
+    "analyze calibrate --ref {d}/rising-1e308.csv --test {d}/rising-1e308.csv "
+    "--out {d}/report.txt": "dtw of 60 x 60 points overflows: values too large for float64",
+    "analyze calibrate --ref {d}/flat-1e308.csv --test {d}/flat-1e308.csv --out {d}/report.txt":
+        "moving average of 60 points overflows: values too large for float64",
     "node run --config {d}/negative-seed.conf --duration 1s": "seed=-3 must not be negative",
     "node run --config {d}/early.conf --duration 20s":
         "start_time=1969-12-31T23:59:30Z is before 1970-01-01T00:00:00Z",
@@ -274,23 +283,25 @@ def test_tier_sweep_after_an_accelerated_session_uses_scheduled_upload_times(
 
 # -- Every command that reads a file ends in 0, 2 or 3 on a damaged copy ------
 
+# Each command, the file it reads, and the CSV column it takes its values from.
 FUZZ_COMMANDS = [
-    ("analyze clean --in {f} --out {d}/clean.csv", "raw.csv"),
-    ("analyze clean --in {f} --column pressure_hpa --out {d}/clean.csv", "raw.csv"),
-    ("analyze calibrate --ref {f} --test {d}/test.csv --out {d}/report.txt", "ref.csv"),
-    ("analyze calibrate --ref {d}/ref.csv --test {f} --out {d}/report.txt", "test.csv"),
-    ("correlate --vehicles {f} --pm25 {d}/pm.csv --max-lag 2 --out-dir {d}/corr", "veh.csv"),
-    ("correlate --vehicles {d}/veh.csv --pm25 {f} --max-lag 2 --out-dir {d}/corr", "pm.csv"),
-    ("count --in {f} --line 8,0,8,12 --min-area 1 --out {d}/counts.csv", "scene.fseq"),
+    ("analyze clean --in {f} --out {d}/clean.csv", "raw.csv", 2),
+    ("analyze clean --in {f} --column pressure_hpa --out {d}/clean.csv", "raw.csv", 6),
+    ("analyze calibrate --ref {f} --test {d}/test.csv --out {d}/report.txt", "ref.csv", 1),
+    ("analyze calibrate --ref {d}/ref.csv --test {f} --out {d}/report.txt", "test.csv", 1),
+    ("correlate --vehicles {f} --pm25 {d}/pm.csv --max-lag 2 --out-dir {d}/corr", "veh.csv", 1),
+    ("correlate --vehicles {d}/veh.csv --pm25 {f} --max-lag 2 --out-dir {d}/corr", "pm.csv", 1),
+    ("count --in {f} --line 8,0,8,12 --min-area 1 --out {d}/counts.csv", "scene.fseq", None),
 ]
 # Bytes to insert or write over: not ASCII, NUL and other control bytes, and
 # line and field breaks; and values for a whole field, at the edges of what a
 # number or a stamp holds.
 FUZZ_BYTES = [b"\x00", b"\xff", b"\xc3\xa9", b"\xe2\x80\xa8", b"\x85", b"\x1c", b"\x0b",
               b"\r", b"\n", b",", b"-", b"\xff\xff\xff\xff", b"\x00\x00\x00\x00"]
-FUZZ_FIELDS = [b"9" * 400, b"nan", b"-inf", b"1e308", b"-1e308", b"4.9e-324",
-               b"18446744073709551616", b"-0", b"", b"2022-01-01T00:00:00Z",
-               b"2022-12-31T23:59:59Z"]
+FUZZ_NUMBERS = [b"9" * 400, b"nan", b"-inf", b"1e308", b"-1e308", b"4.9e-324",
+                b"18446744073709551616", b"-0", b""]
+FUZZ_FIELDS = FUZZ_NUMBERS + [b"2022-01-01T00:00:00Z", b"2022-12-31T23:59:59Z",
+                              b"0001-01-01T00:00:00Z", b"9999-12-31T23:59:59Z"]
 # Where to change a file: mostly near its start, where the headers are.
 fuzz_offsets = st.one_of(st.integers(0, 40), st.integers(0, 4000))
 fuzz_edits = st.lists(st.one_of(
@@ -334,11 +345,7 @@ def fuzz_dir(tmp_path_factory):
     return d
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.sampled_from(FUZZ_COMMANDS), fuzz_edits)
-def test_a_damaged_input_ends_in_an_exit_code_and_one_message(fuzz_dir, command, edits):
-    argv, name = command
-    data = damage((fuzz_dir / name).read_bytes(), edits)
+def assert_exit_code_and_one_message(fuzz_dir, argv, name, data):
     f = fuzz_dir / f"damaged-{name}"
     f.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
@@ -347,3 +354,25 @@ def test_a_damaged_input_ends_in_an_exit_code_and_one_message(fuzz_dir, command,
     assert code in (EXIT_OK, EXIT_DATA, EXIT_BACKEND)
     if code != EXIT_OK:
         assert err.getvalue().splitlines()[-1].startswith("aerotrace:")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(FUZZ_COMMANDS), fuzz_edits)
+def test_a_damaged_input_ends_in_an_exit_code_and_one_message(fuzz_dir, command, edits):
+    argv, name, _ = command
+    assert_exit_code_and_one_message(fuzz_dir, argv, name,
+                                     damage((fuzz_dir / name).read_bytes(), edits))
+
+
+def test_each_number_edge_in_the_column_a_command_reads_ends_in_an_exit_code(fuzz_dir):
+    # Every value of FUZZ_NUMBERS, in turn, replaces the first data row's value
+    # of the column each CSV command reads, so each reaches its number conversion.
+    for argv, name, column in FUZZ_COMMANDS:
+        if column is None:
+            continue
+        lines = (fuzz_dir / name).read_bytes().split(b"\n")
+        row = lines[1].split(b",")
+        for value in FUZZ_NUMBERS:
+            row[column] = value
+            data = b"\n".join([lines[0], b",".join(row), *lines[2:]])
+            assert_exit_code_and_one_message(fuzz_dir, argv, name, data)

@@ -16,7 +16,7 @@ from aerotrace.fseq import iter_fseq_frames, write_fseq
 from aerotrace.synth import SceneObject, SceneScript, scene_frames
 from aerotrace.traffic_count import (
     DIR_DOWN, DIR_UP, F_MAT, H_MAT, MAX_LINE_COORD, P0_MAT, Q_MAT, R_MAT, BackgroundModel,
-    CountLine, CountParams, Detection, SortTracker,
+    CountLine, CountParams, Detection, SortTracker, associate,
     boxes_from_states, count_frames, count_video, extract_detections,
     iou_matrix, kf_predict, kf_update, scan_crossings, segment_crossing)
 
@@ -655,6 +655,74 @@ class TestTracker:
         with pytest.raises(AerotraceError, match="^track 3 diverged$") as exc:
             tracker.step([nan_c, b, nan_a])
         assert type(exc.value) is AerotraceError
+
+
+@st.composite
+def box_sets(draw):
+    """Integer (x, y, w, h) detections and tracks, either side possibly empty.
+    Some tracks copy a detection exactly, so IOUs tie at 1, and boxes are
+    dense enough that one box often overlaps several."""
+    boxes = st.tuples(*[st.integers(0, 40)] * 2, *[st.integers(1, 15)] * 2)
+    dets = draw(st.lists(boxes, max_size=7))
+    copies = st.sampled_from(dets) if dets else boxes
+    tracks = draw(st.lists(st.one_of(boxes, copies), max_size=7))
+    return (np.array(dets, dtype=float).reshape(-1, 4),
+            np.array(tracks, dtype=float).reshape(-1, 4))
+
+
+def spy_on_solver(monkeypatch):
+    calls = []
+    monkeypatch.setattr(traffic_count, "hungarian",
+                        lambda cost: calls.append(cost) or hungarian(cost))
+    return calls
+
+
+class TestAssociate:
+    @pytest.mark.parametrize("gate", [0.3, 0.5, 1.0, 0.0, -0.1])
+    @given(box_sets())
+    def test_equals_the_gated_solve(self, gate, boxes):
+        iou_mat = iou_matrix(*boxes)
+        expected = [(d, t) for d, t in hungarian(1.0 - iou_mat) if iou_mat[d, t] >= gate]
+        got = associate(iou_mat, gate)
+        assert got == expected
+        assert all(type(d) is int and type(t) is int for d, t in got)
+
+    def test_disjoint_overlaps_make_no_solve(self, monkeypatch):
+        calls = spy_on_solver(monkeypatch)
+        dets = np.array([[0, 0, 10, 10], [50, 0, 10, 10], [100, 0, 10, 10]], dtype=float)
+        tracks = np.array([[102, 1, 10, 10], [200, 0, 10, 10], [1, 1, 10, 10]], dtype=float)
+        assert associate(iou_matrix(dets, tracks), 0.3) == [(0, 2), (2, 0)]
+        assert calls == []
+
+    @pytest.mark.parametrize("tracks, gate", [
+        ([[0, 0, 10, 10], [4, 0, 10, 10]], 0.3),  # one detection overlaps two tracks
+        ([[0, 0, 10, 10], [50, 0, 10, 10]], 0.0),  # pairs of no overlap pass the gate
+    ])
+    def test_shared_overlaps_or_a_gate_of_zero_solve_once(self, monkeypatch, tracks, gate):
+        calls = spy_on_solver(monkeypatch)
+        dets = np.array([[1, 0, 10, 10]], dtype=float)
+        assert associate(iou_matrix(dets, np.array(tracks, dtype=float)), gate) == [(0, 0)]
+        assert len(calls) == 1
+
+    def test_a_gate_within_the_solver_tie_tolerance_solves(self, monkeypatch):
+        """An IOU of 1e-13 ties with no overlap inside the solver, which takes
+        the first column; a gate of 1e-14 must leave that choice to it."""
+        calls = spy_on_solver(monkeypatch)
+        iou_mat = np.array([[0.0, 0.0, 1e-13]])
+        assert hungarian(1.0 - iou_mat) == [(0, 0)]
+        assert associate(iou_mat, 1e-14) == []
+        assert len(calls) == 1
+
+    def test_tracker_step_goes_through_the_module_solver(self, monkeypatch):
+        calls = spy_on_solver(monkeypatch)
+        tracker = SortTracker()
+        tracker.step([Detection(box=(0, 0, 10, 10), area=100),
+                      Detection(box=(40, 0, 10, 10), area=100)])
+        tracker.step([Detection(box=(1, 0, 10, 10), area=100),
+                      Detection(box=(41, 0, 10, 10), area=100)])
+        assert calls == [] and [t.hits for t in tracker.tracks] == [2, 2]
+        tracker.step([Detection(box=(5, 0, 40, 10), area=400)])  # overlaps both
+        assert len(calls) == 1
 
 
 @st.composite
