@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError
-from .series import TimeSeries, bucket_resample, overflow_as_data_error
+from .series import TimeSeries, bucket_resample, overflow_as_data_error, paired_floats
 
 WarpPath = list[tuple[int, int]]
 # The most cells ``dtw`` fills, an 800 MB table: 48 times the 1441 x 1441 of a
@@ -155,12 +155,7 @@ def mape(reference: Sequence[float], test: Sequence[float]) -> MapeResult:
     Points where the reference reads exactly zero cannot contribute a
     percentage; they are skipped and counted in the result.
     """
-    a = np.asarray(reference, dtype=float)
-    b = np.asarray(test, dtype=float)
-    if a.size != b.size:
-        raise DataError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size == 0:
-        raise DataError("mape needs at least one point")
+    a, b = paired_floats(reference, test, "mape", 1)
     usable = a != 0
     skipped = int((~usable).sum())
     if not usable.any():
@@ -171,12 +166,7 @@ def mape(reference: Sequence[float], test: Sequence[float]) -> MapeResult:
 
 
 def rmse(reference: Sequence[float], test: Sequence[float]) -> float:
-    a = np.asarray(reference, dtype=float)
-    b = np.asarray(test, dtype=float)
-    if a.size != b.size:
-        raise DataError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size == 0:
-        raise DataError("rmse needs at least one point")
+    a, b = paired_floats(reference, test, "rmse", 1)
     with overflow_as_data_error(f"rmse of {a.size} points"):
         return float(np.sqrt(np.mean((b - a) ** 2)))
 
@@ -242,12 +232,7 @@ def trend_match_score(cycle_ref: Sequence[float], cycle_test: Sequence[float]) -
     A zero cycle value matches either sign, so exactly-on-trend moments are
     never penalized.
     """
-    a = np.asarray(cycle_ref, dtype=float)
-    b = np.asarray(cycle_test, dtype=float)
-    if a.size != b.size:
-        raise DataError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size == 0:
-        raise DataError("trend_match_score needs at least one point")
+    a, b = paired_floats(cycle_ref, cycle_test, "trend_match_score", 1)
     agree = np.sign(a) * np.sign(b) >= 0
     return float(agree.sum()) / a.size * 100.0
 

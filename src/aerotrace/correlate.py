@@ -10,7 +10,8 @@ import numpy as np
 
 from .chart import render_dual_axis_chart
 from .errors import AerotraceError, DataError
-from .series import HOUR_S, TimeSeries, format_utc, overflow_as_data_error, utc_datetime
+from .series import (
+    HOUR_S, TimeSeries, format_utc, overflow_as_data_error, paired_floats, utc_datetime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,12 +51,7 @@ def join_hourly(vehicles: TimeSeries, pm25: TimeSeries) -> JoinedSeries:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    a = np.asarray(x, dtype=float)
-    b = np.asarray(y, dtype=float)
-    if a.size != b.size:
-        raise DataError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size < 3:
-        raise DataError("pearson needs at least 3 points")
+    a, b = paired_floats(x, y, "pearson", 3)
     with overflow_as_data_error(f"pearson r of {a.size} points"):
         if a.std() == 0 or b.std() == 0:
             raise DataError("pearson is undefined for a constant input")

@@ -79,6 +79,19 @@ def overflow_as_data_error(what: str) -> Iterator[None]:
             raise DataError(f"{what} overflows: values too large for float64") from None
 
 
+def paired_floats(x: Sequence[float], y: Sequence[float], name: str,
+                  min_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float arrays; a DataError unless they have one length
+    of at least the ``min_points`` that ``name`` needs."""
+    a, b = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if a.size != b.size:
+        raise DataError(f"length mismatch: {a.size} vs {b.size}")
+    if a.size < min_points:
+        need = "one point" if min_points == 1 else f"{min_points} points"
+        raise DataError(f"{name} needs at least {need}")
+    return a, b
+
+
 def floor_to(ts: datetime, step_s: int) -> datetime:
     """Round a timestamp down to a multiple of ``step_s`` seconds since the epoch."""
     return utc_datetime(math.floor(as_utc(ts).timestamp() / step_s) * step_s)
@@ -301,8 +314,9 @@ def read_csv_series(path: str | Path, value_col: int = 1) -> TimeSeries:
     """Read a headered CSV whose first column is an ISO UTC timestamp."""
     def parse_line(line: str) -> tuple[int, float]:
         fields = line.split(",")
-        if value_col >= len(fields):
-            raise DataError(f"expected at least {value_col + 1} columns")
+        need = value_col + 1 if value_col >= 0 else -value_col
+        if len(fields) < need:
+            raise DataError(f"expected at least {need} columns")
         return int(parse_utc(fields[0]).timestamp()), float(fields[value_col])
 
     return read_series(

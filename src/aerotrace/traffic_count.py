@@ -3,8 +3,9 @@
 Pipeline: per-pixel stability-counting background subtraction produces a
 foreground mask; 8-connected components become detections (tight box +
 center); a constant-velocity Kalman tracker with IOU-gated Hungarian
-association follows each object; a track is counted when its center path
-properly crosses the virtual counting line, at most once per direction.
+association follows each object; a track is counted, at most once per
+direction, when the chord from its last center off the virtual counting line
+to its newest center properly crosses the line. It keeps only those two points.
 Where no detection overlaps two predicted boxes and no predicted box two
 detections, the overlapping pairs are the assignment, and no solve runs.
 
@@ -314,14 +315,15 @@ def boxes_from_states(x: np.ndarray) -> np.ndarray:
 
 
 class Track:
-    """One tracked object: lifecycle counters and center history. Its Kalman
+    """One tracked object: lifecycle counters, its newest center, and its last
+    center off the counting line (at birth, its first center). Its Kalman
     state is a row of ``SortTracker.x`` and ``SortTracker.P``."""
 
     def __init__(self, track_id: int, detection: Detection):
         self.id = track_id
         self.hits = 1
         self.misses = 0
-        self.history: list[tuple[float, float]] = [detection.center]
+        self.center = self.off_line = detection.center
         self.counted: set[int] = set()  # directions already crossed
         self.pending: list[tuple[int, int]] = []  # (frame index, direction)
 
@@ -390,7 +392,7 @@ class SortTracker:
             x[t_rows] = xm
             for d, t in matches:
                 self.tracks[t].hits += 1
-                self.tracks[t].history.append(detections[d].center)
+                self.tracks[t].center = detections[d].center
 
         matched_t = set(t_rows)
         for i, track in enumerate(self.tracks):
@@ -455,28 +457,20 @@ def segment_crossing(line: CountLine, p: tuple[float, float],
     return DIR_UP if sq > 0 else DIR_DOWN
 
 
-def scan_crossings(history: Sequence[tuple[float, float]], line: CountLine,
-                   start: int, counted: set[int]) -> list[tuple[int, int]]:
-    """New crossing events on the path steps ending at ``start`` and later.
-
-    A step crosses when the chord from the path's last point before it that
-    lies off the line to its own end point crosses the segment, so a path
-    through a point exactly on the line crosses once, on the step that leaves
-    it, and one that touches the line and turns back does not cross. Events
-    are (step index, direction) pairs. A direction already in ``counted`` is
-    skipped and every reported one is added to it, so scanning a growing path
-    piece by piece finds the same events as one whole scan.
-    """
-    events: list[tuple[int, int]] = []
-    for i in range(max(start, 1), len(history)):
-        j = i - 1
-        while j > 0 and line.side(history[j]) == 0:
-            j -= 1
-        d = segment_crossing(line, history[j], history[i])
-        if d is not None and d not in counted:
-            counted.add(d)
-            events.append((i, d))
-    return events
+def crossing_step(line: CountLine, off_line: tuple[float, float], center: tuple[float, float],
+                  counted: set[int]) -> tuple[tuple[float, float], int | None]:
+    """One frame of a track's count, on the chord from ``off_line``, its last
+    center off the line, to its newest ``center``. Returns the next off-line
+    point (``center`` unless it lies on the line) and the chord's direction if
+    it crosses and is not yet in ``counted``, which then holds it, else None.
+    So a path through a point on the line crosses once, on the step that
+    leaves it, and a repeated center finds nothing new."""
+    d = segment_crossing(line, off_line, center)
+    if d is not None and d not in counted:
+        counted.add(d)
+    else:
+        d = None
+    return (off_line if line.side(center) == 0 else center), d
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +487,10 @@ class VehicleCounter:
     """Stateful per-video pipeline feeding frames through subtraction,
     detection, tracking, and line counting.
 
-    Crossing events are noted as soon as a track's newest path segment
-    crosses the line but only released to the tally once the track has
-    accumulated ``min_hits`` updates, so short-lived noise never counts.
+    Each frame applies ``crossing_step`` once to every live track. A
+    crossing event is noted as soon as a track's chord crosses the line but
+    only released to the tally once the track has accumulated ``min_hits``
+    updates, so short-lived noise never counts.
     """
 
     def __init__(self, line: CountLine, params: CountParams = CountParams()):
@@ -514,11 +509,9 @@ class VehicleCounter:
         detections = extract_detections(mask, self.params.min_area)
         self.tracker.step(detections)
         for track in self.tracker.tracks:
-            # A step adds at most one point, so only the newest path step can
-            # be new; re-scanning an older one reports nothing, since any
-            # direction it crosses is already counted.
-            for _, d in scan_crossings(track.history, self.line,
-                                       len(track.history) - 1, track.counted):
+            track.off_line, d = crossing_step(self.line, track.off_line, track.center,
+                                              track.counted)
+            if d is not None:
                 track.pending.append((frame_idx, d))
             if track.hits >= self.params.min_hits and track.pending:
                 self.events.extend(track.pending)

@@ -54,8 +54,9 @@ def read_csv_series_oracle(path, value_col=1):
     points = []
     for lineno, line in rows[1:]:
         fields = line.split(",")
-        if value_col >= len(fields):
-            raise DataError(f"{path}:{lineno}: expected at least {value_col + 1} columns")
+        need = value_col + 1 if value_col >= 0 else -value_col
+        if len(fields) < need:
+            raise DataError(f"{path}:{lineno}: expected at least {need} columns")
         try:
             t = parse_utc(fields[0])
             v = float(fields[value_col])

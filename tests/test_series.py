@@ -140,6 +140,14 @@ class TestCsvIo:
         with pytest.raises(DataError):
             read_csv_series(path)
 
+    @pytest.mark.parametrize("value_col, need", [(2, 3), (-3, 3), (-4, 4)])
+    def test_a_column_beyond_the_row_is_a_data_error(self, tmp_path, value_col, need):
+        path = tmp_path / "narrow.csv"
+        path.write_text("t,v\n2022-07-01T16:00:00Z,1.0\n")
+        with pytest.raises(DataError) as exc:
+            read_csv_series(path, value_col=value_col)
+        assert str(exc.value) == f"{path}:2: expected at least {need} columns"
+
     def test_error_names_the_physical_line(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_text("hour_start,value\n\n\n2022-07-01T16:00:00Z,1.0\n2022-07-01T17:00:00Z,x\n")

@@ -17,8 +17,8 @@ from aerotrace.synth import SceneObject, SceneScript, scene_frames
 from aerotrace.traffic_count import (
     DIR_DOWN, DIR_UP, F_MAT, H_MAT, MAX_LINE_COORD, P0_MAT, Q_MAT, R_MAT, BackgroundModel,
     CountLine, CountParams, Detection, SortTracker, associate,
-    boxes_from_states, count_frames, count_video, extract_detections,
-    iou_matrix, kf_predict, kf_update, scan_crossings, segment_crossing)
+    boxes_from_states, count_frames, count_video, crossing_step, extract_detections,
+    iou_matrix, kf_predict, kf_update, segment_crossing)
 
 UTC = timezone.utc
 T0 = datetime(2022, 7, 1, 16, 0, 0, tzinfo=UTC)
@@ -513,7 +513,7 @@ class TrackOracle:
         self.P = P0_MAT.copy()
         self.hits = 1
         self.misses = 0
-        self.history = [detection.center]
+        self.center = detection.center
 
     def predict(self):
         if self.x[2] + self.x[6] <= 0:
@@ -529,7 +529,7 @@ class TrackOracle:
             raise AerotraceError(f"track {self.id} diverged")
         self.hits += 1
         self.misses = 0
-        self.history.append(detection.center)
+        self.center = detection.center
 
 
 class SortTrackerOracle:
@@ -562,11 +562,11 @@ class SortTrackerOracle:
 
 
 def assert_trackers_equal(tracker, oracle):
-    """Equal lifecycles and histories, and state bytes row by row."""
+    """Equal lifecycles and newest centers, and state bytes row by row."""
     assert [t.id for t in tracker.tracks] == [t.id for t in oracle.tracks]
     assert [t.hits for t in tracker.tracks] == [t.hits for t in oracle.tracks]
     assert [t.misses for t in tracker.tracks] == [t.misses for t in oracle.tracks]
-    assert [t.history for t in tracker.tracks] == [t.history for t in oracle.tracks]
+    assert [t.center for t in tracker.tracks] == [t.center for t in oracle.tracks]
     n = len(oracle.tracks)
     assert tracker.x.shape == (n, 7) and tracker.P.shape == (n, 7, 7)
     assert tracker.x.dtype == tracker.P.dtype == np.float64
@@ -604,7 +604,7 @@ class TestTracker:
             a = self.det(10 + 6 * k, 20, w=30, h=12)   # moving right on row 20
             b = self.det(170 - 6 * k, 60, w=14, h=8)   # moving left on row 60
             tracker.step([a, b] if k % 2 == 0 else [b, a])
-            rows = {round(t.history[-1][1]): t.id for t in tracker.tracks}
+            rows = {round(t.center[1]): t.id for t in tracker.tracks}
             if not id_by_row:
                 id_by_row = rows
             assert rows == id_by_row
@@ -791,8 +791,35 @@ class TestTrackerOracle:
         assert matched > 0
 
 
-def count_crossings(path, line):
-    return scan_crossings(path, line, 1, set())
+def count_crossings(path, line, repeats=None):
+    """(path index, direction) events of ``crossing_step`` folded over ``path``
+    as the counter applies it to a track, once per frame; ``repeats[i]`` more
+    frames at point i stand for frames in which the track is not matched."""
+    counted: set[int] = set()
+    off_line, events = path[0], []
+    for i, center in enumerate(path):
+        for _ in range(1 + (repeats[i] if repeats else 0)):
+            off_line, d = crossing_step(line, off_line, center, counted)
+            if d is not None:
+                events.append((i, d))
+    return events
+
+
+def scan_whole_path(path, line):
+    """Reference: the whole-path scan the counter ran while a track kept its
+    whole path. Each step's chord runs from the last earlier point off the
+    line, or the first point, to the step's end."""
+    counted: set[int] = set()
+    events = []
+    for i in range(1, len(path)):
+        j = i - 1
+        while j > 0 and line.side(path[j]) == 0:
+            j -= 1
+        d = segment_crossing(line, path[j], path[i])
+        if d is not None and d not in counted:
+            counted.add(d)
+            events.append((i, d))
+    return events
 
 
 class TestCrossings:
@@ -869,37 +896,20 @@ class TestCrossings:
 paths = st.lists(st.tuples(st.integers(0, 20), st.integers(-5, 25)), min_size=1, max_size=30)
 
 
-class TestScanCrossingsProperties:
-    line = CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0))
-
-    @given(paths, st.lists(st.integers(1, 30), max_size=6))
-    def test_piecewise_scan_matches_whole_path(self, path, cuts):
-        whole = count_crossings(path, self.line)
-        counted: set[int] = set()
-        pieces, start = [], 1
-        for end in sorted({c for c in cuts if c < len(path)} | {len(path)}):
-            pieces += scan_crossings(path[:end], self.line, start, counted)
-            start = end
-        assert pieces == whole
-        assert counted == {d for _, d in whole}
-        assert len(whole) == len(counted) <= 2
-
-    @given(paths, st.lists(st.booleans(), min_size=30, max_size=30))
-    def test_newest_step_rescan_matches_whole_path(self, path, repeats):
-        # The counter scans only the newest step of each live track, and a
-        # frame without a match scans the same step again.
-        whole = count_crossings(path, self.line)
-        counted: set[int] = set()
-        events = []
-        for n in range(1, len(path) + 1):
-            for _ in range(2 if repeats[n - 1] else 1):
-                events += scan_crossings(path[:n], self.line, n - 1, counted)
-        assert events == whole
-
+class TestCrossingStepProperties:
     lines = st.sampled_from([CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0)),
                              CountLine(p1=(0.0, 0.0), p2=(20.0, 20.0)),
                              CountLine(p1=(17.0, 2.0), p2=(3.0, 19.0))])
     point = st.tuples(st.integers(-5, 25), st.integers(-5, 25))
+
+    @given(lines, paths, st.lists(st.integers(0, 3), min_size=30, max_size=30))
+    @example(CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0)), [(8, 5), (10, 5), (10, 6), (12, 5)],
+             [1, 2, 1, 1] + [0] * 26)
+    def test_two_points_and_unmatched_frames_match_the_whole_path_scan(
+            self, line, path, repeats):
+        events = count_crossings(path, line, repeats)
+        assert events == scan_whole_path(path, line)
+        assert len({d for _, d in events}) == len(events) <= 2
 
     @given(lines, point, point, st.integers(1, 12))
     @example(CountLine(p1=(10.0, 0.0), p2=(10.0, 20.0)), (6, 5), (14, 5), 4)
