@@ -12,14 +12,25 @@ detections, the overlapping pairs are the assignment, and no solve runs.
 The tracker stacks the Kalman states of its live tracks, one row per track
 in track order, so each frame costs one predict over every track and one
 update, with one linear solve, over the matched tracks.
+
+``count_frames`` runs the background model in a child process that it forks
+at the first frame (``background_masks``), and everything else in the
+parent: the parent reads and checks frame k + 1 and hands it to the child,
+then detects, tracks and counts on mask k while the child updates frame
+k + 1. The child reads only its own frames, so its masks are those of an
+in-process model, byte for byte. ``os.fork`` makes this POSIX-only; the
+project is tested on Ubuntu.
 """
 from __future__ import annotations
 
+import itertools
 import logging
+import mmap
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -50,6 +61,18 @@ class CountParams:
 # Bytes of one uint8 plane per strip. The eleven planes a strip touches (frame,
 # state, scratch and mask) then come to 1.4 MiB and stay in a 2 MiB L2 cache.
 _STRIP_BYTES = 128 << 10
+
+
+def _check_frame(frame: np.ndarray, shape: tuple[int, int] | None) -> tuple[int, int]:
+    """The shape of ``frame``; DataError unless it is a uint8 array of ``shape``,
+    or, where ``shape`` is None, of two dimensions and at least one pixel."""
+    if not isinstance(frame, np.ndarray):
+        raise DataError(f"frames must be uint8 arrays, got {type(frame).__name__}")
+    if frame.shape != shape if shape else (frame.ndim != 2 or not frame.size):
+        raise DataError(f"frame is {frame.shape}, model expects {shape or '(height, width)'}")
+    if frame.dtype != np.uint8:
+        raise DataError(f"frames must be uint8, got {frame.dtype}")
+    return frame.shape
 
 
 def _abs_diff(a: np.ndarray, b: np.ndarray, out: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -115,11 +138,7 @@ class BackgroundModel:
         self._full = False  # has_background.all(), which never turns false again
 
     def update(self, frame: np.ndarray) -> np.ndarray:
-        if frame.shape != (self.height, self.width):
-            raise DataError(
-                f"frame is {frame.shape}, model expects {(self.height, self.width)}")
-        if frame.dtype != np.uint8:
-            raise DataError(f"frames must be uint8, got {frame.dtype}")
+        _check_frame(frame, (self.height, self.width))
         if not self._primed:
             np.copyto(self.candidate, frame)
             self._primed = True
@@ -159,6 +178,102 @@ class BackgroundModel:
             has_bg |= select
             np.logical_and(mask, has_bg, out=mask)
         return settled
+
+
+# ---------------------------------------------------------------------------
+# Background process
+
+# Frames in flight: the child updates frame k + 1 while the parent takes mask k.
+_RING = 2
+
+
+def _serve_background(model: BackgroundModel, slots: list[tuple[np.ndarray, np.ndarray]],
+                      frame_r: int, mask_w: int) -> NoReturn:
+    """The forked child. It closes every descriptor above stderr but its two
+    pipe ends, so no other pipe, such as another counter's frame pipe, stays
+    open in it. Then, per byte read, it updates the model with the next slot's
+    frame, writes the mask into the slot and replies with one byte. It leaves
+    through ``os._exit`` at end of file or on any exception, so it never
+    writes to stdout or stderr."""
+    status = 1
+    try:
+        low, high = sorted((frame_r, mask_w))
+        os.closerange(3, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        k = 0
+        while os.read(frame_r, 1):
+            frame, mask = slots[k % _RING]
+            np.copyto(mask, model.update(frame))
+            os.write(mask_w, b"m")
+            k += 1
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def background_masks(frames: Iterable[np.ndarray], params: CountParams) -> Iterator[np.ndarray]:
+    """The ``BackgroundModel`` mask of each frame, computed in a forked child.
+
+    The parent checks each frame (the first sets the shape), copies it into
+    a slot of a ring of ``_RING`` frame and mask pairs in shared memory, and
+    sends the child one byte; the child replies with one byte once the
+    slot's mask is written. A yielded mask is a view of its slot, valid until
+    the next mask is asked for. A bad frame, or an exception from ``frames``,
+    is raised when that frame is read, before the previous frame's mask is
+    yielded. A child that dies raises ``AerotraceError``. Every exit,
+    ``close`` included, closes the frame pipe, at whose end the child leaves,
+    and waits for the child.
+    """
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
+        return
+    shape = _check_frame(first, None)
+    height, width = shape
+    plane = height * width
+    ring = mmap.mmap(-1, 2 * _RING * plane)
+    slots = [(np.ndarray(shape, np.uint8, ring, 2 * k * plane),
+              np.ndarray(shape, bool, ring, (2 * k + 1) * plane)) for k in range(_RING)]
+    model = BackgroundModel(width, height, params.pixel_threshold, params.min_stability)
+    frame_r, frame_w = os.pipe()
+    mask_r, mask_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _serve_background(model, slots, frame_r, mask_w)
+    os.close(frame_r)
+    os.close(mask_w)
+    del model  # the child's; the parent never touches its planes
+    status = None
+
+    def next_mask(idx: int) -> np.ndarray:
+        nonlocal status
+        if os.read(mask_r, 1):
+            return slots[idx % _RING][1]
+        _, status = os.waitpid(pid, 0)  # end of file: the child has left
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise AerotraceError(f"the background process {how} at frame {idx}")
+
+    try:
+        sent = 0
+        for frame in itertools.chain([first], frames):
+            _check_frame(frame, shape)
+            np.copyto(slots[sent % _RING][0], frame)
+            try:
+                os.write(frame_w, b"f")
+            except BrokenPipeError:
+                pass  # the child has left; its mask pipe reads end of file next
+            sent += 1
+            if sent >= _RING:
+                yield next_mask(sent - _RING)
+        for idx in range(max(sent - _RING + 1, 0), sent):
+            yield next_mask(idx)
+    finally:
+        os.close(frame_w)
+        if status is None:
+            os.waitpid(pid, 0)
+        os.close(mask_r)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +599,11 @@ class HourlyCounts:
 
 
 class VehicleCounter:
-    """Stateful per-video pipeline feeding frames through subtraction,
-    detection, tracking, and line counting.
+    """Stateful per-video pipeline feeding background masks through detection,
+    tracking, and line counting. It owns no background model: ``count_frames``
+    computes the masks in a child process (``background_masks``) and passes
+    each to ``process`` in the parent, in frame order. A mask is valid only
+    until the next one is asked for, so ``process`` keeps no reference to it.
 
     Each frame applies ``crossing_step`` once to every live track. A
     crossing event is noted as soon as a track's chord crosses the line but
@@ -496,16 +614,10 @@ class VehicleCounter:
     def __init__(self, line: CountLine, params: CountParams = CountParams()):
         self.line = line
         self.params = params
-        self.bg: BackgroundModel | None = None
         self.tracker = SortTracker(params)
         self.events: list[tuple[int, int]] = []  # (frame index, direction)
 
-    def process(self, frame: np.ndarray, frame_idx: int) -> None:
-        if self.bg is None:
-            h, w = frame.shape
-            self.bg = BackgroundModel(w, h, self.params.pixel_threshold,
-                                      self.params.min_stability)
-        mask = self.bg.update(frame)
+    def process(self, mask: np.ndarray, frame_idx: int) -> None:
         detections = extract_detections(mask, self.params.min_area)
         self.tracker.step(detections)
         for track in self.tracker.tracks:
@@ -533,9 +645,13 @@ def count_frames(frames: Iterable[np.ndarray], line: CountLine,
     """Count line crossings over a frame stream and bucket them per UTC hour."""
     counter = VehicleCounter(line, params)
     n = 0
-    for idx, frame in enumerate(frames):
-        counter.process(frame, idx)
-        n = idx + 1
+    masks = background_masks(frames, params)
+    try:
+        for idx, mask in enumerate(masks):
+            counter.process(mask, idx)
+            n = idx + 1
+    finally:
+        masks.close()  # waits for the background process on every exit
     if n == 0:
         raise DataError("no frames to count")
     first_hour = floor_to(start, HOUR_S)

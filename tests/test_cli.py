@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import shutil
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -292,7 +293,19 @@ FUZZ_COMMANDS = [
     ("correlate --vehicles {f} --pm25 {d}/pm.csv --max-lag 2 --out-dir {d}/corr", "veh.csv", 1),
     ("correlate --vehicles {d}/veh.csv --pm25 {f} --max-lag 2 --out-dir {d}/corr", "pm.csv", 1),
     ("count --in {f} --line 8,0,8,12 --min-area 1 --out {d}/counts.csv", "scene.fseq", None),
+    ("node run --config {f} --duration 2s --accel 1e9", "tiny-node.conf", None),
+    ("synth --script {f} --out {d}/synth.fseq", "scene.script", None),
 ]
+# Appended to a damaged file, never damaged: the node's buffer and store paths,
+# so a damaged path cannot point outside the fuzz directory.
+FUZZ_TAILS = {"tiny-node.conf": "buffer_dir={d}/node/buffer\nstore_root={d}/node/store\n"}
+# Tiny frames and scenes: no damage short of deleting a size line asks for more
+# than 1296 x 730 pixels, the defaults, or for more than a few frames of them.
+TINY_NODE_CONF = ("node_id=node-a\nframe_width=8\nframe_height=6\nvideo_fps=2\n"
+                  "video_chunk_len=1s\nsample_interval=1s\nretention=1s\n"
+                  "start_time=2022-07-01T16:00:00Z\n")
+TINY_SCENE = ("width=16\nheight=12\nfps=5\nduration=2\nnoise=3\n"
+              "object car size=4x4 start=0,4 velocity=8,0 intensity=200\n")
 # Bytes to insert or write over: not ASCII, NUL and other control bytes, and
 # line and field breaks; and values for a whole field, at the edges of what a
 # number or a stamp holds.
@@ -339,17 +352,20 @@ def damage(data, edits):
 def fuzz_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     write_inputs(d)
-    script = parse_scene_script("width=16\nheight=12\nfps=5\nduration=2\nnoise=3\n"
-                                "object car size=4x4 start=0,4 velocity=8,0 intensity=200\n")
-    write_scene_fseq(script, d / "scene.fseq", seed=1)
+    write_scene_fseq(parse_scene_script(TINY_SCENE), d / "scene.fseq", seed=1)
+    (d / "scene.script").write_text(TINY_SCENE)
+    (d / "tiny-node.conf").write_text(TINY_NODE_CONF)
     return d
 
 
 def assert_exit_code_and_one_message(fuzz_dir, argv, name, data):
     f = fuzz_dir / f"damaged-{name}"
-    f.write_bytes(data)
+    f.write_bytes(data + FUZZ_TAILS.get(name, "").format(d=fuzz_dir).encode())
+    shutil.rmtree(fuzz_dir / "node", ignore_errors=True)  # each node run starts afresh
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.delenv(STORE_ROOT_ENV, raising=False)
         code = main(argv.format(d=fuzz_dir, f=f).split())
     assert code in (EXIT_OK, EXIT_DATA, EXIT_BACKEND)
     if code != EXIT_OK:

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +19,13 @@ from scipy import ndimage
 
 from aerotrace import traffic_count
 from aerotrace.assignment import hungarian
+from aerotrace.cli import EXIT_DATA, main
 from aerotrace.errors import AerotraceError, DataError
-from aerotrace.fseq import iter_fseq_frames, write_fseq
+from aerotrace.fseq import HEADER_SIZE, iter_fseq_frames, write_fseq
 from aerotrace.synth import SceneObject, SceneScript, scene_frames
 from aerotrace.traffic_count import (
     DIR_DOWN, DIR_UP, F_MAT, H_MAT, MAX_LINE_COORD, P0_MAT, Q_MAT, R_MAT, BackgroundModel,
-    CountLine, CountParams, Detection, SortTracker, associate,
+    CountLine, CountParams, Detection, SortTracker, associate, background_masks,
     boxes_from_states, count_frames, count_video, crossing_step, extract_detections,
     iou_matrix, kf_predict, kf_update, segment_crossing)
 
@@ -1003,3 +1012,213 @@ class TestSceneCounting:
         counts = count_frames(scene_frames(script), line, start=start, fps=10)
         assert [h.hour for h in counts.hours] == [15, 16]
         assert [u + d for u, d in zip(counts.up, counts.down)] == [7, 3]
+
+
+class TestFrameChecks:
+    @pytest.mark.parametrize("first, message", [
+        (np.zeros((2, 20, 20), dtype=np.uint8),
+         r"^frame is \(2, 20, 20\), model expects \(height, width\)$"),
+        (np.zeros((20,), dtype=np.uint8), r"^frame is \(20,\), model expects \(height, width\)$"),
+        (np.zeros((0, 20), dtype=np.uint8), r"^frame is \(0, 20\), model expects \(height, width\)$"),
+        (np.zeros((20, 0), dtype=np.uint8), r"^frame is \(20, 0\), model expects \(height, width\)$"),
+        ([[0] * 20] * 20, r"^frames must be uint8 arrays, got list$"),
+        (np.zeros((20, 20), dtype=np.int16), r"^frames must be uint8, got int16$"),
+    ])
+    def test_a_first_frame_that_is_not_a_uint8_image_is_a_data_error(self, first, message):
+        with pytest.raises(DataError, match=message):
+            count_frames([first], LINE_324, start=T0, fps=10)
+
+
+# -- The background process ---------------------------------------------------
+
+def collect_masks(masks):
+    """A copy of each mask, since a yielded mask is valid only until the next
+    is asked for, and the message of the DataError that ended them, if any."""
+    copies = []
+    try:
+        for mask in masks:
+            copies.append(mask.copy())
+    except DataError as exc:
+        return copies, str(exc)
+    return copies, None
+
+
+def assert_piped_masks_match_the_model(frames, params=CountParams()):
+    h, w = frames[0].shape
+    model = BackgroundModel(w, h, params.pixel_threshold, params.min_stability)
+    expected, expected_error = collect_masks(model.update(frame) for frame in frames)
+    piped = background_masks(iter(frames), params)
+    try:
+        masks, error = collect_masks(piped)
+    finally:
+        piped.close()
+    assert error == expected_error
+    # The pipeline reads frame k + 1 before it yields mask k, so an error ends
+    # it one mask before the model's.
+    assert len(masks) == len(expected) - (error is not None) > 0
+    for k, (mask, want) in enumerate(zip(masks, expected)):
+        assert mask.dtype == bool and np.array_equal(mask, want), f"frame {k}"
+    assert_no_child_left()
+    return error
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def levels(shape, runs, seed=0):
+    """Frames of one level per run, plus seeded noise of +-8."""
+    rng = np.random.default_rng(seed)
+    return [np.clip(level + rng.integers(-8, 9, shape), 0, 255).astype(np.uint8)
+            for level, length in runs for _ in range(length)]
+
+
+class TestBackgroundProcess:
+    def test_masks_of_a_synthesized_scene_match_the_model(self):
+        frames = list(scene_frames(replace(scene([ltr(30), rtl(120)], duration=9), noise=8),
+                                   seed=5))
+        assert assert_piped_masks_match_the_model(frames) is None
+
+    def test_masks_through_an_illumination_step_match_the_model(self):
+        frames = levels((12, 16), [(40, 20), (100, 20), (60, 3), (200, 9)])
+        assert assert_piped_masks_match_the_model(frames, CountParams(min_stability=4)) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_streams_shorter_than_the_ring_match_the_model(self, n):
+        assert assert_piped_masks_match_the_model(levels((3, 5), [(90, n)])) is None
+
+    def test_a_frame_shape_change_ends_the_masks_where_the_model_fails(self):
+        frames = levels((12, 16), [(40, 20)]) + levels((12, 17), [(40, 1)]) \
+            + levels((12, 16), [(40, 3)])
+        error = assert_piped_masks_match_the_model(frames)
+        assert error == "frame is (12, 17), model expects (12, 16)"
+
+    def test_a_normal_end_leaves_no_child(self):
+        counts = run_scene(scene([ltr(80)], duration=9))
+        assert counts.down == (1,)
+        assert_no_child_left()
+
+    def test_a_bad_frame_mid_stream_leaves_no_child(self):
+        frames = levels((6, 8), [(40, 5)]) + [np.zeros((6, 8), dtype=np.float32)]
+        with pytest.raises(DataError, match=r"^frames must be uint8, got float32$") as raised:
+            count_frames(frames + levels((6, 8), [(40, 5)]), LINE_324, start=T0, fps=10)
+        assert_no_child_left()
+        assert raised.value
+
+    def test_a_truncated_fseq_leaves_no_child(self, tmp_path, monkeypatch):
+        path = tmp_path / "cut.fseq"
+        write_fseq(path, np.zeros((6, 200, 200), dtype=np.uint8), fps=1)
+
+        def cut_after_frame_2(p):
+            info, frames = iter_fseq_frames(p)
+
+            def gen():
+                for k, frame in enumerate(frames):
+                    if k == 2:
+                        os.truncate(p, HEADER_SIZE + 3 * info.frame_bytes + 700)
+                    yield frame
+            return info, gen()
+
+        monkeypatch.setattr(traffic_count, "iter_fseq_frames", cut_after_frame_2)
+        with pytest.raises(DataError, match=r"cut\.fseq: frame 3: read \d+ of 40000 bytes$") \
+                as raised:
+            count_video(path, LINE_324, start=T0)
+        assert_no_child_left()
+        assert raised.value
+
+    def test_a_tracker_error_in_the_parent_leaves_no_child(self, monkeypatch):
+        def fail(self, detections):
+            raise RuntimeError("tracker failed")
+
+        monkeypatch.setattr(SortTracker, "step", fail)
+        with pytest.raises(RuntimeError, match="tracker failed") as raised:
+            run_scene(scene([ltr(80)], duration=2))
+        assert_no_child_left()
+        assert raised.value
+
+    def test_an_error_in_the_child_is_one_message_and_exit_2(self, tmp_path, monkeypatch):
+        update = BackgroundModel.update
+        seen = []
+
+        def fail_at_frame_3(self, frame):
+            seen.append(1)
+            if len(seen) > 3:
+                raise RuntimeError("model failed")
+            return update(self, frame)
+
+        monkeypatch.setattr(BackgroundModel, "update", fail_at_frame_3)
+        frames = levels((6, 8), [(40, 10)])
+        with pytest.raises(AerotraceError, match=r"^the background process exited with "
+                                                 r"status 1 at frame 3$") as raised:
+            count_frames(frames, LINE_324, start=T0, fps=10)
+        assert_no_child_left()
+        assert raised.value and seen == []  # the model ran in the child only
+
+        path = tmp_path / "scene.fseq"
+        write_fseq(path, np.stack(frames), fps=10)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["count", "--in", str(path), "--line", "4,0,4,5", "--start",
+                         "2022-07-01T16:00:00Z"])
+        assert code == EXIT_DATA and out.getvalue() == ""
+        assert err.getvalue() == ("aerotrace: the background process exited with status 1 "
+                                  "at frame 3\n")
+        assert_no_child_left()
+
+
+def processes():
+    """(pid, state, parent pid, process group) of every process, from /proc."""
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                state, ppid, pgrp = (entry / "stat").read_text().rpartition(")")[2].split()[:3]
+            except (OSError, ValueError):
+                continue  # gone since the listing
+            yield int(entry.name), state, int(ppid), int(pgrp)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGINT], ids=["SIGKILL", "SIGINT"])
+def test_a_killed_count_leaves_no_process(tmp_path, sig):
+    """``count`` in its own session, signalled once its background process
+    runs: within 2 s no process of that session's group is left. A process
+    that has exited but waits for init to reap it (state Z, which some
+    container inits leave for over a second) counts as gone."""
+    rng = np.random.default_rng(0)
+    frames = np.full((800, 64, 64), 30, dtype=np.uint8)
+    for t in range(20, len(frames)):  # ten squares at random: many tracks, slow to count
+        for y, x in rng.integers(0, 61, (10, 2)):
+            frames[t, y:y + 3, x:x + 3] = 220
+    write_fseq(tmp_path / "slow.fseq", frames, fps=10)
+    src = str(Path(traffic_count.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aerotrace.cli", "count", "--in", str(tmp_path / "slow.fseq"),
+         "--line", "32,0,32,63", "--min-area", "1", "--out", str(tmp_path / "counts.csv")],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    pgid = proc.pid
+    try:
+        deadline = time.monotonic() + 30
+        while not any(ppid == proc.pid for _, _, ppid, _ in processes()):
+            assert proc.poll() is None, "count ended before its background process was seen"
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        os.kill(proc.pid, sig)
+        proc.wait(timeout=30)
+        assert not (tmp_path / "counts.csv").exists()
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            if all(state == "Z" for _, state, _, pgrp in processes() if pgrp == pgid):
+                break
+            assert time.monotonic() < deadline, "a process of the killed count outlived it"
+            time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pgid, signal.SIGKILL)
+        proc.wait()
